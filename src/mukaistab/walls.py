@@ -12,6 +12,11 @@ the rationals: for a circle the substitution u = (s - c)^2 turns
 range of u over an s-interval is computed endpoint-wise, so no square
 root is ever taken.  The few comparisons against c +- sqrt(R2) that
 remain are done by sign bookkeeping and squaring.
+
+The candidate loop of enumerate_walls is integral: every candidate v1 is
+an integral class, so its squares, pairing and (A, C, D) are Python ints.
+Fraction enters only through the degree-interval bounds, the region test
+(once per distinct wall) and the returned Walls.
 """
 
 from dataclasses import dataclass
@@ -352,7 +357,8 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     1. Only circles occur: a vertical locus for v1 against v sits at
        s = -D/C which for m = 0 collapses to s = d/r where d_beta(v)
        vanishes identically, so no vertical wall ever carries a
-       positive-degree point; m = 0 candidates are skipped.
+       positive-degree point; m = 0 candidates are skipped.  This also
+       excludes every v1 proportional to v, which has m = 0.
     2. radius^2 = (p^2 - q1*q)/(h2*m)^2 >= t0^2 >= t2_min and
        0 <= q1*q (abelian), p <= q - 1 give
        m^2 <= (q-1)^2/(h2^2 * t2_min).   [K3: q1 >= -2, p <= q + 1,
@@ -372,13 +378,25 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
        same window applied to q2 does, using r != 0 (r = r1 = 0 forces
        m = 0, already skipped).
 
+    Each candidate then needs q1, q2 >= sq_lo and <v1, v - v1> > 0: the
+    exact numeric criterion on abelian surfaces; on K3 the completeness
+    policy (squares >= -2 allow spherical parts), so the K3 list is
+    necessary-only, like is_wall_vector.
+
+    The candidate loop runs on ints: the bounds of steps 2 and 5, q1, q2,
+    the pairing and A = (h2/2)*m, C = a1*r - r1*a, D = a*d1 - a1*d.  The
+    locus is a circle iff C^2 - 4AD > 0, as radius^2 = (C^2 - 4AD)/(4A^2).
+    Fraction appears only in the bounds drawn from J, in the region test,
+    run once per distinct (A:C:D) since all its v1 cut the same circle,
+    and in the returned Walls, built by wall_locus for the winners only.
+
     Raises BoundOverflow when the candidate stream would exceed ``cap``.
     """
     if not v.is_integral():
         raise NonIntegral(f"enumeration needs an integral v, got {v}")
     if not v.is_primitive():
         raise NotPrimitive(f"enumeration needs a primitive v, got {v}")
-    q = mukai_square(v, S)
+    q = int(mukai_square(v, S))
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
     J = _clip_degree_interval(v, S, reg.s_min, reg.s_max)
@@ -386,81 +404,75 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         raise ZeroDegree(f"d_beta({v}) is nowhere positive on s in "
                          f"[{reg.s_min}, {reg.s_max}]")
     lo, hi, _, _ = J
+    r, d, a = int(v.r), int(v.d), int(v.a)
     h2 = S.h2
     if S.kind == "abelian":
-        sq_lo, sq_hi = Fraction(0), q - 2
+        sq_lo, sq_hi = 0, q - 2
         m_sq_bound = (q - 1) ** 2 / (h2 * h2 * reg.t2_min)
         r1_spread = 2 * (q - 1) / (h2 * reg.t2_min)
     else:
-        sq_lo, sq_hi = Fraction(-2), q
+        sq_lo, sq_hi = -2, q
         m_sq_bound = ((q + 1) ** 2 + 2 * q) / (h2 * h2 * reg.t2_min)
         r1_spread = 2 * (q + 2) / (h2 * reg.t2_min)
-    r1_max = abs(int(v.r)) + _ceil_sqrt(r1_spread)
+    m_sq_num, m_sq_den = m_sq_bound.numerator, m_sq_bound.denominator
+    r1_max = abs(r) + _ceil_sqrt(r1_spread)
 
     count = 0
-    best = {}  # acd key -> (selection key, Wall)
+    meets = {}  # acd key -> does the circle meet reg in positive degree
+    best = {}   # acd key -> (|q1|, (r1, d1, a1)) of the representative
     for r1 in range(-r1_max, r1_max + 1):
         # step 4: d1 > inf_J r1*s and d1 < d + sup_J (r1-r)*s
-        d1_lo = min(r1 * lo, r1 * hi)
-        d1_hi = v.d + max((r1 - v.r) * lo, (r1 - v.r) * hi)
-        d1_first = floor(d1_lo) + 1
-        d1_last = ceil(d1_hi) - 1 if d1_hi == ceil(d1_hi) else floor(d1_hi)
+        d1_first = floor(min(r1 * lo, r1 * hi)) + 1
+        d1_last = ceil(d + max((r1 - r) * lo, (r1 - r) * hi)) - 1
+        r2 = r - r1
         for d1 in range(d1_first, d1_last + 1):
-            m = r1 * v.d - v.r * d1
+            m = r1 * d - r * d1
             if m == 0:
                 continue  # step 1: verticals never qualify
-            if m * m > m_sq_bound:
+            if m * m * m_sq_den > m_sq_num:
                 continue  # step 2
-            # step 5: a1 window
+            # step 5: a1 window [n_lo/den, n_hi/den]
+            hd1, hd2 = h2 * d1 * d1, h2 * (d - d1) ** 2
             if r1 != 0:
-                b_lo = (h2 * d1 * d1 - sq_hi) / (2 * r1)
-                b_hi = (h2 * d1 * d1 - sq_lo) / (2 * r1)
+                n_lo, n_hi, den = hd1 - sq_hi, hd1 - sq_lo, 2 * r1
             else:
                 # q2 = h2*(d-d1)^2 - 2*r*(a - a1) in [sq_lo, sq_hi]
-                r_, dd = v.r, v.d - d1
-                b_lo = v.a - (h2 * dd * dd - sq_lo) / (2 * r_)
-                b_hi = v.a - (h2 * dd * dd - sq_hi) / (2 * r_)
-            if b_lo > b_hi:
-                b_lo, b_hi = b_hi, b_lo
-            a_first, a_last = ceil(b_lo), floor(b_hi)
+                n_lo, n_hi, den = (2 * r * a - hd2 + sq_lo,
+                                   2 * r * a - hd2 + sq_hi, 2 * r)
+            if den < 0:
+                n_lo, n_hi, den = -n_hi, -n_lo, -den
+            a_first, a_last = -(-n_lo // den), n_hi // den
             count += max(0, a_last - a_first + 1)
             if count > cap:
                 raise BoundOverflow(f"more than {cap} candidate classes for "
                                     f"v={v} over the requested region")
+            A = h2 // 2 * m
             for a1 in range(a_first, a_last + 1):
-                v1 = MukaiVector(r1, d1, a1)
-                if not _enumeration_filter(v1, v, S, sq_lo):
+                q1 = hd1 - 2 * r1 * a1
+                q2 = hd2 - 2 * r2 * (a - a1)
+                # q = q1 + 2<v1, v - v1> + q2, so the pairing is positive
+                # iff q1 + q2 < q
+                if q1 < sq_lo or q2 < sq_lo or q1 + q2 >= q:
                     continue
-                w = wall_locus(v1, v, S)
-                if not isinstance(w.geometry, Circle):
+                C = a1 * r - r1 * a
+                D = a * d1 - a1 * d
+                disc = C * C - 4 * A * D
+                if disc <= 0:
+                    continue  # empty locus: radius^2 = disc/(4A^2)
+                key = _normalize_acd(A, C, D)
+                hit = meets.get(key)
+                if hit is None:
+                    hit = meets[key] = _circle_meets_region_positive_degree(
+                        Fraction(-C, 2 * A), Fraction(disc, 4 * A * A),
+                        v, S, reg)
+                if not hit:
                     continue
-                if not _circle_meets_region_positive_degree(
-                        w.geometry.center_s, w.geometry.radius_sq, v, S, reg):
-                    continue
-                key = w.acd_key()
-                q1 = mukai_square(v1, S)
-                sel = (abs(q1), (v1.r, v1.d, v1.a))
-                if key not in best or sel < best[key][0]:
-                    best[key] = (sel, w)
-    walls = [w for _, w in best.values()]
+                sel = (abs(q1), (r1, d1, a1))
+                if key not in best or sel < best[key]:
+                    best[key] = sel
+    walls = [wall_locus(MukaiVector(*v1), v, S) for _, v1 in best.values()]
     walls.sort(key=_wall_sort_key)
     return walls
-
-
-def _enumeration_filter(v1, v, S, sq_lo) -> bool:
-    """Arithmetic part of the wall test used inside enumeration: both
-    squares in the admissible window and positive cross pairing, v1 not
-    proportional to v.  On abelian surfaces this is the exact criterion;
-    on K3 it is the completeness policy (squares >= -2 allow spherical
-    parts) and the result list is necessary-only, like is_wall_vector."""
-    v2 = v - v1
-    if mukai_square(v1, S) < sq_lo or mukai_square(v2, S) < sq_lo:
-        return False
-    if mukai_pairing(v1, v2, S) <= 0:
-        return False
-    return not (v1.r * v.d - v.r * v1.d == 0 and
-                v1.r * v.a - v.r * v1.a == 0 and
-                v1.d * v.a - v.d * v1.a == 0)
 
 
 def _wall_sort_key(w: Wall):

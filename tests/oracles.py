@@ -332,12 +332,13 @@ def circle_meets_region_oracle(c, R2, v, reg, h2):
     return _closed_meets(t_lo, t_hi, att_lo, att_hi, F(t2min), F(t2max))
 
 
-def wall_set_box_oracle(v, h2, reg, box):
+def wall_set_box_oracle(v, h2, reg, box, sq_floor=0):
     """All distinct wall loci of v meeting the region, found by scanning
     every integral v1 with |entries| <= box: numeric criterion (both
-    squares >= 0, cross pairing > 0, not proportional), circle locus,
-    circle meets region in positive degree.  Returns {(A:C:D) normalized:
-    (center, radius_sq)}."""
+    squares >= sq_floor, cross pairing > 0, not proportional), circle
+    locus, circle meets region in positive degree.  sq_floor = 0 is the
+    abelian criterion; sq_floor = -2 is the K3 policy, which admits
+    spherical parts.  Returns {(A:C:D) normalized: (center, radius_sq)}."""
     r, d, a = int(v[0]), int(v[1]), int(v[2])
     q = h2 * d * d - 2 * r * a
     walls = {}
@@ -350,13 +351,13 @@ def wall_set_box_oracle(v, h2, reg, box):
             d2 = d - d1
             for a1 in rng:
                 q1 = hdd - 2 * r1 * a1
-                if q1 < 0:
+                if q1 < sq_floor:
                     continue
                 p1v = h2 * d1 * d - r1 * a - a1 * r
                 p12 = p1v - q1
                 if p12 <= 0:
                     continue
-                if q - q1 - 2 * p12 < 0:  # <v2^2> >= 0
+                if q - q1 - 2 * p12 < sq_floor:  # <v2^2> >= sq_floor
                     continue
                 if m == 0 and r1 * a - r * a1 == 0 and d1 * a - d * a1 == 0:
                     continue  # proportional

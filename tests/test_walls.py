@@ -198,6 +198,33 @@ def test_enumerate_walls_k3_runs():
         assert isinstance(w.geometry, Circle)
 
 
+@pytest.mark.parametrize("v, reg", [
+    ((1, 0, -2), (F(-2), F(-1), F(1, 2), F(2))),
+    ((1, 0, -3), (F(-3), F(0), F(1, 4), F(4))),
+    ((2, 1, -2), (F(-2), F(1, 2), F(1, 4), F(3))),
+])
+def test_enumerate_walls_k3_matches_box_oracle(v, reg):
+    got = {w.acd_key(): (w.geometry.center_s, w.geometry.radius_sq)
+           for w in enumerate_walls(mv(*v), K3, Region(*reg))}
+    want = oracles.wall_set_box_oracle(v, 2, reg, 14, sq_floor=-2)
+    assert got == want
+
+
+@pytest.mark.parametrize("S, v, n", [
+    (AB, (1, 0, -10), 3932),
+    (AB, (2, 1, -10), 8810),
+    (K3, (1, 0, -10), 4920),
+    (K3, (2, 1, -10), 9954),
+])
+def test_enumerate_walls_cap_counts_every_candidate(S, v, n):
+    # n is the exact size of the candidate stream (all r1 signs and the
+    # r1 = 0 row): cap = n suffices, cap = n - 1 overflows.
+    reg = Region(F(-8), F(0), F(1, 50), F(20))
+    enumerate_walls(mv(*v), S, reg, cap=n)
+    with pytest.raises(BoundOverflow):
+        enumerate_walls(mv(*v), S, reg, cap=n - 1)
+
+
 def test_enumerate_walls_errors():
     with pytest.raises(NonPositiveSquare):
         enumerate_walls(mv(1, 0, 1), AB, GOLD_REGION)   # <v^2> = -2
