@@ -10,11 +10,15 @@ that line has at most two rational roots, extracted by exact square
 testing of the discriminant.  A box scan survives only as the fallback
 for degenerate lines (and as a test oracle), because a box can witness
 presence but never certify absence.
+
+The spherical search is no box scan either: the square -2 fixes a from
+(r, d), so it is an integer scan over (r, d) with one divisibility test
+and one linear alignment test per pair.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from itertools import combinations
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
@@ -23,7 +27,7 @@ from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
 from .lattice import MukaiVector, Surface, d_beta, mukai_pairing, mukai_square
 from .stability import StabilityParam, central_charge, reduced_sigma
 
-_BOX_CAP = 5 * 10 ** 6  # hard ceiling on fallback box-scan volume
+_BOX_CAP = 5 * 10 ** 6  # hard ceiling on the candidates a bounded scan visits
 
 
 def _pairing_normal(v: MukaiVector, S: Surface):
@@ -173,27 +177,48 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
 
 def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
                            reference: MukaiVector) -> list:
-    """All integral v with entries bounded by ``bound``, <v^2> = -2,
-    d_beta(v) > 0, aligned with the reference class at p.  K3 only:
-    a sheaf class on an abelian surface never has square -2.  At most
-    one class can qualify; more than one signals an implementation bug
-    (UniquenessViolation)."""
+    """All integral w = (r, d, a) with entries bounded by ``bound``,
+    <w^2> = -2, d_beta(w) > 0, aligned with the reference class at p, in
+    (r, d, a) order.  K3 only: a sheaf class on an abelian surface never
+    has square -2.
+
+    The scan runs over (r, d) alone: <w^2> = h2*d^2 - 2*r*a = -2 rules
+    out r = 0 and fixes a = (h2*d^2 + 2)/(2*r) whenever that is
+    integral.  Alignment is the integer normal of rho(w, reference) at p
+    (denominators cleared), and d_beta(w) > 0 is d*q - r*n > 0 for
+    s = n/q in lowest terms.
+
+    The qualifying classes are not unique: they lie in a rank-2 lattice
+    on which the Mukai form can be indefinite, so they can form infinite
+    Pell-type orbits (at s = -3/2, t2 = 1, h2 = 2 the reference
+    (1,0,-2) aligns (-1,2,-5) and (25,-18,13)).  The search raises
+    UniquenessViolation when the box holds two or more of them."""
     if S.kind != "k3":
         raise NotK3("square -2 classes need a K3 surface")
     if central_charge(reference, p, S).is_zero():
         raise ZeroCharge(f"Z({reference}) = 0 at s={p.s}, t2={p.t2}")
-    if (2 * bound + 1) ** 3 > _BOX_CAP:
-        raise BoundOverflow(f"box scan of bound {bound} exceeds {_BOX_CAP} points")
+    pairs = 2 * bound * (2 * bound + 1) if bound > 0 else 0
+    if pairs > _BOX_CAP:
+        raise BoundOverflow(f"scan of bound {bound} visits {pairs} (r, d) "
+                            f"pairs, over {_BOX_CAP}")
+    normal = _alignment_normal(reference, p, S)
+    den = lcm(*(c.denominator for c in normal))
+    n0, n1, n2 = (int(c * den) for c in normal)
+    s_num, s_den = p.s.numerator, p.s.denominator
+    h2 = S.h2
     out = []
     rng = range(-bound, bound + 1)
     for r in rng:
+        if r == 0:
+            continue
         for d in rng:
-            for a in rng:
-                w = MukaiVector(r, d, a)
-                if (mukai_square(w, S) == -2
-                        and d_beta(w, p.s, S) > 0
-                        and reduced_sigma(w, reference, p, S) == 0):
-                    out.append(w)
+            num = h2 * d * d + 2
+            if num % (2 * r):
+                continue
+            a = num // (2 * r)
+            if (abs(a) <= bound and d * s_den - r * s_num > 0
+                    and n0 * r + n1 * d + n2 * a == 0):
+                out.append(MukaiVector(r, d, a))
     if len(out) > 1:
         raise UniquenessViolation(
             f"{len(out)} aligned square--2 classes found: {[str(w) for w in out]}")

@@ -437,6 +437,26 @@ def ipo_box_oracle_fast(v, s, t2, h2, bound):
     return sorted(out)
 
 
+def minus_two_box_oracle(s, t2, h2, bound, ref):
+    """Every w with entries bounded by ``bound``, <w^2> = -2, twisted
+    degree d - r*s > 0 and charge on the line of Z(ref) at (s, t2), in
+    (r, d, a) order; plain triple loop, alignment by the determinant of
+    the two charges."""
+    re_v, im_v = charge(ref, s, t2, h2)
+    out = []
+    rng = range(-bound, bound + 1)
+    for r in rng:
+        for d in rng:
+            for a in rng:
+                w = (r, d, a)
+                if square(w, h2) != -2 or d - r * s <= 0:
+                    continue
+                re_w, im_w = charge(w, s, t2, h2)
+                if re_w * im_v - im_w * re_v == 0:
+                    out.append(w)
+    return out
+
+
 def category_walls_box_oracle(b, h2, t2max, rmax, amax):
     """Spherical classes u with twisted degree zero at beta = b*H and an
     in-range wall value, by scanning ranks 1..rmax and entries |a| <=

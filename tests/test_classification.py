@@ -1,6 +1,8 @@
 """Bounded searches and the decomposition decision tree."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from mukaistab import (
 )
 from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotAligned, NotK3,
-    NotPrimitive, ZeroCharge, ZeroDegree,
+    NotPrimitive, UniquenessViolation, ZeroCharge, ZeroDegree,
 )
 
 AB = Surface("abelian", 2)
@@ -125,6 +127,102 @@ def test_minus_two_zero_charge_reference():
 def test_minus_two_bound_overflow():
     with pytest.raises(BoundOverflow):
         find_minus_two_aligned(param(F(1, 2), F(3, 4)), K3, 10 ** 4, mv(1, 0, 0))
+
+
+def test_minus_two_bound_100_is_in_reach():
+    """The scan visits 2*bound*(2*bound + 1) (r, d) pairs, so bound 100
+    (past the old (2*bound + 1)^3 cap) runs, and what it returns keeps
+    the contract."""
+    p, ref = param(F(1, 2), F(3, 4)), mv(1, 0, 0)
+    got = find_minus_two_aligned(p, K3, 100, ref)
+    assert got == [mv(1, 1, 2)]
+    for u in got:
+        assert mukai_square(u, K3) == -2
+        assert d_beta(u, p.s, K3) > 0
+        assert reduced_sigma(u, ref, p, K3) == 0
+        assert max(abs(c) for c in u.as_tuple()) <= 100
+
+
+def test_minus_two_pell_pair_counterexample():
+    """Aligned -2 classes are not unique: at s = -3/2, t2 = 1 the
+    reference (1,0,-2) lines up (-1,2,-5) and (25,-18,13).  The current
+    contract returns the first alone below bound 25 and raises
+    UniquenessViolation, listing both in (r, d, a) order, once the box
+    holds the second."""
+    p, ref = param(F(-3, 2), F(1)), mv(1, 0, -2)
+    assert (oracles.minus_two_box_oracle(p.s, p.t2, 2, 25, ref.as_tuple())
+            == [(-1, 2, -5), (25, -18, 13)])
+    assert find_minus_two_aligned(p, K3, 9, ref) == [mv(-1, 2, -5)]
+    with pytest.raises(UniquenessViolation) as err:
+        find_minus_two_aligned(p, K3, 40, ref)
+    msg = str(err.value)
+    assert 0 <= msg.index("(-1,2,-5)") < msg.index("(25,-18,13)")
+
+
+def _point_on_circle(u, w, h2, rng):
+    """A rational point (s, t2) where u and w are aligned, or None when
+    their locus is no circle or line in the upper half plane."""
+    A, C, D = oracles.acd(u, w, h2)
+    if A == 0:
+        if C == 0:
+            return None
+        return F(-D) / C, F(rng.randint(1, 9), rng.randint(1, 4))
+    c = -C / (2 * A)
+    R2 = c * c - D / A
+    if R2 <= 0:
+        return None
+    k = rng.randint(1, 4)
+    j = rng.randint(-isqrt(int(R2 * k * k)), isqrt(int(R2 * k * k)))
+    if F(j, k) ** 2 >= R2:
+        return None
+    return c + F(j, k), R2 - F(j, k) ** 2
+
+
+def _flip_to_positive_degree(u, s):
+    return u if u[1] - u[0] * s > 0 else tuple(-x for x in u)
+
+
+def test_minus_two_matches_box_oracle():
+    """Seeded points on the alignment circle of a random -2 class u with
+    a random reference, and (one case in six) of two -2 classes u, u'
+    with reference u + u', which puts two classes in the box."""
+    rng = random.Random(20111)
+    spherical = {h2: [(r, d, a) for r in range(-6, 7) for d in range(-6, 7)
+                      for a in range(-6, 7)
+                      if oracles.square((r, d, a), h2) == -2]
+                 for h2 in (2, 4, 6)}
+    cases = violations = 0
+    while cases < 60:
+        h2 = rng.choice((2, 4, 6))
+        u = rng.choice(spherical[h2])
+        pair = cases % 6 == 0
+        w = (rng.choice(spherical[h2]) if pair
+             else tuple(rng.randint(-4, 4) for _ in range(3)))
+        point = _point_on_circle(u, w, h2, rng)
+        if point is None:
+            continue
+        s, t2 = point
+        if pair:
+            u, w = _flip_to_positive_degree(u, s), _flip_to_positive_degree(w, s)
+            ref = tuple(x + y for x, y in zip(u, w))
+            bound = rng.randint(max(map(abs, u + w)), 6)
+        else:
+            ref, bound = w, rng.randint(0, 6)
+        cases += 1
+        p, S = param(s, t2), Surface("k3", h2)
+        if oracles.charge(ref, s, t2, h2) == (0, 0):
+            with pytest.raises(ZeroCharge):
+                find_minus_two_aligned(p, S, bound, mv(*ref))
+            continue
+        want = oracles.minus_two_box_oracle(s, t2, h2, bound, ref)
+        if len(want) > 1:
+            violations += 1
+            with pytest.raises(UniquenessViolation):
+                find_minus_two_aligned(p, S, bound, mv(*ref))
+        else:
+            got = find_minus_two_aligned(p, S, bound, mv(*ref))
+            assert [x.as_tuple() for x in got] == want
+    assert violations >= 1
 
 
 # ---------------------------------------------------------------------------
