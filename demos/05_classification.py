@@ -2,8 +2,9 @@
 
 On a wall, a class v can degenerate into aligned pieces; what the pieces
 look like decides whether a genuinely stable object can still exist at
-that point.  The searches below are exact and certified complete over a
-line parametrization (not just a sampled box).
+that point.  The isotropic pairing-one search below is exact and
+certified complete over a line parametrization (not just a sampled box);
+the (-2)-class search is an exact scan of a bounded box.
 Run me:  python3 demos/05_classification.py
 """
 

@@ -1,15 +1,22 @@
-"""Case analysis for properly-semistable classes: bounded lattice
-searches for isotropic pairing-one destabilizers and spherical classes,
-a decision tree over aligned decompositions, and the A2 pattern test.
+"""Case analysis for properly-semistable classes: searches for
+isotropic pairing-one destabilizers and spherical classes, a decision
+tree over aligned decompositions, and the A2 pattern test.
 
-The decisive search — "is there an isotropic w1 with <v, w1> = 1 whose
-charge aligns with v at p?" — is solved analytically, not by box scan:
-the pairing and alignment constraints are two linear equations cutting a
-rational line in (r1, d1, a1)-space, and the isotropy quadratic along
-that line has at most two rational roots, extracted by exact square
-testing of the discriminant.  A box scan survives only as the fallback
-for degenerate lines (and as a test oracle), because a box can witness
-presence but never certify absence.
+The decisive search — "is there an isotropic w with <v, w> = 1 whose
+charge aligns with v at p?" — is solved analytically, not by box scan.
+The pairing and alignment constraints are two linear equations in
+w = (r, d, a) with normals n1 = <v, ·> and n2 = rho(·, v).  With
+Omega = e^{(s+it)H}, Z(w) = <Omega, w>, so n2 is the pairing with
+u = d_beta(v)·Re Omega - (Re Z(v)/(h2·t))·Im Omega.  Re Omega and
+Im Omega span a positive-definite plane, so u = 0 exactly when
+Z(v) = 0.  If n2 = lambda·n1 with lambda != 0, then u = lambda·v and
+<v^2> > 0, yet 0 = rho(v, v) = lambda·<v^2>.  So the normals are
+parallel exactly when Z(v) = 0, and otherwise cut a rational line.  The
+Mukai form has signature (2, 1), so no affine line on which <v, ·> = 1
+is entirely isotropic: the isotropy quadratic along the line has at
+most two rational roots, extracted by exact square testing of the
+discriminant.  The search is therefore complete for every v with
+Z(v) != 0 and raises ZeroCharge otherwise; no box is involved.
 
 The spherical search is no box scan either: the square -2 fixes a from
 (r, d), so it is an integer scan over (r, d) with one divisibility test
@@ -50,34 +57,26 @@ def _cross(n1, n2):
             n1[0] * n2[1] - n1[1] * n2[0])
 
 
-def _solve_two_planes(n1, c1, n2, c2):
+def _solve_two_planes(n1, c1, n2, c2, k):
     """One rational solution of n1.w = c1, n2.w = c2 plus the primitive
-    integer kernel direction, or None when the normals are parallel (the
-    system is then a degenerate line/empty set)."""
-    k = _cross(n1, n2)
-    if k == (0, 0, 0):
-        return None
+    integer kernel direction, given k = n1 x n2, which must be nonzero."""
     # a 2x2 minor is invertible iff some cross entry is nonzero; that
     # entry names the coordinate NOT involved in the minor
-    for fixed in (2, 1, 0):
-        if k[fixed] == 0:
-            continue
-        i, j = [t for t in (0, 1, 2) if t != fixed]
-        det = n1[i] * n2[j] - n1[j] * n2[i]
-        assert det != 0
-        wi = (c1 * n2[j] - c2 * n1[j]) / det
-        wj = (n1[i] * c2 - n2[i] * c1) / det
-        w0 = [Fraction(0)] * 3
-        w0[i], w0[j] = wi, wj
-        # clear denominators of k and make it primitive integral
-        den = 1
-        for x in k:
-            den *= Fraction(x).denominator
-        kv = [Fraction(x) * den for x in k]
-        g = gcd(gcd(int(kv[0]), int(kv[1])), int(kv[2]))
-        kv = tuple(int(x) // g for x in kv)
-        return tuple(w0), kv
-    return None
+    fixed = next(t for t in (2, 1, 0) if k[t] != 0)
+    i, j = [t for t in (0, 1, 2) if t != fixed]
+    det = n1[i] * n2[j] - n1[j] * n2[i]
+    wi = (c1 * n2[j] - c2 * n1[j]) / det
+    wj = (n1[i] * c2 - n2[i] * c1) / det
+    w0 = [Fraction(0)] * 3
+    w0[i], w0[j] = wi, wj
+    # clear denominators of k and make it primitive integral
+    den = 1
+    for x in k:
+        den *= Fraction(x).denominator
+    kv = [Fraction(x) * den for x in k]
+    g = gcd(gcd(int(kv[0]), int(kv[1])), int(kv[2]))
+    kv = tuple(int(x) // g for x in kv)
+    return tuple(w0), kv
 
 
 def _fraction_sqrt(x: Fraction):
@@ -91,17 +90,15 @@ def _fraction_sqrt(x: Fraction):
 
 
 def _isotropic_roots_on_line(w0, k, S: Surface):
-    """Rational tau with <(w0 + tau*k)^2> = 0; None when the whole line
-    is isotropic (degenerate for root extraction)."""
+    """Rational tau with <(w0 + tau*k)^2> = 0.  The line must not be
+    entirely isotropic, which no line with <v, ·> = 1 is."""
     W0 = MukaiVector(*w0)
     K = MukaiVector(*k)
     a = mukai_square(K, S)
     b = 2 * mukai_pairing(W0, K, S)
     c = mukai_square(W0, S)
     if a == 0:
-        if b == 0:
-            return None if c == 0 else []
-        return [-c / b]
+        return [] if b == 0 else [-c / b]
     disc = b * b - 4 * a * c
     root = _fraction_sqrt(disc)
     if root is None:
@@ -120,39 +117,27 @@ def _ipo_constraints_hold(w, v, p, S) -> bool:
 
 
 def _ipo_line_search(v, p, S):
-    """All integral isotropic w with <v,w> = 1 aligned with v at p and
-    d_beta(w) > 0, found via the line parametrization.  Returns
-    (witnesses, complete); complete=False means the line was degenerate
-    and nothing can be certified from here."""
+    """All integral primitive isotropic w with <v, w> = 1, aligned with
+    v at p and d_beta(w) > 0, in (r, d, a) order; raises ZeroCharge when
+    Z(v) = 0.
+
+    The normals n1 = <v, ·> and n2 = rho(·, v) are parallel exactly
+    when Z(v) = 0 (module docstring), so their cross product doubles as
+    the zero-charge test.  Otherwise they cut a line, and the isotropy
+    quadratic along it is not identically zero (signature (2, 1)), so
+    its at most two rational roots are every candidate: the search is
+    complete, with no bound."""
     n1, n2 = _pairing_normal(v, S), _alignment_normal(v, p, S)
-    sol = _solve_two_planes(n1, Fraction(1), n2, Fraction(0))
-    if sol is None:
-        return [], False
-    w0, k = sol
-    taus = _isotropic_roots_on_line(w0, k, S)
-    if taus is None:
-        return [], False
+    k = _cross(n1, n2)
+    if k == (0, 0, 0):
+        raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
+    w0, k = _solve_two_planes(n1, Fraction(1), n2, Fraction(0), k)
     out = []
-    for tau in taus:
+    for tau in _isotropic_roots_on_line(w0, k, S):
         w = MukaiVector(w0[0] + tau * k[0], w0[1] + tau * k[1],
                         w0[2] + tau * k[2])
         if _ipo_constraints_hold(w, v, p, S):
             out.append(w)
-    out.sort(key=lambda u: u.as_tuple())
-    return out, True
-
-
-def _ipo_box_search(v, p, S, bound):
-    if (2 * bound + 1) ** 3 > _BOX_CAP:
-        raise BoundOverflow(f"box scan of bound {bound} exceeds {_BOX_CAP} points")
-    out = []
-    rng = range(-bound, bound + 1)
-    for r in rng:
-        for d in rng:
-            for a in rng:
-                w = MukaiVector(r, d, a)
-                if not w.is_zero() and _ipo_constraints_hold(w, v, p, S):
-                    out.append(w)
     out.sort(key=lambda u: u.as_tuple())
     return out
 
@@ -161,18 +146,12 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
                                bound: int) -> list:
     """All integral primitive isotropic w1 with entries bounded by
     ``bound``, <v, w1> = 1, aligned with v at p, of positive twisted
-    degree.  The line method makes this complete; the box bound only
-    truncates the output."""
+    degree.  The line search makes this complete; the box bound only
+    truncates the output.  Raises ZeroCharge when Z(v) = 0."""
     if not v.is_integral():
         raise NonIntegral(f"search needs an integral v, got {v}")
-    if central_charge(v, p, S).is_zero():
-        raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
-    if bound <= 0:
-        return []
-    found, complete = _ipo_line_search(v, p, S)
-    if not complete:
-        found = _ipo_box_search(v, p, S, bound)
-    return [w for w in found if max(abs(w.r), abs(w.d), abs(w.a)) <= bound]
+    return [w for w in _ipo_line_search(v, p, S)
+            if max(abs(w.r), abs(w.d), abs(w.a)) <= bound]
 
 
 def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
@@ -297,9 +276,11 @@ def classify_decomposition(parts, p: StabilityParam, S: Surface,
     classes, where <v^2> = 6); s = 2 has two exceptional shapes: the
     structural rank-two case (two isotropic classes pairing to 1) and
     the hidden one where some isotropic w1 with <v, w1> = 1 aligns with
-    v — searched for analytically, so absence is certified when the
-    search line is nondegenerate and Inconclusive(bound) is returned
-    only in the degenerate fallback.  s = 1 says nothing numerically.
+    v.  The hidden one is decided by the complete line search (module
+    docstring), so both answers are certified whatever ``bound`` is;
+    when Z(v) = 0 (parts of opposite charge) there is no line and
+    ZeroCharge is raised.  s = 1 says nothing numerically: only that
+    case is Inconclusive, and it reports ``bound``.
     """
     _check_parts(parts, p, S)
     s_total = sum(n for n, _ in parts)
@@ -318,48 +299,39 @@ def classify_decomposition(parts, p: StabilityParam, S: Surface,
         v = MukaiVector(0, 0, 0)
         for n, vi in parts:
             v = v + n * vi
-        found, complete = _ipo_line_search(v, p, S)
+        found = _ipo_line_search(v, p, S)
         if found:
             return DecompositionReport(EXC_ISOTROPIC, witnesses=(found[0],))
-        if complete:
-            return DecompositionReport(STABLE_PAIR)
-        found = _ipo_box_search(v, p, S, bound)
-        if found:
-            return DecompositionReport(EXC_ISOTROPIC, witnesses=(found[0],))
-        return DecompositionReport(INCONCLUSIVE, bound=bound, certified=False)
+        return DecompositionReport(STABLE_PAIR)
     # a single class: stability of one object is not a lattice question
     return DecompositionReport(INCONCLUSIVE, bound=bound, certified=False)
 
 
 @dataclass(frozen=True)
 class StableExistenceReport:
-    verdict: str  # "Yes" | "ExceptionalWitness" | "Inconclusive"
+    verdict: str  # "Yes" | "ExceptionalWitness"
     witness: MukaiVector = None
-    certified: bool = True
-    bound: int = None
+    certified: bool = True  # always True: both verdicts are certified
+    bound: int = None  # always None: no search here is bounded
 
 
-def stable_existence(v: MukaiVector, p: StabilityParam, S: Surface,
-                     bound: int = 20) -> StableExistenceReport:
+def stable_existence(v: MukaiVector, p: StabilityParam,
+                     S: Surface) -> StableExistenceReport:
     """Can a stable object of class v exist at p, as far as the lattice
-    can tell?  "Yes" is certified by the complete line search finding no
-    isotropic pairing-one class aligned at p; a witness is reported
-    otherwise; Inconclusive happens only on degenerate search lines."""
+    can tell?  The preconditions give d_beta(v) > 0, so Im Z(v) > 0 and
+    the line search (module docstring) is complete: "Yes" is certified
+    by it finding no isotropic pairing-one class aligned at p, and the
+    first such class is reported otherwise.  There is no third answer."""
     if not v.is_integral():
         raise NonIntegral(f"needs an integral v, got {v}")
     if mukai_square(v, S) <= 0:
         raise NonPositiveSquare(f"<v^2> = {mukai_square(v, S)} <= 0 for {v}")
     if d_beta(v, p.s, S) <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, p.s, S)} <= 0 at s = {p.s}")
-    found, complete = _ipo_line_search(v, p, S)
+    found = _ipo_line_search(v, p, S)
     if found:
         return StableExistenceReport("ExceptionalWitness", witness=found[0])
-    if complete:
-        return StableExistenceReport("Yes")
-    found = _ipo_box_search(v, p, S, bound)
-    if found:
-        return StableExistenceReport("ExceptionalWitness", witness=found[0])
-    return StableExistenceReport(INCONCLUSIVE, certified=False, bound=bound)
+    return StableExistenceReport("Yes")
 
 
 def detect_a2(parts, p: StabilityParam, S: Surface) -> bool:

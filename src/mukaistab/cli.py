@@ -222,6 +222,16 @@ def _add_common(sp, surface_default=DEFAULT_SURFACE):
     sp.set_defaults(_surface_default=surface_default)
 
 
+def _add_region(sp):
+    """The class-and-region flags shared by ``walls`` and ``plot``."""
+    sp.add_argument("--v")
+    sp.add_argument("--s-min")
+    sp.add_argument("--s-max")
+    sp.add_argument("--t2-min")
+    sp.add_argument("--t2-max")
+    sp.add_argument("--cap", type=int, default=10 ** 6)
+
+
 def _build_parser():
     ap = _Parser(prog="mukaistab",
                  description="exact wall-and-chamber computations on the "
@@ -247,12 +257,7 @@ def _build_parser():
     _add_common(sp)
 
     sp = sub.add_parser("walls", help="enumerate walls over a region")
-    sp.add_argument("--v")
-    sp.add_argument("--s-min")
-    sp.add_argument("--s-max")
-    sp.add_argument("--t2-min")
-    sp.add_argument("--t2-max")
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    _add_region(sp)
     sp.add_argument("--format", choices=("json", "svg", "plain"),
                     default="json")
     _add_common(sp)
@@ -313,12 +318,8 @@ def _build_parser():
     _add_common(sp, surface_default=DEFAULT_SURFACE_K3)
 
     sp = sub.add_parser("plot", help="SVG wall diagram over a region")
-    sp.add_argument("--v")
-    sp.add_argument("--s-min")
-    sp.add_argument("--s-max")
-    sp.add_argument("--t2-min")
-    sp.add_argument("--t2-max")
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    _add_region(sp)
+    sp.set_defaults(format="svg")  # plot is walls --format svg
     _add_common(sp)
 
     return ap
@@ -388,16 +389,12 @@ def _cmd_charge(args, S):
     raise UsageError("charge needs --t or --t2")
 
 
-def _walls_of(args, S):
+def _cmd_walls(args, S):
     _need(args, "v", "s-min", "s-max", "t2-min", "t2-max")
     v = _parse_vec(args.v)
     reg = Region(_parse_rat(args.s_min), _parse_rat(args.s_max),
                  _parse_rat(args.t2_min), _parse_rat(args.t2_max))
-    return v, reg, enumerate_walls(v, S, reg, cap=args.cap)
-
-
-def _cmd_walls(args, S):
-    v, reg, walls = _walls_of(args, S)
+    walls = enumerate_walls(v, S, reg, cap=args.cap)
     if args.format == "svg":
         print(_svg_walls(v, S, reg, walls))
         return None
@@ -485,12 +482,6 @@ def _cmd_k3_category_walls(args, S):
     return {"walls": [{"u": cw.u, "t2": cw.t2} for cw in walls]}
 
 
-def _cmd_plot(args, S):
-    v, reg, walls = _walls_of(args, S)
-    print(_svg_walls(v, S, reg, walls))
-    return None
-
-
 _HANDLERS = {
     "pair": _cmd_pair,
     "twist": _cmd_twist,
@@ -504,7 +495,7 @@ _HANDLERS = {
     "omega-x": _cmd_omega_x,
     "classify": _cmd_classify,
     "k3-category-walls": _cmd_k3_category_walls,
-    "plot": _cmd_plot,
+    "plot": _cmd_walls,
 }
 
 

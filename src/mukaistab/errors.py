@@ -17,7 +17,9 @@ class MukaiStabError(Exception):
 
 
 class NonIntegral(MukaiStabError):
-    """A vector that must have integer entries does not."""
+    """A caller-supplied class or multiplicity that must be integral is
+    not: a vector argument with a non-integer entry, or a decomposition
+    multiplicity that is not a positive integer.  Compare NotIntegral."""
 
     code = "NonIntegral"
 
@@ -68,7 +70,12 @@ class UniquenessViolation(MukaiStabError):
 
 
 class NotIntegral(MukaiStabError):
-    """A derived class that must be integral is not."""
+    """A Fourier-Mukai transform that must be integral is not.
+
+    Raised only by ``make_transform``, for an ``r1`` that is not a
+    nonzero integer or a kernel class with a non-integer entry.  It
+    differs from NonIntegral, which rejects the caller's own classes;
+    both codes are part of the external contract, so they stay apart."""
 
     code = "NotIntegral"
 

@@ -89,27 +89,20 @@ class Wall:
     v1: MukaiVector = None
 
     def acd_key(self):
-        return _normalize_acd(self.A, self.C, self.D)
+        assert all(x.denominator == 1 for x in (self.A, self.C, self.D)), \
+            "wall coefficients of integral classes are integers"
+        return _normalize_acd(int(self.A), int(self.C), int(self.D))
 
 
-def _normalize_acd(A, C, D):
+def _normalize_acd(A: int, C: int, D: int):
     """Projective normalization of an integer (A, C, D) triple: divide by
     the gcd and make the first nonzero entry positive."""
-    ints = []
-    for x in (A, C, D):
-        x = rat(x)
-        assert x.denominator == 1, "wall coefficients of integral classes are integers"
-        ints.append(int(x))
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
+    g = gcd(A, C, D)
     if g == 0:
         return (0, 0, 0)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    if (A or C or D) < 0:
+        g = -g
+    return (A // g, C // g, D // g)
 
 
 def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import oracles
 from mukaistab import (
-    EXC_ISOTROPIC, EXC_RANK_TWO, INCONCLUSIVE, STABLE_PAIR, RHO, Surface,
-    a2_pattern, classify_decomposition, d_beta, detect_a2,
-    find_isotropic_pairing_one, find_minus_two_aligned, mukai_pairing,
-    mukai_square, mv, param, reduced_sigma, stable_existence,
+    EXC_ISOTROPIC, EXC_RANK_TWO, INCONCLUSIVE, STABLE_PAIR, RHO,
+    StableExistenceReport, Surface, a2_pattern, classify_decomposition,
+    d_beta, detect_a2, find_isotropic_pairing_one, find_minus_two_aligned,
+    mukai_pairing, mukai_square, mv, param, reduced_sigma, stable_existence,
 )
 from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotAligned, NotK3,
@@ -65,8 +65,8 @@ def test_ipo_errors():
     with pytest.raises(ZeroCharge):
         # Z((1,0,1)) = 0 at s=0, t2=1 on the abelian surface
         find_isotropic_pairing_one(mv(1, 0, 1), param(F(0), F(1)), AB, bound=5)
-    # huge bounds are harmless while the line search stays nondegenerate:
-    # the box cap only guards the fallback
+    # huge bounds are harmless: the line search scans no box, the bound
+    # only filters its at most two points
     assert mv(1, -1, 1) in find_isotropic_pairing_one(V, WALL_P, AB,
                                                       bound=10 ** 4)
 
@@ -95,6 +95,79 @@ def test_ipo_line_search_is_complete_beyond_any_box():
     b = find_isotropic_pairing_one(V, WALL_P, AB, bound=60)
     small = [w for w in b if max(abs(c) for c in w.as_tuple()) <= 10]
     assert a == small and len(b) <= 2
+
+
+def _isotropic_pairing_one_point(h2, rng):
+    """(v, s, t2) on the wall of a random primitive isotropic w with
+    <v, w> = 1 and d_beta(w) > 0 (w and v flip sign together), or None
+    when the draw misses."""
+    r = rng.choice([x for x in range(-6, 7) if x])
+    d = rng.randint(-6, 6)
+    if (h2 * d * d) % (2 * r):
+        return None
+    w = (r, d, h2 * d * d // (2 * r))
+    if gcd(gcd(r, d), w[2]) != 1:
+        return None
+    for _ in range(200):
+        v = tuple(rng.randint(-6, 6) for _ in range(3))
+        if oracles.pairing(v, w, h2) == 1:
+            point = _point_on_circle(w, v, h2, rng)
+            if point is None or d == r * point[0]:
+                return None
+            sign = 1 if d > r * point[0] else -1
+            return (tuple(sign * x for x in v), *point)
+    return None
+
+
+@pytest.mark.parametrize("S", [Surface("abelian", 2), Surface("abelian", 4),
+                               Surface("k3", 2), Surface("k3", 6)],
+                         ids=lambda S: f"{S.kind}{S.h2}")
+def test_ipo_and_stable_existence_match_box_oracle_on_every_surface(S):
+    """Seeded points, half of them on the wall of an isotropic class w
+    with <v, w> = 1: the search equals the bound-30 box oracle, raises
+    ZeroCharge exactly when Z(v) = 0, and stable_existence answers Yes
+    or the search's first witness, never Inconclusive."""
+    rng = random.Random(4000 + S.h2 + (S.kind == "k3"))
+    cases = hits = 0
+    while cases < 24:
+        if cases % 2:
+            drawn = _isotropic_pairing_one_point(S.h2, rng)
+            if drawn is None:
+                continue
+            v, s, t2 = drawn
+        else:
+            v = tuple(rng.randint(-8, 8) for _ in range(3))
+            s = F(rng.randint(-16, 16), rng.randint(1, 4))
+            t2 = F(rng.randint(1, 16), rng.randint(1, 4))
+        cases += 1
+        p = param(s, t2)
+        if oracles.charge(v, s, t2, S.h2) == (0, 0):
+            with pytest.raises(ZeroCharge):
+                find_isotropic_pairing_one(mv(*v), p, S, bound=30)
+            continue
+        got = find_isotropic_pairing_one(mv(*v), p, S, bound=30)
+        want = oracles.ipo_box_oracle_fast(v, s, t2, S.h2, 30)
+        assert [w.as_tuple() for w in got] == want
+        hits += bool(want)
+        if oracles.square(v, S.h2) > 0 and v[1] - v[0] * s > 0:
+            rep = stable_existence(mv(*v), p, S)
+            full = find_isotropic_pairing_one(mv(*v), p, S, bound=10 ** 9)
+            if full:
+                assert rep == StableExistenceReport("ExceptionalWitness",
+                                                    witness=full[0])
+            else:
+                assert rep == StableExistenceReport("Yes")
+    assert hits >= 6
+
+
+@pytest.mark.parametrize("bound", [0, 1, 20])
+def test_classify_zero_charge_pair_raises_at_every_bound(bound):
+    """(1,0,0) and (1,1,1) have charges -i*t and +i*t at s = 1/2,
+    t2 = 1/4: aligned, but v = (2,1,1) has Z(v) = 0, so there is no
+    search line and no bound can stand in for one."""
+    parts = [(1, mv(1, 0, 0)), (1, mv(1, 1, 1))]
+    with pytest.raises(ZeroCharge):
+        classify_decomposition(parts, param(F(1, 2), F(1, 4)), AB, bound=bound)
 
 
 # ---------------------------------------------------------------------------

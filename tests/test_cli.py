@@ -221,6 +221,14 @@ def test_zero_wall_class_exits_2(capsys):
     assert rc == 2 and json.loads(err)["error"] == "ZeroCharge"
 
 
+def test_classify_zero_charge_exits_2(capsys):
+    # parts of opposite charge -i*t and +i*t: Z(v) = 0 for v = (2,1,1)
+    rc, out, err = run(capsys, "classify", "--parts", "1,0,0;1,1,1",
+                       "--s", "1/2", "--t2", "1/4")
+    assert rc == 2 and out == ""
+    assert '"error":"ZeroCharge"' in err
+
+
 def test_k3_subcommand_rejects_abelian_surface(capsys):
     rc, _, err = run(capsys, "k3-category-walls", "--b", "0", "--t2-max", "4",
                      "--surface", '{"kind":"abelian","h2":2}')
