@@ -4,7 +4,7 @@ central charges and phases, wall loci and their complete enumeration
 over compact regions, lattice-level Fourier-Mukai transforms, the
 ample-class bookkeeping, and properly-semistable case analysis.
 
-All arithmetic is over Fraction; nothing is ever rounded.
+All arithmetic is exact: ints and Fractions; nothing is ever rounded.
 """
 
 from .errors import (MukaiStabError, NonIntegral, Zero, ZeroCharge,

@@ -23,7 +23,6 @@ The spherical search is no box scan either: the square -2 fixes a from
 and one linear alignment test per pair.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from itertools import combinations
@@ -31,7 +30,8 @@ from itertools import combinations
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, UniquenessViolation,
                      ZeroCharge, ZeroDegree)
-from .lattice import MukaiVector, Surface, d_beta, mukai_pairing, mukai_square
+from .lattice import (Frozen, MukaiVector, Surface, d_beta, mukai_pairing,
+                      mukai_square)
 from .stability import StabilityParam, central_charge, reduced_sigma
 
 _BOX_CAP = 5 * 10 ** 6  # hard ceiling on the candidates a bounded scan visits
@@ -214,12 +214,15 @@ EXC_RANK_TWO = "ExceptionalRankTwoCase"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    verdict: str
-    witnesses: tuple = ()
-    bound: int = None
-    certified: bool = True
+class DecompositionReport(Frozen):
+    __slots__ = ("verdict", "witnesses", "bound", "certified")
+
+    def __init__(self, verdict: str, witnesses: tuple = (), bound: int = None,
+                 certified: bool = True):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "certified", certified)
 
 
 def _check_parts(parts, p, S):
@@ -307,12 +310,17 @@ def classify_decomposition(parts, p: StabilityParam, S: Surface,
     return DecompositionReport(INCONCLUSIVE, bound=bound, certified=False)
 
 
-@dataclass(frozen=True)
-class StableExistenceReport:
-    verdict: str  # "Yes" | "ExceptionalWitness"
-    witness: MukaiVector = None
-    certified: bool = True  # always True: both verdicts are certified
-    bound: int = None  # always None: no search here is bounded
+class StableExistenceReport(Frozen):
+    # verdict is "Yes" or "ExceptionalWitness"; certified is always True
+    # (both verdicts are certified), bound always None (nothing is bounded)
+    __slots__ = ("verdict", "witness", "certified", "bound")
+
+    def __init__(self, verdict: str, witness: MukaiVector = None,
+                 certified: bool = True, bound: int = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "bound", bound)
 
 
 def stable_existence(v: MukaiVector, p: StabilityParam,

@@ -17,19 +17,20 @@ It preserves the Mukai pairing:
     = h2 d_x d_y - a_x r_y - r_x a_y.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotIntegral, NotPrimitive, ZeroDenominator
-from .lattice import (MukaiVector, Surface, TwistedInvariants, rat,
+from .lattice import (Frozen, MukaiVector, Surface, TwistedInvariants, rat,
                       twisted_invariants, untwist)
 from .stability import StabilityParam
 
 
-@dataclass(frozen=True)
-class FMTransform:
-    r1: int
-    c: Fraction
+class FMTransform(Frozen):
+    __slots__ = ("r1", "c")
+
+    def __init__(self, r1: int, c: Fraction):
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "c", c)
 
     def kernel_class(self, S: Surface) -> MukaiVector:
         return MukaiVector(self.r1, self.r1 * self.c,
@@ -99,16 +100,19 @@ def slope_defect(E_image: MukaiVector, T: FMTransform, p: StabilityParam,
     return -abs(T.r1) * E_image.d * l * S.h2 + lam * E_image.r
 
 
-@dataclass(frozen=True)
-class TransformedCharge:
+class TransformedCharge(Frozen):
     """Data of the transformed stability condition: the complex unit
     zeta and the target parameters s' = xi_coeff, t' = eta_coeff, chosen
     so that  Z_{(xi, eta)}(fm_apply(T, v)) = zeta^{-1} * Z_{(s,t)}(v)."""
 
-    zeta_re: Fraction
-    zeta_im: Fraction
-    xi_coeff: Fraction
-    eta_coeff: Fraction
+    __slots__ = ("zeta_re", "zeta_im", "xi_coeff", "eta_coeff")
+
+    def __init__(self, zeta_re: Fraction, zeta_im: Fraction,
+                 xi_coeff: Fraction, eta_coeff: Fraction):
+        object.__setattr__(self, "zeta_re", zeta_re)
+        object.__setattr__(self, "zeta_im", zeta_im)
+        object.__setattr__(self, "xi_coeff", xi_coeff)
+        object.__setattr__(self, "eta_coeff", eta_coeff)
 
 
 def transform_central_charge(T: FMTransform, p: StabilityParam,

@@ -17,7 +17,6 @@ Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 all the stability formulas consume.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -33,39 +32,70 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Frozen:
+    """Immutable value base: a subclass lists its fields in order as
+    ``__slots__`` and sets them in ``__init__`` with object.__setattr__.
+    As for a frozen dataclass, repr, == (same class only) and hash follow
+    the field tuple, and assignment or deletion raises AttributeError.
+    Copies and pickles rebuild through ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __repr__(self):
+        inner = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Surface(Frozen):
     """A Picard-rank-1 abelian or K3 surface, known to us only through
     its kind and the self-intersection h2 = (H^2) of the polarization."""
 
-    kind: str  # "abelian" | "k3"
-    h2: int
+    __slots__ = ("kind", "h2")  # kind is "abelian" or "k3"
 
-    def __post_init__(self):
-        if self.kind not in ("abelian", "k3"):
-            raise ValueError(f"kind must be 'abelian' or 'k3', got {self.kind!r}")
-        if not (isinstance(self.h2, int) and self.h2 > 0 and self.h2 % 2 == 0):
-            raise ValueError(f"h2 must be a positive even integer, got {self.h2!r}")
+    def __init__(self, kind: str, h2: int):
+        if kind not in ("abelian", "k3"):
+            raise ValueError(f"kind must be 'abelian' or 'k3', got {kind!r}")
+        if not (isinstance(h2, int) and h2 > 0 and h2 % 2 == 0):
+            raise ValueError(f"h2 must be a positive even integer, got {h2!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "h2", h2)
 
     @property
     def epsilon(self) -> int:
         return 0 if self.kind == "abelian" else 1
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Frozen):
     """A rational class r + d*H + a*rho.  Rational entries are allowed on
     purpose (transform images of exponentials are rational); integrality
     is a queryable property, not a type constraint."""
 
-    r: Fraction
-    d: Fraction
-    a: Fraction
+    __slots__ = ("r", "d", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", rat(self.r))
-        object.__setattr__(self, "d", rat(self.d))
-        object.__setattr__(self, "a", rat(self.a))
+    def __init__(self, r, d, a):
+        object.__setattr__(self, "r", rat(r))
+        object.__setattr__(self, "d", rat(d))
+        object.__setattr__(self, "a", rat(a))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.d + other.d, self.a + other.a)
@@ -130,15 +160,17 @@ def exp_vector(s, S: Surface) -> MukaiVector:
     return MukaiVector(1, s, s * s * S.h2 / 2)
 
 
-@dataclass(frozen=True)
-class TwistedInvariants:
+class TwistedInvariants(Frozen):
     """The beta-twisted triple of a vector at beta = s*H.  The rank is
     twist-independent; d_b and a_b are the H-degree and rho-coefficient in
     the e^{sH}-adapted basis."""
 
-    r_b: Fraction
-    d_b: Fraction
-    a_b: Fraction
+    __slots__ = ("r_b", "d_b", "a_b")
+
+    def __init__(self, r_b: Fraction, d_b: Fraction, a_b: Fraction):
+        object.__setattr__(self, "r_b", r_b)
+        object.__setattr__(self, "d_b", d_b)
+        object.__setattr__(self, "a_b", a_b)
 
     def as_tuple(self):
         return (self.r_b, self.d_b, self.a_b)

@@ -14,11 +14,11 @@ The function x -> omega(x) below inverts the slope: it answers at which
 t^2 the class v has twisted slope matching the reference point x.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Degenerate, NonPositive, OutOfDomain, ZeroDegree, ZeroRank
-from .lattice import MukaiVector, Surface, exp_vector, rat, twisted_invariants
+from .lattice import (Frozen, MukaiVector, Surface, exp_vector, rat,
+                      twisted_invariants)
 from .stability import StabilityParam
 
 
@@ -35,12 +35,15 @@ def xi_pair(v: MukaiVector, s, S: Surface):
     return xi1, xi2
 
 
-@dataclass(frozen=True)
-class AmpleClassReport:
-    phi: Fraction
-    xi1: MukaiVector
-    xi2: MukaiVector
-    xi_omega: MukaiVector
+class AmpleClassReport(Frozen):
+    __slots__ = ("phi", "xi1", "xi2", "xi_omega")
+
+    def __init__(self, phi: Fraction, xi1: MukaiVector, xi2: MukaiVector,
+                 xi_omega: MukaiVector):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "xi1", xi1)
+        object.__setattr__(self, "xi2", xi2)
+        object.__setattr__(self, "xi_omega", xi_omega)
 
 
 def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassReport:

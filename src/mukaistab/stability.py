@@ -19,38 +19,35 @@ this module:
   open half-plane.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import ZeroCharge
-from .lattice import MukaiVector, Surface, rat, twisted_invariants
+from .lattice import Frozen, MukaiVector, Surface, rat, twisted_invariants
 
 
-@dataclass(frozen=True)
-class StabilityParam:
+class StabilityParam(Frozen):
     """A point (beta, omega) = (s*H, t*H) with t > 0.  t2 = t^2 is the
     authoritative field; t itself is optional and only required by the
     few formulas that are genuinely linear in t."""
 
-    s: Fraction
-    t2: Fraction
-    t: Fraction = None
+    __slots__ = ("s", "t2", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", rat(self.s))
-        if self.t is not None:
-            t = rat(self.t)
+    def __init__(self, s, t2, t=None):
+        object.__setattr__(self, "s", rat(s))
+        if t is not None:
+            t = rat(t)
             if t <= 0:
                 raise ValueError(f"t must be positive, got {t}")
-            object.__setattr__(self, "t", t)
-            if self.t2 is None:
-                object.__setattr__(self, "t2", t * t)
-        t2 = rat(self.t2)
+            if t2 is None:
+                t2 = t * t
+        t2 = rat(t2)
         if t2 <= 0:
             raise ValueError(f"t2 must be positive, got {t2}")
+        if t is not None and t * t != t2:
+            raise ValueError(f"inconsistent t={t}, t2={t2}")
         object.__setattr__(self, "t2", t2)
-        if self.t is not None and self.t * self.t != self.t2:
-            raise ValueError(f"inconsistent t={self.t}, t2={self.t2}")
+        object.__setattr__(self, "t", t)
 
     def require_t(self) -> Fraction:
         if self.t is None:
@@ -64,14 +61,16 @@ def param(s, t2=None, t=None) -> StabilityParam:
                           None if t is None else rat(t))
 
 
-@dataclass(frozen=True)
-class CentralCharge:
+class CentralCharge(Frozen):
     """Z = re + i*(im_over_t)*t.  The imaginary part divided by t is
     always rational (= d_b*h2), so this pair is an exact representation
     even when t is irrational."""
 
-    re: Fraction
-    im_over_t: Fraction
+    __slots__ = ("re", "im_over_t")
+
+    def __init__(self, re: Fraction, im_over_t: Fraction):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im_over_t", im_over_t)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im_over_t == 0
@@ -134,8 +133,8 @@ def z_domain_check(v: MukaiVector, p: StabilityParam, S: Surface) -> str:
     return OUTSIDE
 
 
-@dataclass(frozen=True, order=True)
-class PhaseKey:
+@total_ordering
+class PhaseKey(Frozen):
     """Exact order key for the phase phi in (0, 2].
 
     band: 0 for Im > 0, 1 for the negative real axis (phi = 1), 2 for
@@ -146,8 +145,16 @@ class PhaseKey:
     Lexicographic (band, slope) order therefore agrees with phi.
     """
 
-    band: int
-    slope: Fraction
+    __slots__ = ("band", "slope")
+
+    def __init__(self, band: int, slope: Fraction):
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "slope", slope)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.band, self.slope) < (other.band, other.slope)
+        return NotImplemented
 
     @property
     def revolution(self) -> int:

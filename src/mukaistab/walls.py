@@ -19,14 +19,13 @@ Fraction enters only through the degree-interval bounds, the region test
 (once per distinct wall) and the returned Walls.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, ZeroCharge, ZeroDegree)
-from .lattice import (MukaiVector, Surface, d_beta, d_beta_min, mukai_pairing,
-                      mukai_square, rat)
+from .lattice import (Frozen, MukaiVector, Surface, d_beta, d_beta_min,
+                      mukai_pairing, mukai_square, rat)
 from .stability import (StabilityParam, phase_key, reduced_sigma,
                         sigma_coefficients, central_charge)
 
@@ -34,59 +33,60 @@ from .stability import (StabilityParam, phase_key, reduced_sigma,
 # ---------------------------------------------------------------------------
 # geometry types
 
-@dataclass(frozen=True)
-class Circle:
-    center_s: Fraction
-    radius_sq: Fraction
+class Circle(Frozen):
+    __slots__ = ("center_s", "radius_sq")
+
+    def __init__(self, center_s: Fraction, radius_sq: Fraction):
+        object.__setattr__(self, "center_s", center_s)
+        object.__setattr__(self, "radius_sq", radius_sq)
 
 
-@dataclass(frozen=True)
-class VerticalLine:
-    s: Fraction
+class VerticalLine(Frozen):
+    __slots__ = ("s",)
+
+    def __init__(self, s: Fraction):
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Everywhere:
-    pass
+class Everywhere(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Frozen):
     """A compact box [s_min, s_max] x [t2_min, t2_max] with t2_min > 0.
     The large-volume boundary t^2 = 0 is excluded by construction, which
     is what makes wall enumeration finite."""
 
-    s_min: Fraction
-    s_max: Fraction
-    t2_min: Fraction
-    t2_max: Fraction
+    __slots__ = ("s_min", "s_max", "t2_min", "t2_max")
 
-    def __post_init__(self):
-        for f in ("s_min", "s_max", "t2_min", "t2_max"):
-            object.__setattr__(self, f, rat(getattr(self, f)))
+    def __init__(self, s_min, s_max, t2_min, t2_max):
+        for f, x in zip(self.__slots__, (s_min, s_max, t2_min, t2_max)):
+            object.__setattr__(self, f, rat(x))
         if self.s_min > self.s_max:
             raise ValueError("s_min > s_max")
         if not (0 < self.t2_min <= self.t2_max):
             raise ValueError("need 0 < t2_min <= t2_max")
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Frozen):
     """A wall with its defining coefficients, classified geometry and one
     representative class v1.  Identity is the projective class (A:C:D):
     many v1 cut the same locus, so walls are deduplicated by the
     normalized coefficient triple."""
 
-    A: Fraction
-    C: Fraction
-    D: Fraction
-    geometry: object
-    v1: MukaiVector = None
+    __slots__ = ("A", "C", "D", "geometry", "v1")
+
+    def __init__(self, A: Fraction, C: Fraction, D: Fraction, geometry,
+                 v1: MukaiVector = None):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "v1", v1)
 
     def acd_key(self):
         assert all(x.denominator == 1 for x in (self.A, self.C, self.D)), \
@@ -207,18 +207,15 @@ def _ranges_meet(m, M, m_att, M_att, l, u) -> bool:
     return (y == m and m_att) or (y == M and M_att)
 
 
-def _circle_meets_region_positive_degree(c, R2, v, S, reg: Region) -> bool:
-    """Does the circle carry a point with s in [s_min, s_max], t^2 in
-    [t2_min, t2_max] and d_beta(v) > 0?  Exact: u = (s-c)^2 must land in
-    [max(R2 - t2_max, 0), R2 - t2_min] for some s in the degree-clipped
-    interval."""
+def _circle_meets_region_positive_degree(c, R2, J, reg: Region) -> bool:
+    """Does the circle carry a point with s in J, t^2 in [t2_min, t2_max]?
+    J is the degree-clipped interval of reg, _clip_degree_interval(v, S,
+    reg.s_min, reg.s_max), not None.  Exact: u = (s-c)^2 must land in
+    [max(R2 - t2_max, 0), R2 - t2_min] for some s in J."""
     u_hi = R2 - reg.t2_min
     if u_hi < 0:
         return False
     u_lo = max(R2 - reg.t2_max, Fraction(0))
-    J = _clip_degree_interval(v, S, reg.s_min, reg.s_max)
-    if J is None:
-        return False
     m, M, m_att, M_att = _sq_dist_range(*J, c)
     return _ranges_meet(m, M, m_att, M_att, u_lo, u_hi)
 
@@ -239,8 +236,7 @@ def _circle_meets_positive_degree(c, R2, v) -> bool:
 # ---------------------------------------------------------------------------
 # the wall criterion
 
-@dataclass(frozen=True)
-class WallVectorReport:
+class WallVectorReport(Frozen):
     """Verdict of the numerical wall criterion for v1 against v.
 
     For an abelian surface ``is_wall`` is an honest iff at Picard rank 1:
@@ -262,10 +258,14 @@ class WallVectorReport:
     ``necessary_only`` is set accordingly.
     """
 
-    kind: str
-    is_wall: bool
-    necessary_only: bool
-    details: dict
+    __slots__ = ("kind", "is_wall", "necessary_only", "details")
+
+    def __init__(self, kind: str, is_wall: bool, necessary_only: bool,
+                 details: dict):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "is_wall", is_wall)
+        object.__setattr__(self, "necessary_only", necessary_only)
+        object.__setattr__(self, "details", details)
 
     def __bool__(self) -> bool:
         return self.is_wall
@@ -383,8 +383,11 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     run once per distinct (A:C:D) since all its v1 cut the same circle,
     and in the returned Walls, built by wall_locus for the winners only.
 
-    Raises BoundOverflow when the candidate stream would exceed ``cap``.
+    Raises BoundOverflow when the candidate stream would exceed ``cap``,
+    and ValueError for a negative ``cap``, before any scan.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     if not v.is_integral():
         raise NonIntegral(f"enumeration needs an integral v, got {v}")
     if not v.is_primitive():
@@ -456,8 +459,7 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                 hit = meets.get(key)
                 if hit is None:
                     hit = meets[key] = _circle_meets_region_positive_degree(
-                        Fraction(-C, 2 * A), Fraction(disc, 4 * A * A),
-                        v, S, reg)
+                        Fraction(-C, 2 * A), Fraction(disc, 4 * A * A), J, reg)
                 if not hit:
                     continue
                 sel = (abs(q1), (r1, d1, a1))
@@ -480,14 +482,16 @@ def _wall_sort_key(w: Wall):
 # ---------------------------------------------------------------------------
 # chambers on a vertical ray
 
-@dataclass(frozen=True)
-class ChamberRay:
+class ChamberRay(Frozen):
     """Wall crossings of the ray {s} x (t2 range): the sorted t^2 cut
     values and the open chambers between them."""
 
-    s: Fraction
-    cut_points: tuple
-    chambers: tuple
+    __slots__ = ("s", "cut_points", "chambers")
+
+    def __init__(self, s: Fraction, cut_points: tuple, chambers: tuple):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "cut_points", cut_points)
+        object.__setattr__(self, "chambers", chambers)
 
 
 def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
@@ -552,10 +556,12 @@ def wall_side(v: MukaiVector, w1: MukaiVector, p: StabilityParam,
 # ---------------------------------------------------------------------------
 # category walls (K3 only)
 
-@dataclass(frozen=True)
-class CategoryWall:
-    u: MukaiVector
-    t2: Fraction
+class CategoryWall(Frozen):
+    __slots__ = ("u", "t2")
+
+    def __init__(self, u: MukaiVector, t2: Fraction):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "t2", t2)
 
 
 def category_walls_k3(b, S: Surface, t2_max) -> list:

@@ -243,6 +243,22 @@ def test_bound_overflow_exits_3(capsys):
     assert json.loads(err)["error"] == "BoundOverflow"
 
 
+@pytest.mark.parametrize("argv", [
+    ("walls", "--v", "1,0,-2", "--s-min", "-3", "--s-max", "0",
+     "--t2-min", "1/10", "--t2-max", "4"),
+    ("walls", "--v", "1,0,-2", "--s-min", "-1/2", "--s-max", "-1/2",
+     "--t2-min", "10", "--t2-max", "20"),
+    ("chambers", "--v", "1,0,-2", "--s", "-3/2", "--t2-min", "1/10",
+     "--t2-max", "4"),
+])
+def test_negative_cap_is_usage_error(capsys, argv):
+    # the same answer whether or not the region holds candidate classes
+    rc, out, err = run(capsys, *argv, "--cap", "-1")
+    assert rc == 1 and out == ""
+    assert json.loads(err) == {"detail": "cap must be nonnegative, got -1",
+                               "error": "UsageError"}
+
+
 def test_negative_fraction_flag_values_parse(capsys):
     # leading-minus fraction values must survive argument parsing
     rc, out, _ = run(capsys, "twist", "--v", "-1,2,-4", "--s", "-3/2")

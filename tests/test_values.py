@@ -1,0 +1,214 @@
+"""The value-class contract: the 20 immutable result and parameter classes
+behave as frozen dataclasses do (field-order repr, equality only within a
+class, hash of the field tuple, no assignment, copy and pickle round
+trips, tuple order for PhaseKey), and importing the CLI loads neither
+``dataclasses`` nor ``inspect``."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+import mukaistab
+from mukaistab import (
+    Circle, Empty, Everywhere, PhaseKey, Region, Surface, VerticalLine,
+    ample_class, category_walls_k3, central_charge, chambers_on_ray,
+    classify_decomposition, enumerate_walls, is_wall_vector, make_transform,
+    mv, param, phase_key, stable_existence, transform_central_charge,
+    twisted_invariants,
+)
+
+AB = Surface("abelian", 2)
+K3 = Surface("k3", 2)
+V = mv(1, 0, -2)
+WALL_P = param(F(-3, 2), t2=F(1, 4))   # on the wall of V cut by (1,-1,1)
+T_P = param(F(1, 2), t=F(1, 3))
+FM = make_transform(1, 0, AB)
+MV = "MukaiVector(r=Fraction({}, 1), d=Fraction({}, 1), a=Fraction({}, 1))"
+
+# (instance, field names, repr of the same instance before the classes
+# were hand-written: each string was printed by the frozen dataclasses)
+CASES = {
+    "Surface": (AB, ("kind", "h2"), "Surface(kind='abelian', h2=2)"),
+    "MukaiVector": (V, ("r", "d", "a"), MV.format(1, 0, -2)),
+    "TwistedInvariants": (
+        twisted_invariants(V, F(-3, 2), AB), ("r_b", "d_b", "a_b"),
+        "TwistedInvariants(r_b=Fraction(1, 1), d_b=Fraction(3, 2), "
+        "a_b=Fraction(1, 4))"),
+    "StabilityParam": (
+        T_P, ("s", "t2", "t"),
+        "StabilityParam(s=Fraction(1, 2), t2=Fraction(1, 9), "
+        "t=Fraction(1, 3))"),
+    "CentralCharge": (
+        central_charge(V, WALL_P, AB), ("re", "im_over_t"),
+        "CentralCharge(re=Fraction(0, 1), im_over_t=Fraction(3, 1))"),
+    "PhaseKey": (phase_key(mv(0, 1, 0), WALL_P, AB), ("band", "slope"),
+                 "PhaseKey(band=0, slope=Fraction(3, 2))"),
+    "Circle": (Circle(F(-3, 2), F(1, 4)), ("center_s", "radius_sq"),
+               "Circle(center_s=Fraction(-3, 2), radius_sq=Fraction(1, 4))"),
+    "VerticalLine": (VerticalLine(F(1, 2)), ("s",),
+                     "VerticalLine(s=Fraction(1, 2))"),
+    "Empty": (Empty(), (), "Empty()"),
+    "Everywhere": (Everywhere(), (), "Everywhere()"),
+    "Region": (
+        Region(-3, 0, "1/10", 4), ("s_min", "s_max", "t2_min", "t2_max"),
+        "Region(s_min=Fraction(-3, 1), s_max=Fraction(0, 1), "
+        "t2_min=Fraction(1, 10), t2_max=Fraction(4, 1))"),
+    "Wall": (
+        enumerate_walls(V, AB, Region(-3, 0, "1/10", 4))[0],
+        ("A", "C", "D", "geometry", "v1"),
+        "Wall(A=Fraction(-2, 1), C=Fraction(-6, 1), D=Fraction(-4, 1), "
+        "geometry=Circle(center_s=Fraction(-3, 2), radius_sq=Fraction(1, 4)), "
+        "v1=" + MV.format(-1, 2, -4) + ")"),
+    "WallVectorReport": (
+        is_wall_vector(mv(1, -1, 1), V, K3, s=F(-1, 2)),
+        ("kind", "is_wall", "necessary_only", "details"),
+        "WallVectorReport(kind='k3', is_wall=False, necessary_only=True, "
+        "details={'square_v1': Fraction(0, 1), 'square_v2': Fraction(2, 1), "
+        "'pairing': Fraction(1, 1), 'proportional': False, "
+        "'s': Fraction(-1, 2), 'd_beta_min': Fraction(1, 2), 'a': False, "
+        "'b': False, 'c': True})"),
+    "ChamberRay": (
+        chambers_on_ray(V, AB, F(-3, 2), (F(1, 10), F(4))),
+        ("s", "cut_points", "chambers"),
+        "ChamberRay(s=Fraction(-3, 2), cut_points=(Fraction(1, 4),), "
+        "chambers=((Fraction(1, 10), Fraction(1, 4)), "
+        "(Fraction(1, 4), Fraction(4, 1))))"),
+    "CategoryWall": (
+        category_walls_k3(F(1, 2), K3, 10)[0], ("u", "t2"),
+        "CategoryWall(u=" + MV.format(2, 1, 1) + ", t2=Fraction(1, 4))"),
+    "FMTransform": (FM, ("r1", "c"), "FMTransform(r1=1, c=Fraction(0, 1))"),
+    "TransformedCharge": (
+        transform_central_charge(FM, T_P, AB),
+        ("zeta_re", "zeta_im", "xi_coeff", "eta_coeff"),
+        "TransformedCharge(zeta_re=Fraction(-5, 36), zeta_im=Fraction(-1, 3), "
+        "xi_coeff=Fraction(-18, 13), eta_coeff=Fraction(12, 13))"),
+    "AmpleClassReport": (
+        ample_class(V, WALL_P, AB), ("phi", "xi1", "xi2", "xi_omega"),
+        "AmpleClassReport(phi=Fraction(0, 1), xi1=" + MV.format(0, 1, 0)
+        + ", xi2=MukaiVector(r=Fraction(-1, 1), d=Fraction(3, 2), "
+        "a=Fraction(-2, 1)), xi_omega=" + MV.format(-2, 3, -4) + ")"),
+    "DecompositionReport": (
+        classify_decomposition([(1, mv(1, -1, 1)), (1, mv(0, 1, -3))],
+                               WALL_P, AB),
+        ("verdict", "witnesses", "bound", "certified"),
+        "DecompositionReport(verdict='ExceptionalIsotropicPairingOne', "
+        "witnesses=(" + MV.format(1, -1, 1) + ",), bound=None, "
+        "certified=True)"),
+    "StableExistenceReport": (
+        stable_existence(V, WALL_P, AB),
+        ("verdict", "witness", "certified", "bound"),
+        "StableExistenceReport(verdict='ExceptionalWitness', witness="
+        + MV.format(1, -1, 1) + ", certified=True, bound=None)"),
+}
+NAMES = sorted(CASES)
+
+
+def fields(x, names):
+    return tuple(getattr(x, f) for f in names)
+
+
+def test_every_value_class_is_covered():
+    assert len(CASES) == 20
+    for name, (x, _, _) in CASES.items():
+        assert type(x).__name__ == name and type(x) is getattr(mukaistab, name)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_golden(name):
+    x, _, want = CASES[name]
+    assert repr(x) == want
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_only_within_a_class(name):
+    x, names, _ = CASES[name]
+    values = fields(x, names)
+    assert x == copy.copy(x) and not (x != copy.copy(x))
+    assert x != values and values != x            # not a tuple
+    assert x.__eq__(values) is NotImplemented
+    other = next(y for n, (y, _, _) in CASES.items() if n != name)
+    assert x != other and x.__eq__(other) is NotImplemented
+
+
+def test_equal_field_tuples_of_different_classes_differ():
+    assert Empty() == Empty() and Everywhere() == Everywhere()
+    assert Empty() != Everywhere()
+    assert Circle(F(1), F(2)) != CASES["Circle"][0]
+    assert Circle(F(-3, 2), F(1, 4)) == CASES["Circle"][0]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_hash_is_the_field_tuple_hash(name):
+    x, names, _ = CASES[name]
+    values = fields(x, names)
+    try:
+        want = hash(values)
+    except TypeError:      # a dict field, as in WallVectorReport
+        with pytest.raises(TypeError):
+            hash(x)
+        return
+    assert hash(x) == want
+
+
+def test_zero_and_one_field_hashes():
+    assert hash(Empty()) == hash(Everywhere()) == hash(())
+    assert hash(VerticalLine(F(1, 2))) == hash((F(1, 2),))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_and_deletion_raise(name):
+    x, names, want = CASES[name]
+    for f in names + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(x, f, 0)
+    for f in names:
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert repr(x) == want
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_deepcopy_and_pickle_round_trip(name):
+    x, names, want = CASES[name]
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert type(y) is type(x) and y == x and repr(y) == want
+        assert fields(y, names) == fields(x, names)
+
+
+def test_phase_key_keeps_tuple_order():
+    vecs = [mv(r, d, a) for r in (-2, -1, 0, 1, 2) for d in (-1, 0, 1, 2)
+            for a in (-3, 0, 1)]
+    keys = [phase_key(u, WALL_P, AB) for u in vecs
+            if not central_charge(u, WALL_P, AB).is_zero()]
+    assert {k.band for k in keys} == {0, 1, 2, 3}
+    for a in keys:
+        ta = (a.band, a.slope)
+        for b in keys:
+            tb = (b.band, b.slope)
+            assert ((a < b), (a <= b), (a > b), (a >= b), (a == b)) == \
+                ((ta < tb), (ta <= tb), (ta > tb), (ta >= tb), (ta == tb))
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.band, k.slope))
+    with pytest.raises(TypeError):
+        PhaseKey(0, F(1)) < (0, F(2))
+    with pytest.raises(TypeError):
+        Circle(F(0), F(1)) < Circle(F(0), F(2))   # only PhaseKey is ordered
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the slots classes exist so that a CLI process skips these imports
+    src = os.path.dirname(os.path.dirname(mukaistab.__file__))
+    code = ("import sys; before = set(sys.modules); import mukaistab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & "
+            "(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -182,6 +182,20 @@ def test_enumerate_walls_wider_region_against_oracle():
     assert got == want
 
 
+@pytest.mark.parametrize("S, v, reg", [
+    (AB, (2, -2, -3), (F(-3), F(1), F(1, 4), F(3))),
+    (K3, (2, -1, -4), (F(-5, 2), F(3, 2), F(1, 4), F(3))),
+])
+def test_enumerate_walls_region_straddling_the_vertical_wall(S, v, reg):
+    # the region crosses s = d/r, where d_beta(v) changes sign: a circle
+    # that meets the region only where d_beta(v) <= 0 is no wall of it
+    got = {w.acd_key(): (w.geometry.center_s, w.geometry.radius_sq)
+           for w in enumerate_walls(mv(*v), S, Region(*reg))}
+    want = oracles.wall_set_box_oracle(v, 2, reg, 12,
+                                       sq_floor=0 if S is AB else -2)
+    assert got == want
+
+
 def test_enumerate_walls_sorted_deterministically():
     v = mv(2, 1, -1)
     reg = Region(F(-2), F(2), F(1, 4), F(2))
@@ -238,6 +252,18 @@ def test_enumerate_walls_errors():
         enumerate_walls(V_GOLD, AB, Region(F(1), F(2), F(1, 100), F(4)))
     with pytest.raises(BoundOverflow):
         enumerate_walls(V_GOLD, AB, GOLD_REGION, cap=3)
+
+
+def test_negative_cap_raises_before_any_scan():
+    # with a region that has candidates (GOLD_REGION) and one that has none
+    # (a ray above every wall of V_GOLD), cap = -1 is refused the same way
+    empty_ray = Region(F(-1, 2), F(-1, 2), F(10), F(20))
+    assert enumerate_walls(V_GOLD, AB, empty_ray, cap=0) == []
+    for reg in (GOLD_REGION, empty_ray):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            enumerate_walls(V_GOLD, AB, reg, cap=-1)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        chambers_on_ray(V_GOLD, AB, F(-3, 2), (F(1, 10), F(4)), cap=-1)
 
 
 def test_region_validation():
