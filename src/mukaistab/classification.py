@@ -2,118 +2,59 @@
 isotropic pairing-one destabilizers and spherical classes, a decision
 tree over aligned decompositions, and the A2 pattern test.
 
+Both searches run on the aligned plane Lambda = {w integral :
+rho(w, v) = 0} at p, the kernel of one primitive integer normal n
+(_aligned_normal).  With Omega = e^{(s+it)H} and Z(w) = <Omega, w>,
+rho(·, v) is the pairing with y = d_beta(v)·Re Omega -
+(Re Z(v)/(h2·t))·Im Omega.  Re Omega and Im Omega are independent, so
+n = 0 exactly when d_beta(v) = Re Z(v) = 0, that is when Z(v) = 0
+(Im Z(v) = h2·t·d_beta(v)); the rho-coefficient of n is -d_beta(v).
+Then there is no plane and ZeroCharge is raised.
+
 The decisive search — "is there an isotropic w with <v, w> = 1 whose
 charge aligns with v at p?" — is solved analytically, not by box scan.
-The pairing and alignment constraints are two linear equations in
-w = (r, d, a) with normals n1 = <v, ·> and n2 = rho(·, v).  With
-Omega = e^{(s+it)H}, Z(w) = <Omega, w>, so n2 is the pairing with
-u = d_beta(v)·Re Omega - (Re Z(v)/(h2·t))·Im Omega.  Re Omega and
-Im Omega span a positive-definite plane, so u = 0 exactly when
-Z(v) = 0.  If n2 = lambda·n1 with lambda != 0, then u = lambda·v and
-<v^2> > 0, yet 0 = rho(v, v) = lambda·<v^2>.  So the normals are
-parallel exactly when Z(v) = 0, and otherwise cut a rational line.  The
-Mukai form has signature (2, 1), so no affine line on which <v, ·> = 1
-is entirely isotropic: the isotropy quadratic along the line has at
-most two rational roots, extracted by exact square testing of the
-discriminant.  The search is therefore complete for every v with
-Z(v) != 0 and raises ZeroCharge otherwise; no box is involved.
+When Z(v) != 0, Lambda has rank 2, and the solutions of <v, ·> = 1 on
+it are empty or one arithmetic line w0 + k·u, k in Z.  If
+<(w0 + k·u)^2> = 0 held for every k, w0 and u would span a totally
+isotropic plane, which signature (2, 1) forbids; so the isotropy
+quadratic in k is not identically zero and has at most two integer
+roots, found with isqrt.  Every point of the line is integral, aligned
+and, because <v, w> = 1, primitive.  The search is therefore complete
+for every v with Z(v) != 0; no box is involved.
 
 The spherical search is no box scan either: the square -2 fixes a from
 (r, d), so it is an integer scan over (r, d) with one divisibility test
-and one linear alignment test per pair.
+and one test of n per pair.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from itertools import combinations
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, UniquenessViolation,
                      ZeroCharge, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, d_beta, mukai_pairing,
-                      mukai_square)
-from .stability import StabilityParam, central_charge, reduced_sigma
+from .lattice import (Frozen, MukaiVector, Surface,
+                      _kernel_basis_of_functional, _xgcd, d_beta,
+                      mukai_pairing, mukai_square)
+from .stability import StabilityParam, reduced_sigma
 
 _BOX_CAP = 5 * 10 ** 6  # hard ceiling on the candidates a bounded scan visits
 
 
-def _pairing_normal(v: MukaiVector, S: Surface):
-    """<v, w> as a linear functional of w = (r, d, a)."""
-    return (-v.a, S.h2 * v.d, -v.r)
-
-
-def _alignment_normal(v: MukaiVector, p: StabilityParam, S: Surface):
-    """rho(w, v) at p as a linear functional of w = (r, d, a)."""
-    half = Fraction(S.h2, 2)
+def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
+    """The primitive integer normal (n0, n1, n2) of rho(w, v) at p as a
+    functional of w = (r, d, a); raises ZeroCharge when it vanishes,
+    which is exactly when Z(v) = 0 (module docstring)."""
+    half = S.h2 // 2
     q = p.t2 + p.s * p.s
-    return (half * v.d * q - v.a * p.s,
-            -half * v.r * q + v.a,
-            v.r * p.s - v.d)
-
-
-def _cross(n1, n2):
-    return (n1[1] * n2[2] - n1[2] * n2[1],
-            n1[2] * n2[0] - n1[0] * n2[2],
-            n1[0] * n2[1] - n1[1] * n2[0])
-
-
-def _solve_two_planes(n1, c1, n2, c2, k):
-    """One rational solution of n1.w = c1, n2.w = c2 plus the primitive
-    integer kernel direction, given k = n1 x n2, which must be nonzero."""
-    # a 2x2 minor is invertible iff some cross entry is nonzero; that
-    # entry names the coordinate NOT involved in the minor
-    fixed = next(t for t in (2, 1, 0) if k[t] != 0)
-    i, j = [t for t in (0, 1, 2) if t != fixed]
-    det = n1[i] * n2[j] - n1[j] * n2[i]
-    wi = (c1 * n2[j] - c2 * n1[j]) / det
-    wj = (n1[i] * c2 - n2[i] * c1) / det
-    w0 = [Fraction(0)] * 3
-    w0[i], w0[j] = wi, wj
-    # clear denominators of k and make it primitive integral
-    den = 1
-    for x in k:
-        den *= Fraction(x).denominator
-    kv = [Fraction(x) * den for x in k]
-    g = gcd(gcd(int(kv[0]), int(kv[1])), int(kv[2]))
-    kv = tuple(int(x) // g for x in kv)
-    return tuple(w0), kv
-
-
-def _fraction_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _isotropic_roots_on_line(w0, k, S: Surface):
-    """Rational tau with <(w0 + tau*k)^2> = 0.  The line must not be
-    entirely isotropic, which no line with <v, ·> = 1 is."""
-    W0 = MukaiVector(*w0)
-    K = MukaiVector(*k)
-    a = mukai_square(K, S)
-    b = 2 * mukai_pairing(W0, K, S)
-    c = mukai_square(W0, S)
-    if a == 0:
-        return [] if b == 0 else [-c / b]
-    disc = b * b - 4 * a * c
-    root = _fraction_sqrt(disc)
-    if root is None:
-        return []
-    if root == 0:
-        return [-b / (2 * a)]
-    return [(-b - root) / (2 * a), (-b + root) / (2 * a)]
-
-
-def _ipo_constraints_hold(w, v, p, S) -> bool:
-    return (w.is_integral() and w.is_primitive()
-            and mukai_square(w, S) == 0
-            and mukai_pairing(v, w, S) == 1
-            and reduced_sigma(w, v, p, S) == 0
-            and d_beta(w, p.s, S) > 0)
+    normal = (half * v.d * q - v.a * p.s, -half * v.r * q + v.a,
+              v.r * p.s - v.d)
+    den = lcm(*(c.denominator for c in normal))
+    n = [c.numerator * (den // c.denominator) for c in normal]
+    g = gcd(*n)
+    if g == 0:
+        raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
+    return n[0] // g, n[1] // g, n[2] // g
 
 
 def _ipo_line_search(v, p, S):
@@ -121,25 +62,42 @@ def _ipo_line_search(v, p, S):
     v at p and d_beta(w) > 0, in (r, d, a) order; raises ZeroCharge when
     Z(v) = 0.
 
-    The normals n1 = <v, ·> and n2 = rho(·, v) are parallel exactly
-    when Z(v) = 0 (module docstring), so their cross product doubles as
-    the zero-charge test.  Otherwise they cut a line, and the isotropy
-    quadratic along it is not identically zero (signature (2, 1)), so
-    its at most two rational roots are every candidate: the search is
-    complete, with no bound."""
-    n1, n2 = _pairing_normal(v, S), _alignment_normal(v, p, S)
-    k = _cross(n1, n2)
-    if k == (0, 0, 0):
-        raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
-    w0, k = _solve_two_planes(n1, Fraction(1), n2, Fraction(0), k)
+    On an integral basis (b1, b2) of the aligned plane Lambda, <v, ·> is
+    (p1, p2).  It takes the value 1 on Lambda exactly when gcd(p1, p2) = 1,
+    and then on the line w0 + k·u with x0·p1 + y0·p2 = 1,
+    w0 = x0·b1 + y0·b2 and u = p2·b1 - p1·b2.  The isotropy quadratic
+    A·k^2 + B·k + C in k is not identically zero (module docstring), so
+    its integer roots are every candidate: the search is complete, with
+    no bound."""
+    def pair(x, y):
+        return S.h2 * x[1] * y[1] - x[0] * y[2] - x[2] * y[0]
+
+    b1, b2 = _kernel_basis_of_functional(*_aligned_normal(v, p, S))
+    vt = (int(v.r), int(v.d), int(v.a))
+    p1, p2 = pair(vt, b1), pair(vt, b2)
+    if gcd(p1, p2) != 1:
+        return []
+    x0, y0 = _xgcd(p1, p2)
+    w0 = tuple(x0 * i + y0 * j for i, j in zip(b1, b2))
+    u = tuple(p2 * i - p1 * j for i, j in zip(b1, b2))
+    A, B, C = pair(u, u), 2 * pair(w0, u), pair(w0, w0)
+    ks = []
+    if A == 0:
+        if B and C % B == 0:
+            ks = [-C // B]
+    else:
+        disc = B * B - 4 * A * C
+        root = isqrt(max(disc, 0))
+        if root * root == disc:
+            ks = [(e - B) // (2 * A) for e in {root, -root}
+                  if (e - B) % (2 * A) == 0]
+    s_num, s_den = p.s.numerator, p.s.denominator
     out = []
-    for tau in _isotropic_roots_on_line(w0, k, S):
-        w = MukaiVector(w0[0] + tau * k[0], w0[1] + tau * k[1],
-                        w0[2] + tau * k[2])
-        if _ipo_constraints_hold(w, v, p, S):
-            out.append(w)
-    out.sort(key=lambda u: u.as_tuple())
-    return out
+    for k in ks:
+        r, d, a = (x + k * y for x, y in zip(w0, u))
+        if d * s_den - r * s_num > 0:
+            out.append((r, d, a))
+    return [MukaiVector(*w) for w in sorted(out)]
 
 
 def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
@@ -163,9 +121,9 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
 
     The scan runs over (r, d) alone: <w^2> = h2*d^2 - 2*r*a = -2 rules
     out r = 0 and fixes a = (h2*d^2 + 2)/(2*r) whenever that is
-    integral.  Alignment is the integer normal of rho(w, reference) at p
-    (denominators cleared), and d_beta(w) > 0 is d*q - r*n > 0 for
-    s = n/q in lowest terms.
+    integral.  Alignment is n·w = 0 for the normal n of the plane aligned
+    with the reference at p (_aligned_normal), and d_beta(w) > 0 is
+    d*q - r*m > 0 for s = m/q in lowest terms.
 
     The qualifying classes are not unique: they lie in a rank-2 lattice
     on which the Mukai form can be indefinite, so they can form infinite
@@ -174,15 +132,11 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     UniquenessViolation when the box holds two or more of them."""
     if S.kind != "k3":
         raise NotK3("square -2 classes need a K3 surface")
-    if central_charge(reference, p, S).is_zero():
-        raise ZeroCharge(f"Z({reference}) = 0 at s={p.s}, t2={p.t2}")
+    n0, n1, n2 = _aligned_normal(reference, p, S)
     pairs = 2 * bound * (2 * bound + 1) if bound > 0 else 0
     if pairs > _BOX_CAP:
         raise BoundOverflow(f"scan of bound {bound} visits {pairs} (r, d) "
                             f"pairs, over {_BOX_CAP}")
-    normal = _alignment_normal(reference, p, S)
-    den = lcm(*(c.denominator for c in normal))
-    n0, n1, n2 = (int(c * den) for c in normal)
     s_num, s_den = p.s.numerator, p.s.denominator
     h2 = S.h2
     out = []
@@ -215,6 +169,8 @@ INCONCLUSIVE = "Inconclusive"
 
 
 class DecompositionReport(Frozen):
+    # bound is always None (no verdict depends on a box); kept so the
+    # field tuple, repr and pickles keep their shape
     __slots__ = ("verdict", "witnesses", "bound", "certified")
 
     def __init__(self, verdict: str, witnesses: tuple = (), bound: int = None,
@@ -269,8 +225,8 @@ def a2_pattern(parts, S: Surface) -> bool:
     return all(mukai_pairing(x, y, S) == 1 for x, y in combinations(vecs, 2))
 
 
-def classify_decomposition(parts, p: StabilityParam, S: Surface,
-                           bound: int = 20) -> DecompositionReport:
+def classify_decomposition(parts, p: StabilityParam,
+                           S: Surface) -> DecompositionReport:
     """Decide what a decomposition v = sum n_i v_i into pairwise
     distinct, pairwise aligned classes implies at p.
 
@@ -280,10 +236,9 @@ def classify_decomposition(parts, p: StabilityParam, S: Surface,
     structural rank-two case (two isotropic classes pairing to 1) and
     the hidden one where some isotropic w1 with <v, w1> = 1 aligns with
     v.  The hidden one is decided by the complete line search (module
-    docstring), so both answers are certified whatever ``bound`` is;
-    when Z(v) = 0 (parts of opposite charge) there is no line and
-    ZeroCharge is raised.  s = 1 says nothing numerically: only that
-    case is Inconclusive, and it reports ``bound``.
+    docstring), so both answers are certified; when Z(v) = 0 (parts of
+    opposite charge) there is no line and ZeroCharge is raised.  s = 1
+    says nothing numerically: only that case is Inconclusive.
     """
     _check_parts(parts, p, S)
     s_total = sum(n for n, _ in parts)
@@ -307,7 +262,7 @@ def classify_decomposition(parts, p: StabilityParam, S: Surface,
             return DecompositionReport(EXC_ISOTROPIC, witnesses=(found[0],))
         return DecompositionReport(STABLE_PAIR)
     # a single class: stability of one object is not a lattice question
-    return DecompositionReport(INCONCLUSIVE, bound=bound, certified=False)
+    return DecompositionReport(INCONCLUSIVE, certified=False)
 
 
 class StableExistenceReport(Frozen):

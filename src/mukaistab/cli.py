@@ -8,8 +8,10 @@ human reading.  Errors go to stderr as {"error": code, "detail": ...}
 with exit codes 1 (usage), 2 (domain/precondition), 3 (bound exhausted).
 
 All configuration comes from flags or a single JSON file given with
-`--config` (flat object keyed by flag name with underscores; explicit
-flags win).  No environment variables are consulted.
+`--config` (flat object keyed by flag name with underscores; a switch
+takes true or false).  Config values pass through the same parser as
+typed flags, and explicit flags win.  No environment variables are
+consulted.
 """
 
 import argparse
@@ -213,13 +215,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sp, surface_default=DEFAULT_SURFACE):
-    sp.add_argument("--surface", default=None,
+    sp.add_argument("--surface", default=surface_default,
                     help=f"surface JSON (default {surface_default})")
     sp.add_argument("--config", default=None,
                     help="JSON file with default flag values")
     sp.add_argument("--approx", action="store_true", default=False,
                     help="add floating-point annotations")
-    sp.set_defaults(_surface_default=surface_default)
 
 
 def _add_region(sp):
@@ -309,7 +310,6 @@ def _build_parser():
     sp.add_argument("--parts", help="'n*r,d,a;...' (n optional)")
     sp.add_argument("--s")
     sp.add_argument("--t2")
-    sp.add_argument("--bound", type=int, default=20)
     _add_common(sp)
 
     sp = sub.add_parser("k3-category-walls", help="category walls at beta = b*H")
@@ -322,27 +322,38 @@ def _build_parser():
     sp.set_defaults(format="svg")  # plot is walls --format svg
     _add_common(sp)
 
-    return ap
+    return ap, sub.choices
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise UsageError(f"cannot read config {args.config!r}: {e}")
-        if not isinstance(conf, dict):
-            raise UsageError("config must be a JSON object")
-        for key, value in conf.items():
-            dest = key.replace("-", "_")
-            if not hasattr(args, dest):
-                continue
-            current = getattr(args, dest)
-            if current is None or current is False:
-                setattr(args, dest, value)
-    if getattr(args, "surface", None) is None:
-        args.surface = getattr(args, "_surface_default", DEFAULT_SURFACE)
+def _config_tokens(path, sp):
+    """The flags of a --config file as '--flag=value' tokens for the
+    subcommand parser ``sp``, so they get the same type checks as typed
+    flags.  Keys are flag names with underscores or dashes; keys the
+    subcommand does not have, and null values, are skipped.  A switch
+    takes true or false."""
+    try:
+        with open(path) as fh:
+            conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise UsageError(f"cannot read config {path!r}: {e}")
+    if not isinstance(conf, dict):
+        raise UsageError("config must be a JSON object")
+    flags = {a.dest: a for a in sp._actions
+             if a.option_strings and a.dest not in ("config", "help")}
+    tokens = []
+    for key, value in conf.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise UsageError(f"config value for {key!r} must be true or "
+                             f"false, got {value!r}")
+        elif value:
+            tokens.append(flag)
+    return tokens
 
 
 def _need(args, *names):
@@ -467,13 +478,9 @@ def _cmd_classify(args, S):
     _need(args, "parts", "s", "t2")
     rep = classify_decomposition(_parse_parts(args.parts),
                                  param(_parse_rat(args.s),
-                                       t2=_parse_rat(args.t2)),
-                                 S, bound=args.bound)
-    payload = {"verdict": rep.verdict, "certified": rep.certified,
-               "witnesses": list(rep.witnesses)}
-    if rep.bound is not None:
-        payload["bound"] = rep.bound
-    return payload
+                                       t2=_parse_rat(args.t2)), S)
+    return {"verdict": rep.verdict, "certified": rep.certified,
+            "witnesses": list(rep.witnesses)}
 
 
 def _cmd_k3_category_walls(args, S):
@@ -507,10 +514,17 @@ def _fail(code: str, detail: str, exit_code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser, commands = _build_parser()
+        args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("no command given (see --help)")
-        _apply_config(args)
+        if args.config is not None:
+            # config flags go right after the command: explicit flags,
+            # parsed later, win
+            i = argv.index(args.command) + 1
+            argv[i:i] = _config_tokens(args.config, commands[args.command])
+            args = parser.parse_args(argv)
         S = _parse_surface(args.surface)
         payload = _HANDLERS[args.command](args, S)
         if payload is not None:

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 import oracles
 from mukaistab import (
     EXC_ISOTROPIC, EXC_RANK_TWO, INCONCLUSIVE, STABLE_PAIR, RHO,
-    StableExistenceReport, Surface, a2_pattern, classify_decomposition,
-    d_beta, detect_a2, find_isotropic_pairing_one, find_minus_two_aligned,
-    mukai_pairing, mukai_square, mv, param, reduced_sigma, stable_existence,
+    StableExistenceReport, Surface, a2_pattern, central_charge,
+    classify_decomposition, d_beta, detect_a2, find_isotropic_pairing_one,
+    find_minus_two_aligned, mukai_pairing, mukai_square, mv, param,
+    reduced_sigma, stable_existence,
 )
+from mukaistab.classification import _aligned_normal
+from mukaistab.lattice import _kernel_basis_of_functional
 from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotAligned, NotK3,
     NotPrimitive, UniquenessViolation, ZeroCharge, ZeroDegree,
@@ -164,10 +167,109 @@ def test_ipo_and_stable_existence_match_box_oracle_on_every_surface(S):
 def test_classify_zero_charge_pair_raises_at_every_bound(bound):
     """(1,0,0) and (1,1,1) have charges -i*t and +i*t at s = 1/2,
     t2 = 1/4: aligned, but v = (2,1,1) has Z(v) = 0, so there is no
-    search line and no bound can stand in for one."""
+    search line and no bound can stand in for one (classify takes no
+    bound; the pairing-one search raises at every bound)."""
     parts = [(1, mv(1, 0, 0)), (1, mv(1, 1, 1))]
+    p = param(F(1, 2), F(1, 4))
     with pytest.raises(ZeroCharge):
-        classify_decomposition(parts, param(F(1, 2), F(1, 4)), AB, bound=bound)
+        classify_decomposition(parts, p, AB)
+    with pytest.raises(ZeroCharge):
+        find_isotropic_pairing_one(mv(2, 1, 1), p, AB, bound=bound)
+
+
+# ---------------------------------------------------------------------------
+# the aligned plane Lambda = ker n and the pairing-one line on it
+
+def _zero_charge_draw(h2, rng):
+    """(v, s, t2) with Z(v) = 0: d = r*s and a = h2*r*(t2 + s^2)/2."""
+    while True:
+        r = rng.choice([x for x in range(-4, 5) if x])
+        s = F(rng.randint(-5, 5), rng.choice([1, abs(r)]))
+        t2 = F(rng.randint(1, 6), rng.randint(1, 3))
+        d, a = r * s, F(h2, 2) * r * (t2 + s * s)
+        if d.denominator == 1 and a.denominator == 1:
+            return (r, int(d), int(a)), s, t2
+
+
+@pytest.mark.parametrize("S", [Surface("abelian", 2), Surface("abelian", 4),
+                               Surface("k3", 2), Surface("k3", 6)],
+                         ids=lambda S: f"{S.kind}{S.h2}")
+def test_aligned_normal_is_the_primitive_normal_of_rho(S):
+    """Seeded (v, p), one in four with Z(v) = 0 and one in eight with a
+    rational v: _aligned_normal raises ZeroCharge exactly when
+    central_charge(v) is zero; otherwise n is primitive, its
+    rho-coefficient has the sign of -d_beta(v), and n.w = 0 exactly when
+    reduced_sigma(w, v, p) = 0 on the box |entries| <= 3."""
+    rng = random.Random(7000 + S.h2 + (S.kind == "k3"))
+    box = [(r, d, a) for r in range(-3, 4) for d in range(-3, 4)
+           for a in range(-3, 4)]
+    zeros = 0
+    for case in range(24):
+        if case % 4 == 0:
+            v, s, t2 = _zero_charge_draw(S.h2, rng)
+        else:
+            v = tuple(rng.randint(-6, 6) for _ in range(3))
+            s = F(rng.randint(-12, 12), rng.randint(1, 4))
+            t2 = F(rng.randint(1, 12), rng.randint(1, 4))
+        V, p = mv(*v), param(s, t2)
+        if case % 8 == 1:
+            V = mv(F(v[0], 2), v[1], F(v[2], 3))
+        if central_charge(V, p, S).is_zero():
+            zeros += 1
+            with pytest.raises(ZeroCharge):
+                _aligned_normal(V, p, S)
+            continue
+        n = _aligned_normal(V, p, S)
+        assert gcd(*n) == 1
+        assert n[2] * d_beta(V, s, S) <= 0
+        assert (n[2] == 0) == (d_beta(V, s, S) == 0)
+        for w in box:
+            assert ((n[0] * w[0] + n[1] * w[1] + n[2] * w[2] == 0)
+                    == (reduced_sigma(mv(*w), V, p, S) == 0))
+    assert zeros >= 6
+
+
+def _plane_data(v, p, S):
+    """(g, u): <v, ·> takes the values g*Z on the aligned plane Lambda,
+    and the primitive u spans Lambda ∩ v^perp (the direction of the
+    pairing-one line), found from the cross product of the two normals."""
+    n = _aligned_normal(mv(*v), p, S)
+    b1, b2 = _kernel_basis_of_functional(*n)
+    g = gcd(oracles.pairing(v, b1, S.h2), oracles.pairing(v, b2, S.h2))
+    m = (-v[2], S.h2 * v[1], -v[0])
+    u = (n[1] * m[2] - n[2] * m[1], n[2] * m[0] - n[0] * m[2],
+         n[0] * m[1] - n[1] * m[0])
+    return g, tuple(x // gcd(*u) for x in u)
+
+
+@pytest.mark.parametrize("S,v,s,t2,g,linear,want,rejected", [
+    # u = (1,0,0) is isotropic: the quadratic in k is linear
+    (K3, (1, 0, 0), F(-1, 2), F(1, 4), 1, True, [(-1, 1, -1)], None),
+    # gcd(p1, p2) = 2: <v, ·> never takes the value 1 on H, and the
+    # aligned isotropic (1,0,0) of positive degree pairs to 2
+    (AB, (1, 1, -2), F(-3, 2), F(3, 4), 2, False, [], (1, 0, 0)),
+    # two roots, and d_beta((-1,0,0)) = -1/3 removes one
+    (K3, (2, -1, 1), F(-1, 3), F(2, 9), 1, False, [(-1, 1, -1)], (-1, 0, 0)),
+    # two roots, both of positive degree
+    (K3, (0, 1, -1), F(-1, 2), F(1, 4), 1, False,
+     [(-1, 1, -1), (1, 0, 0)], None),
+    # d_beta(v) = 0 with Re Z(v) = -1: every aligned class has degree 0,
+    # so the root (0,0,1) is removed by d_beta > 0, not kept by >= 0
+    (AB, (-1, 0, 0), F(0), F(1), 1, True, [], (0, 0, 1)),
+], ids=["linear", "gcd-two", "one-root-removed", "two-roots", "degree-zero"])
+def test_ipo_root_solver_branches(S, v, s, t2, g, linear, want, rejected):
+    p = param(s, t2)
+    g_got, u = _plane_data(v, p, S)
+    assert (g_got, oracles.square(u, S.h2) == 0) == (g, linear)
+    got = find_isotropic_pairing_one(mv(*v), p, S, bound=10 ** 9)
+    assert [w.as_tuple() for w in got] == want
+    assert want == oracles.ipo_box_oracle_fast(v, s, t2, S.h2, 12)
+    if rejected is not None:
+        # isotropic and aligned, but off by exactly one condition
+        w = mv(*rejected)
+        assert mukai_square(w, S) == 0 and reduced_sigma(w, mv(*v), p, S) == 0
+        assert ((mukai_pairing(mv(*v), w, S), d_beta(w, s, S) > 0)
+                in [(g, True), (1, False)])
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +491,7 @@ def test_classify_pair_stable_off_wall():
 def test_classify_single_part_is_inconclusive():
     rep = classify_decomposition([(1, mv(1, -1, 1))], WALL_P, AB)
     assert rep.verdict == INCONCLUSIVE and not rep.certified
-    assert rep.bound == 20
+    assert rep.bound is None  # no verdict depends on a box
 
 
 def test_classify_part_validation():

@@ -151,11 +151,17 @@ def test_classify_golden(capsys):
 
 
 def test_classify_inconclusive_reports_bound(capsys):
+    """No verdict depends on a box, so there is no --bound and the
+    single-part Inconclusive report carries no bound."""
     rc, out, _ = run(capsys, "classify", "--parts", "1,-1,1",
-                     "--s", "-3/2", "--t2", "1/4", "--bound", "7")
+                     "--s", "-3/2", "--t2", "1/4")
     assert rc == 0
-    assert json.loads(out) == {"bound": 7, "certified": False,
-                               "verdict": "Inconclusive", "witnesses": []}
+    assert out == ('{"certified":false,"verdict":"Inconclusive",'
+                   '"witnesses":[]}\n')
+    rc, out, err = run(capsys, "classify", "--parts", "1,-1,1",
+                       "--s", "-3/2", "--t2", "1/4", "--bound", "7")
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
 
 
 def test_plot_emits_svg(capsys):
@@ -296,6 +302,50 @@ def test_explicit_flag_overrides_config(tmp_path, capsys):
 def test_config_missing_file_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "charge", "--config", str(tmp_path / "no.json"))
     assert rc == 1 and json.loads(err)["error"] == "UsageError"
+
+
+WALLS_REGION = ("--v", "1,0,-2", "--s-min", "-3", "--s-max", "0",
+                "--t2-min", "1/100", "--t2-max", "4")
+
+
+def _config(tmp_path, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    return str(cfg)
+
+
+def test_config_sets_a_flag_with_a_parser_default(tmp_path, capsys):
+    """cap defaults to 10^6, yet the config value applies: the region
+    holds more than 5 candidates, as it does for --cap 5."""
+    cfg = _config(tmp_path, {"cap": 5})
+    rc, out, err = run(capsys, "walls", "--config", cfg, *WALLS_REGION)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "BoundOverflow"
+    assert (rc, err) == run(capsys, "walls", "--cap", "5", *WALLS_REGION)[::2]
+
+
+def test_config_sets_format(tmp_path, capsys):
+    cfg = _config(tmp_path, {"format": "plain"})
+    rc, out, _ = run(capsys, "walls", "--config", cfg, *WALLS_REGION)
+    assert rc == 0 and out.startswith("circle center_s=")
+    assert out == run(capsys, "walls", "--format", "plain", *WALLS_REGION)[1]
+
+
+@pytest.mark.parametrize("obj", [{"approx": "no"}, {"approx": 1},
+                                 {"cap": "many"}, {"format": "xml"}])
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, obj):
+    cfg = _config(tmp_path, obj)
+    rc, out, err = run(capsys, "walls", "--config", cfg, *WALLS_REGION)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_explicit_cap_overrides_config(tmp_path, capsys):
+    cfg = _config(tmp_path, {"cap": 5, "approx": False})
+    rc, out, _ = run(capsys, "walls", "--config", cfg, "--cap", "1000000",
+                     *WALLS_REGION)
+    assert rc == 0
+    assert out == run(capsys, "walls", *WALLS_REGION)[1]
 
 
 # ---------------------------------------------------------------------------

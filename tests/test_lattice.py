@@ -1,6 +1,7 @@
 """Lattice layer: pairing, twisted invariants, orthogonal complements."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from mukaistab import (
     twisted_invariants, untwist,
 )
 from mukaistab.errors import NonIntegral, Zero
+from mukaistab.lattice import _kernel_basis_of_functional
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -174,6 +176,51 @@ def test_perp_basis_saturation_against_scan():
                     assert alpha.denominator == 1 and beta.denominator == 1
                     assert alpha * b1 + beta * b2 == w
         assert found > 0
+
+
+def _kernel_cross(n):
+    b1, b2 = _kernel_basis_of_functional(*n)
+    for b in (b1, b2):
+        assert n[0] * b[0] + n[1] * b[1] + n[2] * b[2] == 0
+    return b1, b2, (b1[1] * b2[2] - b1[2] * b2[1],
+                    b1[2] * b2[0] - b1[0] * b2[2],
+                    b1[0] * b2[1] - b1[1] * b2[0])
+
+
+@given(st.tuples(ints, ints, ints).filter(any))
+def test_kernel_basis_of_functional_is_saturated(n):
+    """Two kernel vectors of a nonzero functional n span the whole
+    integral kernel exactly when their cross product is the primitive
+    normal n/content(n), up to sign (its content is the index of their
+    span).  perp_basis only reaches normals whose middle entry is a
+    multiple of h2; this covers every functional, zero and negative
+    entries included."""
+    g = gcd(*n)
+    _, _, c = _kernel_cross(n)
+    assert c in (tuple(x // g for x in n), tuple(-x // g for x in n))
+
+
+@pytest.mark.parametrize("n", [(0, 0, 1), (0, 0, -5), (0, 4, 0), (-3, 0, 0),
+                               (0, -6, 9), (4, 0, -6), (6, 10, 15),
+                               (-2, -3, 5), (-7, 7, -7)])
+def test_kernel_basis_of_functional_against_scan(n):
+    """Every kernel vector in the box |x_i| <= 5 is an integer
+    combination of the basis (solved through a nonzero minor)."""
+    b1, b2, c = _kernel_cross(n)
+    i, j = next((i, j) for i, j in ((1, 2), (2, 0), (0, 1))
+                if c[3 - i - j] != 0)
+    det = b1[i] * b2[j] - b1[j] * b2[i]
+    found = 0
+    box = range(-5, 6)
+    for x in [(x0, x1, x2) for x0 in box for x1 in box for x2 in box]:
+        if n[0] * x[0] + n[1] * x[1] + n[2] * x[2]:
+            continue
+        found += 1
+        alpha = Fraction(x[i] * b2[j] - x[j] * b2[i], det)
+        beta = Fraction(b1[i] * x[j] - b1[j] * x[i], det)
+        assert alpha.denominator == 1 and beta.denominator == 1
+        assert tuple(alpha * p + beta * q for p, q in zip(b1, b2)) == x
+    assert found > 1
 
 
 def test_perp_basis_errors():
