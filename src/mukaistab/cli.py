@@ -325,12 +325,14 @@ def _build_parser():
     return ap, sub.choices
 
 
-def _config_tokens(path, sp):
+def _config_tokens(path, command, commands):
     """The flags of a --config file as '--flag=value' tokens for the
-    subcommand parser ``sp``, so they get the same type checks as typed
-    flags.  Keys are flag names with underscores or dashes; keys the
-    subcommand does not have, and null values, are skipped.  A switch
-    takes true or false."""
+    parser of ``command`` (``commands`` maps each subcommand to its
+    parser), so they get the same type checks as typed flags.  Keys are
+    flag names with underscores or dashes.  A key that is a flag of no
+    subcommand is a UsageError that names it, as a typed unknown flag
+    is; keys of other subcommands, and null values, are skipped, so one
+    file can serve several subcommands.  A switch takes true or false."""
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -338,11 +340,16 @@ def _config_tokens(path, sp):
         raise UsageError(f"cannot read config {path!r}: {e}")
     if not isinstance(conf, dict):
         raise UsageError("config must be a JSON object")
-    flags = {a.dest: a for a in sp._actions
+    known = {a.dest for sp in commands.values() for a in sp._actions}
+    flags = {a.dest: a for a in commands[command]._actions
              if a.option_strings and a.dest not in ("config", "help")}
     tokens = []
     for key, value in conf.items():
-        action = flags.get(key.replace("-", "_"))
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise UsageError(f"config key {key!r} is not a flag of any "
+                             "command")
+        action = flags.get(dest)
         if action is None or value is None:
             continue
         flag = action.option_strings[0]
@@ -523,7 +530,7 @@ def main(argv=None) -> int:
             # config flags go right after the command: explicit flags,
             # parsed later, win
             i = argv.index(args.command) + 1
-            argv[i:i] = _config_tokens(args.config, commands[args.command])
+            argv[i:i] = _config_tokens(args.config, args.command, commands)
             args = parser.parse_args(argv)
         S = _parse_surface(args.surface)
         payload = _HANDLERS[args.command](args, S)

@@ -13,18 +13,29 @@ range of u over an s-interval is computed endpoint-wise, so no square
 root is ever taken.  The few comparisons against c +- sqrt(R2) that
 remain are done by sign bookkeeping and squaring.
 
-The candidate loop of enumerate_walls is integral: every candidate v1 is
-an integral class, so its squares, pairing and (A, C, D) are Python ints.
-Fraction enters only through the degree-interval bounds, the region test
-(once per distinct wall) and the returned Walls.
+enumerate_walls walks the pencil of walls instead of scanning classes.
+(A, C, D) is linear in v1 with kernel Zv, so the walls of v form one
+coaxial pencil and each wall is cut by a whole fiber v1 + Zv.  Along a
+fiber disc = C^2 - 4AD = <v1, v>^2 - <v^2><v1^2> is invariant; a
+numerically valid class has disc = p12^2 - q1*q2 <= <v^2>^2/4 (abelian)
+or <v^2>(<v^2> + 8)/4 (K3), the convex maximum at q1 = q2 = 0 resp. -2,
+and a wall reaching t^2 >= t2_min has disc >= (h2*m)^2 t2_min.  Those
+bounds, and on a ray the exact height window, give each line of fibers
+of one m an integer window (one isqrt); within a fiber, p12 >= 1 is a
+quadratic window in <v1, v> that leaves at most three members to test
+exactly.  The members must also lie in the bounded (r1, d1) box the
+stream of candidates was defined by: on K3 that box is part of what
+the list is.  The walk runs on Python ints; Fraction enters only
+through the bounds from the region, the region test (once per distinct
+wall) and the returned Walls.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, ZeroCharge, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, d_beta, d_beta_min,
+from .lattice import (Frozen, MukaiVector, Surface, _xgcd, d_beta, d_beta_min,
                       mukai_pairing, mukai_square, rat)
 from .stability import (StabilityParam, phase_key, reduced_sigma,
                         sigma_coefficients, central_charge)
@@ -129,20 +140,6 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
 # ---------------------------------------------------------------------------
 # exact one-radical comparisons and interval bookkeeping
 
-def _lt_center_plus_root(x, c, R2) -> bool:
-    """x < c + sqrt(R2), exactly (R2 > 0 rational)."""
-    if x - c < 0:
-        return True
-    return (x - c) ** 2 < R2
-
-
-def _gt_center_minus_root(x, c, R2) -> bool:
-    """x > c - sqrt(R2), exactly."""
-    if x - c > 0:
-        return True
-    return (x - c) ** 2 < R2
-
-
 def _clip_degree_interval(v, S, s_lo, s_hi):
     """The set {s in [s_lo, s_hi] : d_beta(v)(s) > 0} as an interval with
     open-endpoint flags, or None when empty.  For r != 0 the boundary
@@ -155,17 +152,10 @@ def _clip_degree_interval(v, S, s_lo, s_hi):
             return None
     elif r > 0:
         # d - r*s > 0  <=>  s < d/r
-        cut = d / r
-        if cut <= lo:
-            return None
-        if cut <= hi:
-            hi, hi_open = cut, True
-    else:
-        cut = d / r
-        if cut >= hi:
-            return None
-        if cut >= lo:
-            lo, lo_open = cut, True
+        if d / r <= hi:
+            hi, hi_open = d / r, True
+    elif d / r >= lo:
+        lo, lo_open = d / r, True
     if lo > hi or (lo == hi and (lo_open or hi_open)):
         return None
     return lo, hi, lo_open, hi_open
@@ -223,14 +213,15 @@ def _circle_meets_region_positive_degree(c, R2, J, reg: Region) -> bool:
 def _circle_meets_positive_degree(c, R2, v) -> bool:
     """Does the open arc {(s, t): (s-c)^2 + t^2 = R2, t > 0} contain a
     point with d_beta(v) > 0?  Unbounded version used by the wall
-    criterion: the arc spans s in (c - R, c + R) openly."""
+    criterion: the arc spans s in (c - R, c + R) openly, and d_beta(v) > 0
+    is the side of s = d/r where r*(s - d/r) < 0.  So the answer is yes
+    iff the center is on that side or |d/r - c| < R, exactly as
+    (d/r - c)^2 < R2."""
     r, d = v.r, v.d
     if r == 0:
         return d > 0
-    cut = d / r
-    if r > 0:  # need some s < cut in the open span
-        return _gt_center_minus_root(cut, c, R2)
-    return _lt_center_plus_root(cut, c, R2)
+    x = d / r - c
+    return x * r > 0 or x * x < R2
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +315,6 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _ceil_sqrt(x: Fraction) -> int:
-    """Smallest nonnegative integer n with n^2 >= x."""
-    if x <= 0:
-        return 0
-    t = -(-x.numerator // x.denominator)  # ceil(x) as int
-    n = isqrt(t)
-    return n if n * n >= x else n + 1
-
-
 def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                     cap: int = 10 ** 6):
     """Complete list of distinct wall loci for v meeting reg at a point
@@ -340,18 +322,19 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     each wall carries the representative v1 minimizing (|<v1^2>|,
     (r1, d1, a1) lexicographically).
 
-    Finiteness (the bound chain, abelian; K3 uses the shifted windows
-    noted inline).  Write q = <v^2>, m = r1*d - r*d1, q1 = <v1^2>,
-    q2 = <(v-v1)^2>, p = <v1, v> and let (s0, t0^2) be a wall point in
-    reg with d_beta(v)(s0) > 0.  At such a point both twisted degrees
-    x1 = d_beta(v1), x2 = d_beta(v - v1) are strictly positive
-    (positivity of degrees on a qualifying wall), and t0^2 >= t2_min.
+    The candidates (abelian bounds; K3 uses the shifted windows noted
+    inline).  Write q = <v^2>, m = r1*d - r*d1, q1 = <v1^2>,
+    q2 = <(v-v1)^2>, p = <v1, v>, p12 = <v1, v - v1> and let (s0, t0^2)
+    be a wall point in reg with d_beta(v)(s0) > 0.  At such a point both
+    twisted degrees x1 = d_beta(v1), x2 = d_beta(v - v1) are strictly
+    positive (positivity of degrees on a qualifying wall), and
+    t0^2 >= t2_min.
 
     1. Only circles occur: a vertical locus for v1 against v sits at
        s = -D/C which for m = 0 collapses to s = d/r where d_beta(v)
        vanishes identically, so no vertical wall ever carries a
-       positive-degree point; m = 0 candidates are skipped.  This also
-       excludes every v1 proportional to v, which has m = 0.
+       positive-degree point; m = 0 is skipped.  This also excludes
+       every v1 proportional to v, which has m = 0.
     2. radius^2 = (p^2 - q1*q)/(h2*m)^2 >= t0^2 >= t2_min and
        0 <= q1*q (abelian), p <= q - 1 give
        m^2 <= (q-1)^2/(h2^2 * t2_min).   [K3: q1 >= -2, p <= q + 1,
@@ -371,17 +354,73 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
        same window applied to q2 does, using r != 0 (r = r1 = 0 forces
        m = 0, already skipped).
 
-    Each candidate then needs q1, q2 >= sq_lo and <v1, v - v1> > 0: the
-    exact numeric criterion on abelian surfaces; on K3 the completeness
-    policy (squares >= -2 allow spherical parts), so the K3 list is
-    necessary-only, like is_wall_vector.
+    A candidate is a class of this stream with q1, q2 >= sq_lo and
+    p12 > 0: the exact numeric criterion on abelian surfaces; on K3 the
+    completeness policy (squares >= -2 allow spherical parts), so the K3
+    list is necessary-only, like is_wall_vector.  ``cap`` bounds the size
+    of the step 1-5 stream.  A closed-form bound, the sum over rows of
+    (number of d1) * (floor((sq_hi - sq_lo)/(2|r1 or r|)) + 1), settles
+    most calls; only when it exceeds ``cap`` is the stream counted row by
+    row, stopping as soon as the count passes ``cap``.
 
-    The candidate loop runs on ints: the bounds of steps 2 and 5, q1, q2,
-    the pairing and A = (h2/2)*m, C = a1*r - r1*a, D = a*d1 - a1*d.  The
-    locus is a circle iff C^2 - 4AD > 0, as radius^2 = (C^2 - 4AD)/(4A^2).
-    Fraction appears only in the bounds drawn from J, in the region test,
-    run once per distinct (A:C:D) since all its v1 cut the same circle,
-    and in the returned Walls, built by wall_locus for the winners only.
+    The walk.  The stream is not scanned: its candidates are found
+    through the pencil of walls (Maciocia, arXiv:1202.4587).
+      * Fibers.  L(v1) = (m, C, D) = (r1*d - r*d1, a1*r - r1*a,
+        a*d1 - a1*d) is v1 x v with its entries reordered, and
+        A = (h2/2)*m.  Its kernel is Zv and, v being primitive, its image
+        is the rank-2 lattice {a*m + d*C + r*D = 0}; so m runs over the
+        multiples of g = gcd(r, d), and the classes cutting the wall
+        (m, C, D) are exactly the fiber v1 + Zv with v1 = u x (D, C, m)
+        for an integer u with u.v = 1 ((u x w) x v = (u.v)w - (w.v)u).
+        v1 -> v - v1 negates (m, C, D) and swaps q1 and q2, so only
+        m > 0 is walked and each member is tested with its complement.
+      * The invariant.  disc = C^2 - 2*h2*m*D = p^2 - q*q1 = p12^2 - q1*q2
+        is the same on the whole fiber, and radius^2 = disc/(h2*m)^2.
+        A candidate's disc is at most B: p12^2 - q1*q2 with
+        p12 = (q - q1 - q2)/2 is convex in (q1, q2) (Hessian eigenvalues
+        0 and 1), so on the triangle q1, q2 >= sq_lo, q1 + q2 <= q - 2 it
+        peaks at a vertex, B = q^2/4 at q1 = q2 = 0 (abelian) and
+        B = q(q+8)/4 at q1 = q2 = -2 (K3); the other two vertices have
+        p12 = 1 and disc = 1 - sq_lo*(q - 2 - sq_lo) <= B for q >= 2.
+        A wall's disc is at least h2^2 m^2 t2_min > 0, as
+        radius^2 >= t0^2.  So m^2 <= B/(h2^2 t2_min), inside step 2.
+      * Fiber coordinate z, in which the height T(s) of the circle over s
+        is increasing.  r != 0: z = Y = r*C + h2*d*m, the fibers of one m
+        are Y = m*kappa mod r^2/g, r^2 disc = Y^2 - h2*q*m^2 and, with
+        x = d_beta(v)(s), T(s) = (2xY - m(q + h2 x^2))/(r^2 h2 m).  The
+        center d/r - Y/(r h2 m) lies farther than the radius from
+        s = d/r, so a circle meets d_beta(v) > 0 only if Y > 0, and the
+        disc bounds read m^2 K <= Y^2 <= r^2 B + h2 q m^2 with
+        K = h2 q + h2^2 r^2 t2_min.  r = 0: C = -a*m/d is fixed, the
+        circles are concentric about a/(h2 d), and z = disc runs over
+        C^2 mod 2*h2*m, with T(s) = disc/(h2 m)^2 - (s - a/(h2 d))^2.
+      * Region window.  On a ray J = {s0} with r != 0 the region test is
+        exactly t2_min <= T(s0) <= t2_max, that is
+        m*y(t2_min) <= Y <= m*y(t2_max) with x = d_beta(v)(s0) and
+        y(t) = (q + h2(x^2 + r^2 t))/(2x); so y(t2_min)^2 and y(t2_max)^2
+        replace K and the open upper default U = r^2 B + B + h2 q
+        (y(t2_min)^2 >= K by AM-GM: this contains the radius bound).
+        Elsewhere only the disc bounds cut z.  On a box the top would cut
+        too (T is concave in s, so T <= t2_max somewhere on J iff at an
+        endpoint), but on wide boxes it removes too few fibers to pay for
+        itself; rays with r = 0 are rare enough to leave to the disc
+        bounds.
+      * Members.  Along a fiber P = <v1 + kv, v> = p + kq,
+        q1 = (P^2 - disc)/q, q2 = ((q - P)^2 - disc)/q and p12 = P - q1,
+        so p12 >= 1 iff (2P - q)^2 <= q^2 - 4q + 4*disc: at most three k.
+        Each is tested exactly (q1, q2 >= sq_lo, q1 + q2 < q), and then it
+        and its complement against the step 2-4 box.  On abelian surfaces
+        that filter removes no class whose circle passes the region test,
+        since steps 2-4 were derived from such a wall point (and dropping
+        it changed no abelian output in a seeded differential).  On K3
+        the squares >= -2 policy admits classes outside steps 3-4, so the
+        K3 list depends on the box, and the filter keeps it the list of
+        the stream.
+
+    The walk runs on ints.  Fraction appears only in the bounds drawn
+    from J and reg, in the region test, run once per distinct (A:C:D)
+    since all its classes cut the same circle, and in the returned
+    Walls, built by wall_locus for the winners only.
 
     Raises BoundOverflow when the candidate stream would exceed ``cap``,
     and ValueError for a negative ``cap``, before any scan.
@@ -401,71 +440,98 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                          f"[{reg.s_min}, {reg.s_max}]")
     lo, hi, _, _ = J
     r, d, a = int(v.r), int(v.d), int(v.a)
-    h2 = S.h2
+    h2, t_lo, t_hi = S.h2, reg.t2_min, reg.t2_max
+    tn, td = t_lo.numerator, t_lo.denominator
     if S.kind == "abelian":
-        sq_lo, sq_hi = 0, q - 2
-        m_sq_bound = (q - 1) ** 2 / (h2 * h2 * reg.t2_min)
-        r1_spread = 2 * (q - 1) / (h2 * reg.t2_min)
+        sq_lo, sq_hi, B = 0, q - 2, q * q // 4
+        m_sq, r1_sq = (q - 1) ** 2, 2 * (q - 1)
     else:
-        sq_lo, sq_hi = -2, q
-        m_sq_bound = ((q + 1) ** 2 + 2 * q) / (h2 * h2 * reg.t2_min)
-        r1_spread = 2 * (q + 2) / (h2 * reg.t2_min)
-    m_sq_num, m_sq_den = m_sq_bound.numerator, m_sq_bound.denominator
-    r1_max = abs(r) + _ceil_sqrt(r1_spread)
-
-    count = 0
-    meets = {}  # acd key -> does the circle meet reg in positive degree
-    best = {}   # acd key -> (|q1|, (r1, d1, a1)) of the representative
+        sq_lo, sq_hi, B = -2, q, q * (q + 8) // 4
+        m_sq, r1_sq = (q + 1) ** 2 + 2 * q, 2 * (q + 2)
+    # step 2: m^2 <= m_sq/(h2^2 t2_min); step 3: |r1| <= r1_max
+    m_max = isqrt(m_sq * td // (h2 * h2 * tn))
+    r1_max = abs(r) + isqrt((r1_sq * td - 1) // (h2 * tn)) + 1
+    # step 4 as the d1 range of each r1 row, on ints: lo = L/N, hi = H/N
+    N = lo.denominator * hi.denominator
+    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    span, bound, rows = sq_hi - sq_lo, 0, {}
     for r1 in range(-r1_max, r1_max + 1):
-        # step 4: d1 > inf_J r1*s and d1 < d + sup_J (r1-r)*s
-        d1_first = floor(min(r1 * lo, r1 * hi)) + 1
-        d1_last = ceil(d + max((r1 - r) * lo, (r1 - r) * hi)) - 1
-        r2 = r - r1
-        for d1 in range(d1_first, d1_last + 1):
-            m = r1 * d - r * d1
-            if m == 0:
-                continue  # step 1: verticals never qualify
-            if m * m * m_sq_den > m_sq_num:
-                continue  # step 2
-            # step 5: a1 window [n_lo/den, n_hi/den]
-            hd1, hd2 = h2 * d1 * d1, h2 * (d - d1) ** 2
-            if r1 != 0:
-                n_lo, n_hi, den = hd1 - sq_hi, hd1 - sq_lo, 2 * r1
+        first = min(r1 * L, r1 * H) // N + 1
+        last = (d * N + max((r1 - r) * L, (r1 - r) * H) - 1) // N
+        rows[r1] = (first, last)
+        if r1 or r:
+            den = 2 * abs(r1 or r)
+            bound += max(0, last - first + 1) * (span // den + 1)
+    if bound > cap:
+        count = 0
+        for r1, (first, last) in rows.items():
+            for d1 in range(first, last + 1):
+                if 0 < abs(r1 * d - r * d1) <= m_max:  # steps 1-2, then 5
+                    n = (h2 * d1 * d1 - sq_hi if r1 else
+                         2 * r * a - h2 * (d - d1) ** 2 + sq_lo)
+                    den = 2 * abs(r1 or r)
+                    count += max(0, (n + span) // den + (-n) // den + 1)
+                    if count > cap:
+                        raise BoundOverflow(
+                            f"more than {cap} candidate classes for v={v} "
+                            "over the requested region")
+    g = gcd(r, d)
+    ur, ud = _xgcd(r, d)  # ur*r + ud*d = g
+    al, be = _xgcd(g, a)
+    u0, u1, u2 = al * ur, al * ud, be  # u . v = 1
+    kappa = h2 * d - r // g * ud * a
+    # fiber windows: m^2 K <= Y^2 <= min(r^2 B + h2 q m^2, m^2 U) if r != 0,
+    # m^2 K <= disc <= B if r = 0
+    K = h2 * q + (h2 * r) ** 2 * t_lo if r else h2 * h2 * t_lo
+    U = Fraction(r * r * B + B + h2 * q)  # no cut beyond the disc bound
+    if r and lo == hi:  # a ray: t2_min <= T(s0) <= t2_max
+        x = d - r * lo
+        K = ((q + h2 * (x * x + r * r * t_lo)) / (2 * x)) ** 2
+        U = ((q + h2 * (x * x + r * r * t_hi)) / (2 * x)) ** 2
+    best = {}  # acd key -> (|q1|, (r1, d1, a1)) of the representative, or
+    # False when the circle misses reg in positive degree
+    for m in range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g):
+        e = m * m
+        if r:
+            z0, step = m * kappa, r * r // g
+            z_lo = isqrt((e * K.numerator - 1) // K.denominator) + 1
+            z_hi = isqrt(min(r * r * B + h2 * q * e,
+                             e * U.numerator // U.denominator))
+        else:
+            C, step = -a * m // d, 2 * h2 * m
+            z0, z_lo, z_hi = C * C, -(-e * K.numerator // K.denominator), B
+        for z in range(z_lo + (z0 - z_lo) % step, z_hi + 1, step):
+            if r:
+                C = (z - h2 * d * m) // r
+                D = (-a * m - d * C) // r
             else:
-                # q2 = h2*(d-d1)^2 - 2*r*(a - a1) in [sq_lo, sq_hi]
-                n_lo, n_hi, den = (2 * r * a - hd2 + sq_lo,
-                                   2 * r * a - hd2 + sq_hi, 2 * r)
-            if den < 0:
-                n_lo, n_hi, den = -n_hi, -n_lo, -den
-            a_first, a_last = -(-n_lo // den), n_hi // den
-            count += max(0, a_last - a_first + 1)
-            if count > cap:
-                raise BoundOverflow(f"more than {cap} candidate classes for "
-                                    f"v={v} over the requested region")
-            A = h2 // 2 * m
-            for a1 in range(a_first, a_last + 1):
-                q1 = hd1 - 2 * r1 * a1
-                q2 = hd2 - 2 * r2 * (a - a1)
-                # q = q1 + 2<v1, v - v1> + q2, so the pairing is positive
-                # iff q1 + q2 < q
+                D = (C * C - z) // step
+            disc = C * C - 2 * h2 * m * D
+            r1, d1, a1 = u1 * m - u2 * C, u2 * D - u0 * m, u0 * C - u1 * D
+            p = h2 * d1 * d - r1 * a - a1 * r
+            w = isqrt(q * q - 4 * q + 4 * disc)  # p12 >= 1: |2P - q| <= w
+            for k in range(-((2 * p + w - q) // (2 * q)),
+                           (q + w - 2 * p) // (2 * q) + 1):
+                P = p + k * q
+                q1, q2 = (P * P - disc) // q, ((q - P) ** 2 - disc) // q
                 if q1 < sq_lo or q2 < sq_lo or q1 + q2 >= q:
                     continue
-                C = a1 * r - r1 * a
-                D = a * d1 - a1 * d
-                disc = C * C - 4 * A * D
-                if disc <= 0:
-                    continue  # empty locus: radius^2 = disc/(4A^2)
-                key = _normalize_acd(A, C, D)
-                hit = meets.get(key)
-                if hit is None:
-                    hit = meets[key] = _circle_meets_region_positive_degree(
-                        Fraction(-C, 2 * A), Fraction(disc, 4 * A * A), J, reg)
-                if not hit:
-                    continue
-                sel = (abs(q1), (r1, d1, a1))
-                if key not in best or sel < best[key]:
-                    best[key] = sel
-    walls = [wall_locus(MukaiVector(*v1), v, S) for _, v1 in best.values()]
+                x1 = (r1 + k * r, d1 + k * d, a1 + k * a)
+                for y1, q_y in ((x1, q1), ((r - x1[0], d - x1[1], a - x1[2]),
+                                           q2)):
+                    first, last = rows.get(y1[0], (1, 0))
+                    if not first <= y1[1] <= last:
+                        continue  # outside the step 2-4 box
+                    key = _normalize_acd(h2 // 2 * m, C, D)
+                    sel = (abs(q_y), y1)
+                    if key not in best:  # one region test per circle
+                        best[key] = _circle_meets_region_positive_degree(
+                            Fraction(-C, h2 * m),
+                            Fraction(disc, (h2 * m) ** 2), J, reg) and sel
+                    elif best[key] and sel < best[key]:
+                        best[key] = sel
+    walls = [wall_locus(MukaiVector(*sel[1]), v, S)
+             for sel in best.values() if sel]
     walls.sort(key=_wall_sort_key)
     return walls
 

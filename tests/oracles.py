@@ -11,7 +11,7 @@ is re-verified against the defining inequalities before it is trusted.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 
 F = Fraction
 
@@ -373,6 +373,72 @@ def wall_set_box_oracle(v, h2, reg, box, sq_floor=0):
                 if circle_meets_region_oracle(c, R2, v, reg, h2):
                     walls[normalize_acd(2 * A, 2 * C, 2 * D)] = (c, R2)
     return walls
+
+
+def wall_stream_oracle(v, h2, kind, reg):
+    """The (r1, d1, a1) candidate stream of the wall enumeration, scanned
+    class by class as the bound chain of its docstring defines it (steps
+    1-5 on abelian surfaces, the shifted windows on K3), then the
+    numeric criterion (squares >= 0, or >= -2 on K3, cross pairing > 0),
+    a circle locus and circle_meets_region_oracle.  reg = (smin, smax,
+    t2min, t2max) must leave d_beta(v) > 0 somewhere on [smin, smax].
+    Returns ({(A:C:D) normalized: (|q1|, v1)} with the representative of
+    least (|q1|, v1) for each wall, size of the stream)."""
+    r, d, a = v
+    smin, smax, t2min, t2max = (F(x) for x in reg)
+    q = square(v, h2)
+    lo, hi = smin, smax  # closure of the degree-clipped interval
+    if r > 0:
+        hi = min(hi, F(d, r))
+    elif r < 0:
+        lo = max(lo, F(d, r))
+    if kind == "abelian":
+        sq_lo, sq_hi = 0, q - 2
+        m_sq = F((q - 1) ** 2) / (h2 * h2 * t2min)
+        spread = F(2 * (q - 1)) / (h2 * t2min)
+    else:
+        sq_lo, sq_hi = -2, q
+        m_sq = F((q + 1) ** 2 + 2 * q) / (h2 * h2 * t2min)
+        spread = F(2 * (q + 2)) / (h2 * t2min)
+    k = 0
+    while k * k < spread:
+        k += 1
+    r1_max = abs(r) + k
+    count, meets, best = 0, {}, {}
+    for r1 in range(-r1_max, r1_max + 1):
+        d1_lo = floor(min(r1 * lo, r1 * hi)) + 1
+        d1_hi = ceil(d + max((r1 - r) * lo, (r1 - r) * hi)) - 1
+        for d1 in range(d1_lo, d1_hi + 1):
+            m = r1 * d - r * d1
+            if m == 0 or m * m > m_sq:
+                continue
+            if r1 != 0:  # q1 = h2 d1^2 - 2 r1 a1 in [sq_lo, sq_hi]
+                ends = (F(h2 * d1 * d1 - sq_hi, 2 * r1),
+                        F(h2 * d1 * d1 - sq_lo, 2 * r1))
+            else:  # q2 = h2 (d - d1)^2 - 2 r (a - a1) in [sq_lo, sq_hi]
+                base = h2 * (d - d1) ** 2 - 2 * r * a
+                ends = (F(sq_lo - base, 2 * r), F(sq_hi - base, 2 * r))
+            a1s = range(ceil(min(ends)), floor(max(ends)) + 1)
+            count += len(a1s)
+            for a1 in a1s:
+                v1 = (r1, d1, a1)
+                v2 = (r - r1, d - d1, a - a1)
+                q1, q2 = square(v1, h2), square(v2, h2)
+                if q1 < sq_lo or q2 < sq_lo or pairing(v1, v2, h2) <= 0:
+                    continue
+                A, C, D = acd(v1, v, h2)
+                c = -C / (2 * A)
+                R2 = c * c - D / A
+                if R2 <= 0:
+                    continue
+                key = normalize_acd(2 * A, 2 * C, 2 * D)
+                if key not in meets:
+                    meets[key] = circle_meets_region_oracle(
+                        c, R2, v, (smin, smax, t2min, t2max), h2)
+                if meets[key]:
+                    best[key] = min(best.get(key, (abs(q1), v1)),
+                                    (abs(q1), v1))
+    return best, count
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,18 @@ def test_bound_overflow_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("walls", "--v", "1,0,-10", "--s-min", "-8", "--s-max", "0",
+     "--t2-min", "1/50", "--t2-max", "20", "--cap", "50"),
+    ("chambers", "--v", "1,0,-10", "--s", "-3", "--t2-min", "1/50",
+     "--t2-max", "20", "--cap", "10"),
+])
+def test_small_cap_exits_3(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "BoundOverflow"
+
+
+@pytest.mark.parametrize("argv", [
     ("walls", "--v", "1,0,-2", "--s-min", "-3", "--s-max", "0",
      "--t2-min", "1/10", "--t2-max", "4"),
     ("walls", "--v", "1,0,-2", "--s-min", "-1/2", "--s-max", "-1/2",
@@ -338,6 +350,30 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, obj):
     rc, out, err = run(capsys, "walls", "--config", cfg, *WALLS_REGION)
     assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "UsageError"
+
+
+CLASSIFY_GOLDEN = ("--parts", "2*1,-1,1;2*0,1,-3", "--s", "-3/2",
+                   "--t2", "1/4")
+
+
+@pytest.mark.parametrize("key", ["bogus", "bound"])
+def test_config_key_of_no_command_is_usage_error(tmp_path, capsys, key):
+    """A misspelled or removed flag in a config file is refused like the
+    typed flag (classify has no --bound), instead of doing nothing."""
+    rc, out, err = run(capsys, "classify", "--config",
+                       _config(tmp_path, {key: 7}), *CLASSIFY_GOLDEN)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+    assert repr(key) in json.loads(err)["detail"]
+    assert run(capsys, "classify", f"--{key}", "7", *CLASSIFY_GOLDEN)[0] == 1
+
+
+def test_config_key_of_another_command_is_skipped(tmp_path, capsys):
+    """s_min is a walls flag, not a charge flag: one file serves both."""
+    cfg = _config(tmp_path, {"v": "1,0,-2", "s": "-3/2", "t2": "1/4",
+                             "s_min": -3})
+    rc, out, _ = run(capsys, "charge", "--config", cfg)
+    assert rc == 0 and out == '{"im_over_t":"3","re":"0"}\n'
 
 
 def test_explicit_cap_overrides_config(tmp_path, capsys):

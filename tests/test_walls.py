@@ -1,6 +1,8 @@
 """Wall loci, the wall-vector criterion, enumeration, chambers, sides."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,28 @@ def test_enumerate_walls_cap_counts_every_candidate(S, v, n):
         enumerate_walls(mv(*v), S, reg, cap=n - 1)
 
 
+@pytest.mark.parametrize("S, v, reg, n", [
+    (AB, (0, 3, 1), (F(-4), F(4), F(1, 10), F(10)), 1282),      # r = 0
+    (K3, (0, 2, -1), (F(-3), F(3), F(1, 20), F(10)), 914),      # r = 0
+    (AB, (-1, 3, -2), (F(-5, 2), F(1), F(1, 20), F(10)), 782),  # r < 0
+    (K3, (-2, 1, 3), (F(-1, 4), F(2), F(1, 20), F(10)), 688),   # r < 0
+    (K3, (1, 0, -10), (F(-3), F(-3), F(1, 50), F(20)), 226),    # K3 ray
+    (K3, (2, 1, -4), (F(-1, 2), F(-1, 2), F(1, 20), F(8)), 131),
+])
+def test_enumerate_walls_cap_counts_every_candidate_on_each_branch(S, v, reg,
+                                                                   n):
+    # n is the exact size of the candidate stream, as the class-by-class
+    # scan counts it.  The row-wise closed-form bound of each region is
+    # above n, so cap = n counts the stream to its end and still succeeds,
+    # cap = n - 1 stops the count early, and the default cap skips it.
+    assert oracles.wall_stream_oracle(v, S.h2, S.kind, reg)[1] == n
+    reg = Region(*reg)
+    walls = enumerate_walls(mv(*v), S, reg)
+    assert enumerate_walls(mv(*v), S, reg, cap=n) == walls
+    with pytest.raises(BoundOverflow):
+        enumerate_walls(mv(*v), S, reg, cap=n - 1)
+
+
 def test_enumerate_walls_errors():
     with pytest.raises(NonPositiveSquare):
         enumerate_walls(mv(1, 0, 1), AB, GOLD_REGION)   # <v^2> = -2
@@ -384,3 +408,87 @@ def test_category_wall_classes_are_spherical_and_orthogonal():
             assert mukai_square(w.u, K3) == -2
             assert w.u.d == w.u.r * b  # twisted degree vanishes at b
             assert w.t2 > 0
+
+
+# ---------------------------------------------------------------------------
+# enumerate_walls against a scan of its candidate stream
+
+def _check_against_stream(v, S, reg, cap=10 ** 6):
+    """Walls, their order and representatives, or BoundOverflow, exactly
+    as the class-by-class scan of the step 1-5 stream gives them."""
+    best, count = oracles.wall_stream_oracle(v, S.h2, S.kind, reg)
+
+    def order(key):  # center, radius^2, key: the order of the list
+        A, C, D = key
+        c = F(-C, 2 * A)
+        return (c, c * c - F(D, A), key)
+    if count > cap:
+        with pytest.raises(BoundOverflow, match=f"more than {cap} candidate"):
+            enumerate_walls(mv(*v), S, Region(*reg), cap=cap)
+        return None
+    got = enumerate_walls(mv(*v), S, Region(*reg), cap=cap)
+    assert [(w.acd_key(), w.v1.as_tuple()) for w in got] == [
+        (key, best[key][1]) for key in sorted(best, key=order)]
+    enumerate_walls(mv(*v), S, Region(*reg), cap=count)
+    if count:
+        with pytest.raises(BoundOverflow):
+            enumerate_walls(mv(*v), S, Region(*reg), cap=count - 1)
+    return got
+
+
+@pytest.mark.parametrize("S, v, reg", [
+    # q1 = q2 = 0: disc = <v^2>^2/4 on the bound (r < 0 here)
+    (AB, (-1, 2, -2), (F(-1), F(0), F(1, 100), F(1))),
+    (AB, (-1, 2, -2), (F(-1, 2), F(-1, 2), F(1, 10), F(1))),
+    # the golden circle (center -3/2, radius^2 1/4) touching t2_min
+    (AB, (1, 0, -2), (F(-3), F(0), F(1, 4), F(4))),
+    (AB, (1, 0, -2), (F(-3, 2), F(-3, 2), F(1, 4), F(4))),
+    (K3, (1, 0, -2), (F(-3, 2), F(-3, 2), F(1, 4), F(4))),
+    # rank zero, rank negative, a box straddling s = d/r
+    (AB, (0, 1, -3), (F(-2), F(3), F(1, 20), F(5))),
+    (K3, (0, 2, 1), (F(-1), F(1), F(1, 30), F(4))),
+    (K3, (0, 1, 2), (F(1, 3), F(1, 3), F(1, 10), F(4))),
+    (AB, (-2, 1, 3), (F(-4), F(1), F(1, 10), F(6))),
+    (K3, (-1, 3, -2), (F(-1, 2), F(-1, 2), F(1, 20), F(8))),
+    (K3, (2, -1, -4), (F(-5, 2), F(3, 2), F(1, 25), F(3))),
+    (Surface("abelian", 4), (1, 1, -3), (F(-3), F(1), F(1, 15), F(6))),
+    (Surface("k3", 6), (2, 1, -2), (F(-2), F(1, 2), F(1, 15), F(9))),
+])
+def test_enumerate_walls_matches_candidate_stream_named(S, v, reg):
+    assert _check_against_stream(v, S, reg)
+
+
+def test_enumerate_walls_matches_candidate_stream_seeded():
+    """Seeded differential against the scan: v in [-4, 4]^3 (rank zero and
+    negative included), abelian and K3 with h2 in {2, 4, 6}, boxes, rays
+    and boxes across s = d/r, small caps and the default one."""
+    rng = random.Random(20261018)
+    kinds = ("abelian", "k3")
+    done = walls = overflows = 0
+    while done < 400:
+        S = Surface(rng.choice(kinds), rng.choice((2, 4, 6)))
+        v = tuple(rng.randint(-4, 4) for _ in range(3))
+        q = S.h2 * v[1] ** 2 - 2 * v[0] * v[2]
+        if q <= 0 or gcd(*v) != 1:
+            continue
+        t2_min = rng.choice((F(1, 60), F(1, 20), F(1, 7), F(1, 3), F(1)))
+        t2_max = t2_min + rng.choice((F(0), F(1, 2), F(3), F(20)))
+        shape = rng.choice(("box", "ray", "straddle"))
+        if shape == "straddle" and v[0] == 0:
+            continue
+        if shape == "straddle":
+            cut = F(v[1], v[0])
+            s_min = cut - F(rng.randint(1, 12), rng.randint(1, 4))
+            s_max = cut + F(rng.randint(1, 12), rng.randint(1, 4))
+        else:
+            s_min = F(rng.randint(-18, 12), rng.randint(1, 3))
+            s_max = s_min + (0 if shape == "ray" else F(rng.randint(1, 12), 2))
+        # positive degree somewhere on [s_min, s_max]
+        if v[1] - v[0] * s_min <= 0 and v[1] - v[0] * s_max <= 0:
+            continue
+        cap = rng.choice((10 ** 6, rng.randint(0, 120)))
+        got = _check_against_stream(v, S, (s_min, s_max, t2_min, t2_max), cap)
+        done += 1
+        walls += bool(got)
+        overflows += got is None
+    assert walls > 100 and overflows > 20
