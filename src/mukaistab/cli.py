@@ -25,8 +25,8 @@ from .errors import BoundOverflow, MukaiStabError, UsageError
 from .lattice import (MukaiVector, Surface, d_beta_min, mukai_pairing,
                       twisted_invariants, retwist)
 from .stability import central_charge, param, reduced_sigma
-from .walls import (Circle, Region, VerticalLine, category_walls_k3,
-                    chambers_on_ray, enumerate_walls, wall_side)
+from .walls import (Region, category_walls_k3, chambers_on_ray,
+                    enumerate_walls, wall_side)
 from .fourier_mukai import (fm_apply, make_transform,
                             transform_central_charge)
 from .polarization import ample_class, omega_sx, omega_x
@@ -89,36 +89,26 @@ def _fmt_vec(v: MukaiVector) -> str:
     return f"{v.r},{v.d},{v.a}"
 
 
-def _render(obj):
-    """Exact JSON form: rationals as lowest-terms strings, vectors as
-    'r,d,a' strings."""
+def _render(obj, num, vec):
+    """The payload as JSON data, with num applied to each rational and
+    vec to each vector."""
     if isinstance(obj, Fraction):
-        return str(obj)
+        return num(obj)
     if isinstance(obj, MukaiVector):
-        return _fmt_vec(obj)
+        return vec(obj)
     if isinstance(obj, dict):
-        return {k: _render(x) for k, x in obj.items()}
+        return {k: _render(x, num, vec) for k, x in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_render(x) for x in obj]
-    return obj
-
-
-def _render_float(obj):
-    if isinstance(obj, Fraction):
-        return float(obj)
-    if isinstance(obj, MukaiVector):
-        return [float(obj.r), float(obj.d), float(obj.a)]
-    if isinstance(obj, dict):
-        return {k: _render_float(x) for k, x in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_render_float(x) for x in obj]
+        return [_render(x, num, vec) for x in obj]
     return obj
 
 
 def _emit_json(payload, approx: bool):
-    doc = _render(payload)
+    # exact form: rationals as lowest-terms strings, vectors as 'r,d,a'
+    doc = _render(payload, str, _fmt_vec)
     if approx:
-        doc["approx"] = _render_float(payload)
+        doc["approx"] = _render(payload, float,
+                                lambda v: [float(x) for x in v.as_tuple()])
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
@@ -159,20 +149,16 @@ def _svg_walls(v, S, reg: Region, walls) -> str:
     out.append(f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" '
                'fill="white" stroke="black" stroke-width="1"/>')
     out.append('<g clip-path="url(#box)">')
-    for w in walls:
+    for w in walls:  # every wall is a circle
         g = w.geometry
-        if isinstance(g, Circle):
-            radius = math.sqrt(float(g.radius_sq))
-            out.append(f'<circle cx="{_f(X(g.center_s))}" cy="{_f(Y(0.0))}" '
-                       f'r="{_f(radius * scale)}" fill="none" '
-                       'stroke="steelblue" stroke-width="1.5"/>')
-            label_y = Y(min(radius, t1))
-            out.append(f'<text x="{_f(X(g.center_s))}" y="{_f(label_y - 4)}" '
-                       'font-size="12" text-anchor="middle" fill="black">'
-                       f'{_fmt_vec(w.v1)}</text>')
-        elif isinstance(g, VerticalLine):
-            out.append(f'<line x1="{_f(X(g.s))}" y1="0" x2="{_f(X(g.s))}" '
-                       f'y2="{_f(height)}" stroke="steelblue" stroke-width="1.5"/>')
+        radius = math.sqrt(float(g.radius_sq))
+        out.append(f'<circle cx="{_f(X(g.center_s))}" cy="{_f(Y(0.0))}" '
+                   f'r="{_f(radius * scale)}" fill="none" '
+                   'stroke="steelblue" stroke-width="1.5"/>')
+        label_y = Y(min(radius, t1))
+        out.append(f'<text x="{_f(X(g.center_s))}" y="{_f(label_y - 4)}" '
+                   'font-size="12" text-anchor="middle" fill="black">'
+                   f'{_fmt_vec(w.v1)}</text>')
     out.append('</g>')
     # frame annotations: exact rational corner labels
     out.append(f'<text x="2" y="{_f(height - 4)}" font-size="12">'
@@ -189,15 +175,10 @@ def _svg_walls(v, S, reg: Region, walls) -> str:
 
 
 def _wall_payload(w):
-    g = w.geometry
-    if isinstance(g, Circle):
-        geom = {"type": "circle", "center_s": g.center_s,
-                "radius_sq": g.radius_sq}
-    elif isinstance(g, VerticalLine):
-        geom = {"type": "vertical", "s": g.s}
-    else:
-        geom = {"type": type(g).__name__.lower()}
-    return {"A": w.A, "C": w.C, "D": w.D, "geometry": geom,
+    g = w.geometry  # a circle: enumerate_walls returns no other locus
+    return {"A": w.A, "C": w.C, "D": w.D,
+            "geometry": {"type": "circle", "center_s": g.center_s,
+                         "radius_sq": g.radius_sq},
             "representative": w.v1}
 
 
@@ -214,23 +195,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sp, surface_default=DEFAULT_SURFACE):
-    sp.add_argument("--surface", default=surface_default,
-                    help=f"surface JSON (default {surface_default})")
-    sp.add_argument("--config", default=None,
-                    help="JSON file with default flag values")
-    sp.add_argument("--approx", action="store_true", default=False,
-                    help="add floating-point annotations")
-
-
-def _add_region(sp):
-    """The class-and-region flags shared by ``walls`` and ``plot``."""
-    sp.add_argument("--v")
-    sp.add_argument("--s-min")
-    sp.add_argument("--s-max")
-    sp.add_argument("--t2-min")
-    sp.add_argument("--t2-max")
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+# the flags that carry argparse options; every other flag is a plain
+# string that defaults to None
+_FLAGS = {
+    "to": {"help": "also re-twist to this s"},
+    "cap": {"type": int, "default": 10 ** 6},
+    "format": {"choices": ("json", "svg", "plain"), "default": "json"},
+    "cut-category-walls": {"action": "store_true", "default": False},
+    "absolute": {"action": "store_true", "default": False,
+                 "help": "x is an absolute coordinate, not relative to s"},
+    "parts": {"help": "'n*r,d,a;...' (n optional)"},
+}
 
 
 def _build_parser():
@@ -238,90 +213,18 @@ def _build_parser():
                  description="exact wall-and-chamber computations on the "
                              "rank-3 Mukai lattice")
     sub = ap.add_subparsers(dest="command", metavar="command")
-
-    sp = sub.add_parser("pair", help="Mukai pairing of two classes")
-    sp.add_argument("--x")
-    sp.add_argument("--y")
-    _add_common(sp)
-
-    sp = sub.add_parser("twist", help="twisted invariants at beta = s*H")
-    sp.add_argument("--v")
-    sp.add_argument("--s")
-    sp.add_argument("--to", default=None, help="also re-twist to this s")
-    _add_common(sp)
-
-    sp = sub.add_parser("charge", help="central charge at (s, t)")
-    sp.add_argument("--v")
-    sp.add_argument("--s")
-    sp.add_argument("--t", default=None)
-    sp.add_argument("--t2", default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("walls", help="enumerate walls over a region")
-    _add_region(sp)
-    sp.add_argument("--format", choices=("json", "svg", "plain"),
-                    default="json")
-    _add_common(sp)
-
-    sp = sub.add_parser("chambers", help="wall cuts on a vertical ray")
-    sp.add_argument("--v")
-    sp.add_argument("--s")
-    sp.add_argument("--t2-min")
-    sp.add_argument("--t2-max")
-    sp.add_argument("--cut-category-walls", action="store_true", default=False)
-    sp.add_argument("--cap", type=int, default=10 ** 6)
-    _add_common(sp)
-
-    sp = sub.add_parser("side", help="which side of a wall a point is on")
-    sp.add_argument("--v")
-    sp.add_argument("--w1")
-    sp.add_argument("--s")
-    sp.add_argument("--t2")
-    _add_common(sp)
-
-    sp = sub.add_parser("fm", help="Fourier-Mukai image of a class")
-    sp.add_argument("--r1")
-    sp.add_argument("--c")
-    sp.add_argument("--v")
-    _add_common(sp)
-
-    sp = sub.add_parser("fm-charge", help="transformed stability data")
-    sp.add_argument("--r1")
-    sp.add_argument("--c")
-    sp.add_argument("--s")
-    sp.add_argument("--t")
-    _add_common(sp)
-
-    sp = sub.add_parser("ample", help="ample class of v at (s, t2)")
-    sp.add_argument("--v")
-    sp.add_argument("--s")
-    sp.add_argument("--t2")
-    _add_common(sp)
-
-    sp = sub.add_parser("omega-x", help="t2 at which v meets a slope reference")
-    sp.add_argument("--v")
-    sp.add_argument("--s")
-    sp.add_argument("--x")
-    sp.add_argument("--absolute", action="store_true", default=False,
-                    help="x is an absolute coordinate, not relative to s")
-    _add_common(sp)
-
-    sp = sub.add_parser("classify", help="classify an aligned decomposition")
-    sp.add_argument("--parts", help="'n*r,d,a;...' (n optional)")
-    sp.add_argument("--s")
-    sp.add_argument("--t2")
-    _add_common(sp)
-
-    sp = sub.add_parser("k3-category-walls", help="category walls at beta = b*H")
-    sp.add_argument("--b")
-    sp.add_argument("--t2-max")
-    _add_common(sp, surface_default=DEFAULT_SURFACE_K3)
-
-    sp = sub.add_parser("plot", help="SVG wall diagram over a region")
-    _add_region(sp)
-    sp.set_defaults(format="svg")  # plot is walls --format svg
-    _add_common(sp)
-
+    for name, (help_text, required, optional, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in required + optional:
+            sp.add_argument("--" + flag, **_FLAGS.get(flag, {}))
+        surface = (DEFAULT_SURFACE_K3 if name == "k3-category-walls"
+                   else DEFAULT_SURFACE)
+        sp.add_argument("--surface", default=surface,
+                        help=f"surface JSON (default {surface})")
+        sp.add_argument("--config", default=None,
+                        help="JSON file with default flag values")
+        sp.add_argument("--approx", action="store_true", default=False,
+                        help="add floating-point annotations")
     return ap, sub.choices
 
 
@@ -363,7 +266,7 @@ def _config_tokens(path, command, commands):
     return tokens
 
 
-def _need(args, *names):
+def _need(args, names):
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
         raise UsageError("missing required flag(s): "
@@ -374,13 +277,11 @@ def _need(args, *names):
 # handlers
 
 def _cmd_pair(args, S):
-    _need(args, "x", "y")
     x, y = _parse_vec(args.x), _parse_vec(args.y)
     return {"pairing": mukai_pairing(x, y, S)}
 
 
 def _cmd_twist(args, S):
-    _need(args, "v", "s")
     v, s = _parse_vec(args.v), _parse_rat(args.s)
     ti = twisted_invariants(v, s, S)
     payload = {"r_beta": ti.r_b, "d_beta": ti.d_b, "a_beta": ti.a_b,
@@ -394,7 +295,6 @@ def _cmd_twist(args, S):
 
 
 def _cmd_charge(args, S):
-    _need(args, "v", "s")
     v, s = _parse_vec(args.v), _parse_rat(args.s)
     if args.t is not None:
         p = param(s, t=_parse_rat(args.t))
@@ -408,7 +308,6 @@ def _cmd_charge(args, S):
 
 
 def _cmd_walls(args, S):
-    _need(args, "v", "s-min", "s-max", "t2-min", "t2-max")
     v = _parse_vec(args.v)
     reg = Region(_parse_rat(args.s_min), _parse_rat(args.s_max),
                  _parse_rat(args.t2_min), _parse_rat(args.t2_max))
@@ -426,7 +325,6 @@ def _cmd_walls(args, S):
 
 
 def _cmd_chambers(args, S):
-    _need(args, "v", "s", "t2-min", "t2-max")
     ray = chambers_on_ray(_parse_vec(args.v), S, _parse_rat(args.s),
                           (_parse_rat(args.t2_min), _parse_rat(args.t2_max)),
                           cut_category_walls=args.cut_category_walls,
@@ -436,7 +334,6 @@ def _cmd_chambers(args, S):
 
 
 def _cmd_side(args, S):
-    _need(args, "v", "w1", "s", "t2")
     v, w1 = _parse_vec(args.v), _parse_vec(args.w1)
     p = param(_parse_rat(args.s), t2=_parse_rat(args.t2))
     return {"side": wall_side(v, w1, p, S),
@@ -451,14 +348,12 @@ def _parse_r1(args):
 
 
 def _cmd_fm(args, S):
-    _need(args, "r1", "c", "v")
     T = make_transform(_parse_r1(args), _parse_rat(args.c), S)
     v = _parse_vec(args.v)
     return {"kernel": T.kernel_class(S), "image": fm_apply(T, v, S)}
 
 
 def _cmd_fm_charge(args, S):
-    _need(args, "r1", "c", "s", "t")
     T = make_transform(_parse_r1(args), _parse_rat(args.c), S)
     p = param(_parse_rat(args.s), t=_parse_rat(args.t))
     tc = transform_central_charge(T, p, S)
@@ -467,7 +362,6 @@ def _cmd_fm_charge(args, S):
 
 
 def _cmd_ample(args, S):
-    _need(args, "v", "s", "t2")
     rep = ample_class(_parse_vec(args.v),
                       param(_parse_rat(args.s), t2=_parse_rat(args.t2)), S)
     return {"phi": rep.phi, "xi1": rep.xi1, "xi2": rep.xi2,
@@ -475,14 +369,12 @@ def _cmd_ample(args, S):
 
 
 def _cmd_omega_x(args, S):
-    _need(args, "v", "s", "x")
     v, s, x = _parse_vec(args.v), _parse_rat(args.s), _parse_rat(args.x)
     t2 = omega_sx(v, s, x, S) if args.absolute else omega_x(v, s, x, S)
     return {"t2": t2}
 
 
 def _cmd_classify(args, S):
-    _need(args, "parts", "s", "t2")
     rep = classify_decomposition(_parse_parts(args.parts),
                                  param(_parse_rat(args.s),
                                        t2=_parse_rat(args.t2)), S)
@@ -491,25 +383,43 @@ def _cmd_classify(args, S):
 
 
 def _cmd_k3_category_walls(args, S):
-    _need(args, "b", "t2-max")
     walls = category_walls_k3(_parse_rat(args.b), S, _parse_rat(args.t2_max))
     return {"walls": [{"u": cw.u, "t2": cw.t2} for cw in walls]}
 
 
-_HANDLERS = {
-    "pair": _cmd_pair,
-    "twist": _cmd_twist,
-    "charge": _cmd_charge,
-    "walls": _cmd_walls,
-    "chambers": _cmd_chambers,
-    "side": _cmd_side,
-    "fm": _cmd_fm,
-    "fm-charge": _cmd_fm_charge,
-    "ample": _cmd_ample,
-    "omega-x": _cmd_omega_x,
-    "classify": _cmd_classify,
-    "k3-category-walls": _cmd_k3_category_walls,
-    "plot": _cmd_walls,
+def _cmd_plot(args, S):
+    args.format = "svg"  # plot is walls --format svg
+    return _cmd_walls(args, S)
+
+
+_REGION = ["v", "s-min", "s-max", "t2-min", "t2-max"]
+
+# each subcommand once: name -> (help, required flags, optional flags,
+# handler); the flags are added in this order, then the common ones
+_COMMANDS = {
+    "pair": ("Mukai pairing of two classes", ["x", "y"], [], _cmd_pair),
+    "twist": ("twisted invariants at beta = s*H", ["v", "s"], ["to"],
+              _cmd_twist),
+    "charge": ("central charge at (s, t)", ["v", "s"], ["t", "t2"],
+               _cmd_charge),
+    "walls": ("enumerate walls over a region", _REGION, ["cap", "format"],
+              _cmd_walls),
+    "chambers": ("wall cuts on a vertical ray", ["v", "s", "t2-min", "t2-max"],
+                 ["cut-category-walls", "cap"], _cmd_chambers),
+    "side": ("which side of a wall a point is on", ["v", "w1", "s", "t2"],
+             [], _cmd_side),
+    "fm": ("Fourier-Mukai image of a class", ["r1", "c", "v"], [], _cmd_fm),
+    "fm-charge": ("transformed stability data", ["r1", "c", "s", "t"], [],
+                  _cmd_fm_charge),
+    "ample": ("ample class of v at (s, t2)", ["v", "s", "t2"], [],
+              _cmd_ample),
+    "omega-x": ("t2 at which v meets a slope reference", ["v", "s", "x"],
+                ["absolute"], _cmd_omega_x),
+    "classify": ("classify an aligned decomposition", ["parts", "s", "t2"],
+                 [], _cmd_classify),
+    "k3-category-walls": ("category walls at beta = b*H", ["b", "t2-max"],
+                          [], _cmd_k3_category_walls),
+    "plot": ("SVG wall diagram over a region", _REGION, ["cap"], _cmd_plot),
 }
 
 
@@ -533,7 +443,9 @@ def main(argv=None) -> int:
             argv[i:i] = _config_tokens(args.config, args.command, commands)
             args = parser.parse_args(argv)
         S = _parse_surface(args.surface)
-        payload = _HANDLERS[args.command](args, S)
+        _, required, _, handler = _COMMANDS[args.command]
+        _need(args, required)
+        payload = handler(args, S)
         if payload is not None:
             _emit_json(payload, args.approx)
         return EXIT_OK

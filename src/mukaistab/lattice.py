@@ -133,7 +133,7 @@ class MukaiVector(Frozen):
 
 def mv(r, d, a) -> MukaiVector:
     """Convenience constructor accepting ints / 'p/q' strings / Fractions."""
-    return MukaiVector(rat(r), rat(d), rat(a))
+    return MukaiVector(r, d, a)
 
 
 RHO = MukaiVector(0, 0, 1)

@@ -57,8 +57,7 @@ class StabilityParam(Frozen):
 
 
 def param(s, t2=None, t=None) -> StabilityParam:
-    return StabilityParam(rat(s), None if t2 is None else rat(t2),
-                          None if t is None else rat(t))
+    return StabilityParam(s, t2, t)
 
 
 class CentralCharge(Frozen):

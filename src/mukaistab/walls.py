@@ -23,11 +23,11 @@ and a wall reaching t^2 >= t2_min has disc >= (h2*m)^2 t2_min.  Those
 bounds, and on a ray the exact height window, give each line of fibers
 of one m an integer window (one isqrt); within a fiber, p12 >= 1 is a
 quadratic window in <v1, v> that leaves at most three members to test
-exactly.  The members must also lie in the bounded (r1, d1) box the
-stream of candidates was defined by: on K3 that box is part of what
-the list is.  The walk runs on Python ints; Fraction enters only
-through the bounds from the region, the region test (once per distinct
-wall) and the returned Walls.
+exactly.  The members must also lie in the bounded (r1, d1) box of the
+bound chain: on K3 that box is part of what the list is.  ``cap``
+bounds the lines plus fibers walked.  The walk runs on Python ints;
+Fraction enters only through the bounds from the region, the region
+test (once per distinct wall) and the returned Walls.
 """
 
 from fractions import Fraction
@@ -347,24 +347,20 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     4. For each r1, the existence of s0 in the degree-clipped region
        interval J with 0 < d1 - r1*s0 and d1 - d < (r1 - r)*s0 bounds d1
        to an explicit integer interval from the endpoint values of J.
-    5. For each (r1, d1): if r1 != 0 the window sq_lo <= q1 <= sq_hi
-       (sq_lo = 0, sq_hi = q - 2 abelian; -2 and q on K3, from
-       q = q1 + 2 p12 + q2 with p12 >= 1 and q2 >= sq_lo) confines
-       a1 = (h2*d1^2 - q1)/(2 r1) to an integer interval; if r1 = 0 the
-       same window applied to q2 does, using r != 0 (r = r1 = 0 forces
-       m = 0, already skipped).
 
-    A candidate is a class of this stream with q1, q2 >= sq_lo and
-    p12 > 0: the exact numeric criterion on abelian surfaces; on K3 the
-    completeness policy (squares >= -2 allow spherical parts), so the K3
-    list is necessary-only, like is_wall_vector.  ``cap`` bounds the size
-    of the step 1-5 stream.  A closed-form bound, the sum over rows of
-    (number of d1) * (floor((sq_hi - sq_lo)/(2|r1 or r|)) + 1), settles
-    most calls; only when it exceeds ``cap`` is the stream counted row by
-    row, stopping as soon as the count passes ``cap``.
+    A candidate is a class of the step 2-4 box with q1, q2 >= sq_lo
+    (sq_lo = 0 abelian, -2 on K3) and p12 > 0: the exact numeric
+    criterion on abelian surfaces; on K3 the completeness policy
+    (squares >= -2 allow spherical parts), so the K3 list is
+    necessary-only, like is_wall_vector.
 
-    The walk.  The stream is not scanned: its candidates are found
-    through the pencil of walls (Maciocia, arXiv:1202.4587).
+    ``cap`` bounds the work of the walk below: the number of m-lines plus
+    the number of fibers it visits.  Both are lengths of ranges known
+    before the fibers of a line are visited, so the walk stops as soon as
+    their running sum passes ``cap``, after O(cap) work.
+
+    The walk.  The box is not scanned: its candidates are found through
+    the pencil of walls (Maciocia, arXiv:1202.4587).
       * Fibers.  L(v1) = (m, C, D) = (r1*d - r*d1, a1*r - r1*a,
         a*d1 - a1*d) is v1 x v with its entries reordered, and
         A = (h2/2)*m.  Its kernel is Zv and, v being primitive, its image
@@ -414,16 +410,16 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         since steps 2-4 were derived from such a wall point (and dropping
         it changed no abelian output in a seeded differential).  On K3
         the squares >= -2 policy admits classes outside steps 3-4, so the
-        K3 list depends on the box, and the filter keeps it the list of
-        the stream.
+        K3 list depends on the box.
 
     The walk runs on ints.  Fraction appears only in the bounds drawn
     from J and reg, in the region test, run once per distinct (A:C:D)
     since all its classes cut the same circle, and in the returned
     Walls, built by wall_locus for the winners only.
 
-    Raises BoundOverflow when the candidate stream would exceed ``cap``,
-    and ValueError for a negative ``cap``, before any scan.
+    Raises BoundOverflow when the walk would take more than ``cap``
+    steps, before it visits the fibers past that budget, and ValueError
+    for a negative ``cap`` before any walk.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -443,38 +439,19 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     h2, t_lo, t_hi = S.h2, reg.t2_min, reg.t2_max
     tn, td = t_lo.numerator, t_lo.denominator
     if S.kind == "abelian":
-        sq_lo, sq_hi, B = 0, q - 2, q * q // 4
-        m_sq, r1_sq = (q - 1) ** 2, 2 * (q - 1)
+        sq_lo, B, r1_sq = 0, q * q // 4, 2 * (q - 1)
     else:
-        sq_lo, sq_hi, B = -2, q, q * (q + 8) // 4
-        m_sq, r1_sq = (q + 1) ** 2 + 2 * q, 2 * (q + 2)
-    # step 2: m^2 <= m_sq/(h2^2 t2_min); step 3: |r1| <= r1_max
-    m_max = isqrt(m_sq * td // (h2 * h2 * tn))
+        sq_lo, B, r1_sq = -2, q * (q + 8) // 4, 2 * (q + 2)
+    # the step 2-4 box on ints (every m walked is inside step 2): step 3,
+    # and step 4 with lo = L/N, hi = H/N
     r1_max = abs(r) + isqrt((r1_sq * td - 1) // (h2 * tn)) + 1
-    # step 4 as the d1 range of each r1 row, on ints: lo = L/N, hi = H/N
     N = lo.denominator * hi.denominator
     L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    span, bound, rows = sq_hi - sq_lo, 0, {}
-    for r1 in range(-r1_max, r1_max + 1):
-        first = min(r1 * L, r1 * H) // N + 1
-        last = (d * N + max((r1 - r) * L, (r1 - r) * H) - 1) // N
-        rows[r1] = (first, last)
-        if r1 or r:
-            den = 2 * abs(r1 or r)
-            bound += max(0, last - first + 1) * (span // den + 1)
-    if bound > cap:
-        count = 0
-        for r1, (first, last) in rows.items():
-            for d1 in range(first, last + 1):
-                if 0 < abs(r1 * d - r * d1) <= m_max:  # steps 1-2, then 5
-                    n = (h2 * d1 * d1 - sq_hi if r1 else
-                         2 * r * a - h2 * (d - d1) ** 2 + sq_lo)
-                    den = 2 * abs(r1 or r)
-                    count += max(0, (n + span) // den + (-n) // den + 1)
-                    if count > cap:
-                        raise BoundOverflow(
-                            f"more than {cap} candidate classes for v={v} "
-                            "over the requested region")
+
+    def in_box(r1, d1):
+        return (abs(r1) <= r1_max and min(r1 * L, r1 * H) < d1 * N <
+                d * N + max((r1 - r) * L, (r1 - r) * H))
+
     g = gcd(r, d)
     ur, ud = _xgcd(r, d)  # ur*r + ud*d = g
     al, be = _xgcd(g, a)
@@ -490,7 +467,9 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         U = ((q + h2 * (x * x + r * r * t_hi)) / (2 * x)) ** 2
     best = {}  # acd key -> (|q1|, (r1, d1, a1)) of the representative, or
     # False when the circle misses reg in positive degree
-    for m in range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g):
+    lines = range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g)
+    budget = cap - len(lines)  # cap bounds the m-lines plus the fibers
+    for m in lines:
         e = m * m
         if r:
             z0, step = m * kappa, r * r // g
@@ -500,7 +479,11 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         else:
             C, step = -a * m // d, 2 * h2 * m
             z0, z_lo, z_hi = C * C, -(-e * K.numerator // K.denominator), B
-        for z in range(z_lo + (z0 - z_lo) % step, z_hi + 1, step):
+        fibers = range(z_lo + (z0 - z_lo) % step, z_hi + 1, step)
+        budget -= len(fibers)
+        if budget < 0:
+            break
+        for z in fibers:
             if r:
                 C = (z - h2 * d * m) // r
                 D = (-a * m - d * C) // r
@@ -519,9 +502,8 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                 x1 = (r1 + k * r, d1 + k * d, a1 + k * a)
                 for y1, q_y in ((x1, q1), ((r - x1[0], d - x1[1], a - x1[2]),
                                            q2)):
-                    first, last = rows.get(y1[0], (1, 0))
-                    if not first <= y1[1] <= last:
-                        continue  # outside the step 2-4 box
+                    if not in_box(y1[0], y1[1]):
+                        continue
                     key = _normalize_acd(h2 // 2 * m, C, D)
                     sel = (abs(q_y), y1)
                     if key not in best:  # one region test per circle
@@ -530,19 +512,14 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                             Fraction(disc, (h2 * m) ** 2), J, reg) and sel
                     elif best[key] and sel < best[key]:
                         best[key] = sel
+    if budget < 0:
+        raise BoundOverflow(f"more than {cap} walk steps (m-lines and "
+                            f"fibers) for v={v} over the requested region")
     walls = [wall_locus(MukaiVector(*sel[1]), v, S)
              for sel in best.values() if sel]
-    walls.sort(key=_wall_sort_key)
+    walls.sort(key=lambda w: (w.geometry.center_s, w.geometry.radius_sq,
+                              w.acd_key()))
     return walls
-
-
-def _wall_sort_key(w: Wall):
-    g = w.geometry
-    if isinstance(g, Circle):
-        return (0, g.center_s, g.radius_sq, w.acd_key())
-    if isinstance(g, VerticalLine):
-        return (1, g.s, 0, w.acd_key())
-    return (2, 0, 0, w.acd_key())
 
 
 # ---------------------------------------------------------------------------

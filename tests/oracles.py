@@ -11,6 +11,7 @@ is re-verified against the defining inequalities before it is trusted.
 """
 
 from fractions import Fraction
+from itertools import count, takewhile
 from math import ceil, floor, gcd, isqrt
 
 F = Fraction
@@ -377,8 +378,11 @@ def wall_set_box_oracle(v, h2, reg, box, sq_floor=0):
 
 def wall_stream_oracle(v, h2, kind, reg):
     """The (r1, d1, a1) candidate stream of the wall enumeration, scanned
-    class by class as the bound chain of its docstring defines it (steps
-    1-5 on abelian surfaces, the shifted windows on K3), then the
+    class by class: the box of steps 1-4 of its docstring (abelian
+    bounds, the shifted ones on K3), and in it the a1 with
+    sq_lo <= <v1^2> <= sq_hi if r1 != 0, or the same window on
+    <(v - v1)^2> if r1 = 0 (sq_lo, sq_hi = 0, <v^2> - 2, or -2, <v^2> on
+    K3, from <v^2> = q1 + 2 p12 + q2 with p12 >= 1); then the
     numeric criterion (squares >= 0, or >= -2 on K3, cross pairing > 0),
     a circle locus and circle_meets_region_oracle.  reg = (smin, smax,
     t2min, t2max) must leave d_beta(v) > 0 somewhere on [smin, smax].
@@ -439,6 +443,61 @@ def wall_stream_oracle(v, h2, kind, reg):
                     best[key] = min(best.get(key, (abs(q1), v1)),
                                     (abs(q1), v1))
     return best, count
+
+
+def walk_steps_oracle(v, h2, kind, reg):
+    """The work the pencil walk of the wall enumeration is charged with
+    against its ``cap``: the number of m-lines plus, on each, the number
+    of fibers (m, C, D) it visits, counted by brute force.
+
+    A line is an m >= 1 with (h2 m)^2 t2min <= B (B = <v^2>^2/4 on
+    abelian surfaces, <v^2>(<v^2> + 8)/4 on K3) for which
+    a*m + d*C + r*D = 0 has an integer solution.  Its fibers are the
+    integer (C, D) on it with disc = C^2 - 2 h2 m D <= B and, with
+    Y = r*C + h2*d*m: on a ray with r != 0 the height window
+    m*y(t2min) <= Y <= m*y(t2max), y(t) = (<v^2> + h2 (x^2 + r^2 t))/(2x),
+    x = d_beta(v) at the ray; otherwise disc >= h2^2 m^2 t2min, and Y > 0
+    when r != 0.  reg = (smin, smax, t2min, t2max) as for
+    wall_stream_oracle."""
+    r, d, a = v
+    smin, smax, t2min, t2max = (F(x) for x in reg)
+    q = square(v, h2)
+    B = F(q * q, 4) if kind == "abelian" else F(q * (q + 8), 4)
+    steps, m = 0, 0
+    while (h2 * (m + 1)) ** 2 * t2min <= B:
+        m += 1
+        if r == 0:
+            if (a * m) % d:
+                continue  # no integer point on this line
+            C = -a * m // d
+            # disc = C^2 - 2 h2 m D in [0, B]
+            points = [(C, D) for D in range(ceil((C * C - B) / (2 * h2 * m)),
+                                            floor(C * C / (2 * h2 * m)) + 1)]
+        else:
+            if all((a * m + d * C) % r for C in range(abs(r))):
+                continue
+            # every condition has Y > 0: scan C from the first integer
+            # with Y > 0 in the direction of growing Y while disc <= B
+            # (disc is convex in C and least at Y = 0); with
+            # D = -(a m + d C)/r, r^2 disc = r^2 C^2 + 2 h2 m r (a m + d C)
+            c0 = F(-h2 * d * m, r)  # Y = 0
+            first, step = (floor(c0) + 1, 1) if r > 0 else (ceil(c0) - 1, -1)
+            Cs = takewhile(lambda C: r * r * C * C + 2 * h2 * m * r * (
+                a * m + d * C) <= r * r * B, count(first, step))
+            points = [(C, -(a * m + d * C) // r) for C in Cs
+                      if (a * m + d * C) % r == 0]
+        steps += 1
+        # disc <= B and Y > 0 hold by construction of the points
+        if r != 0 and smin == smax:
+            x = d - r * smin
+            y_lo = (q + h2 * (x * x + r * r * t2min)) / (2 * x)
+            y_hi = (q + h2 * (x * x + r * r * t2max)) / (2 * x)
+            steps += sum(m * y_lo <= r * C + h2 * d * m <= m * y_hi
+                         for C, _ in points)
+        else:
+            steps += sum(C * C - 2 * h2 * m * D >= (h2 * m) ** 2 * t2min
+                         for C, D in points)
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ interval algebra only.
 """
 
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -31,6 +33,7 @@ F = Fraction
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
 SEED = 202608
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SURFACES = [Surface("abelian", 2), Surface("abelian", 4), Surface("k3", 2),
             Surface("k3", 6)]
@@ -332,11 +335,14 @@ def test_criterion_12_cli_determinism():
     base = [sys.executable, "-m", "mukaistab.cli", "walls", "--v", "1,0,-2",
             "--s-min", "-3", "--s-max", "0", "--t2-min", "1/100",
             "--t2-max", "4"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for fmt in ("json", "svg"):
-        runs = [subprocess.run(base + ["--format", fmt], capture_output=True)
+        runs = [subprocess.run(base + ["--format", fmt], capture_output=True,
+                               env=env)
                 for _ in range(2)]
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout
         assert len(runs[0].stdout) > 40
-    payload = json.loads(subprocess.run(base, capture_output=True).stdout)
+    payload = json.loads(subprocess.run(base, capture_output=True,
+                                        env=env).stdout)
     assert payload["walls"][0]["geometry"]["center_s"] == "-3/2"

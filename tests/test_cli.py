@@ -13,12 +13,16 @@ point go through a real subprocess.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from mukaistab.cli import main
+from mukaistab.cli import _build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -30,8 +34,27 @@ def run(capsys, *argv):
 
 def run_proc(*argv):
     """Invoke the CLI as a real subprocess (for byte-determinism checks)."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "mukaistab.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
+
+
+def parser_structure():
+    """Every parser's actions as plain data (option strings, dest,
+    default, type, choices, nargs, help) and the subcommands' help
+    lines: what --help prints, without argparse's layout, which differs
+    between Python versions."""
+    ap, commands = _build_parser()
+
+    def actions(parser):
+        return [[a.option_strings, a.dest, a.default,
+                 getattr(a.type, "__name__", a.type),
+                 None if a.choices is None else list(a.choices),
+                 a.nargs, a.help] for a in parser._actions]
+    sub = next(a for a in ap._actions if a.dest == "command")
+    return {"mukaistab": actions(ap),
+            "commands": [[c.dest, c.help] for c in sub._choices_actions],
+            **{name: actions(sp) for name, sp in commands.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +212,43 @@ def test_walls_svg_format_matches_plot(capsys):
 # exit codes and error plumbing
 # ---------------------------------------------------------------------------
 
-def test_missing_flags_is_usage_error(capsys):
-    rc, out, err = run(capsys, "pair")
+REQUIRED = {
+    "pair": "--x, --y",
+    "twist": "--v, --s",
+    "charge": "--v, --s",
+    "walls": "--v, --s-min, --s-max, --t2-min, --t2-max",
+    "chambers": "--v, --s, --t2-min, --t2-max",
+    "side": "--v, --w1, --s, --t2",
+    "fm": "--r1, --c, --v",
+    "fm-charge": "--r1, --c, --s, --t",
+    "ample": "--v, --s, --t2",
+    "omega-x": "--v, --s, --x",
+    "classify": "--parts, --s, --t2",
+    "k3-category-walls": "--b, --t2-max",
+    "plot": "--v, --s-min, --s-max, --t2-min, --t2-max",
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_missing_flags_is_usage_error(capsys, command):
+    rc, out, err = run(capsys, command)
     assert rc == 1 and out == ""
-    assert json.loads(err) == {"detail": "missing required flag(s): --x, --y",
-                               "error": "UsageError"}
+    assert json.loads(err) == {
+        "detail": f"missing required flag(s): {REQUIRED[command]}",
+        "error": "UsageError"}
+
+
+def test_bad_surface_wins_over_missing_flags(capsys):
+    rc, out, err = run(capsys, "walls", "--surface", "{}")
+    assert rc == 1 and out == ""
+    assert json.loads(err)["detail"].startswith("bad surface JSON '{}'")
+
+
+def test_parsers_match_their_golden():
+    """Flags, defaults, types, choices and help texts of every parser, as
+    captured before the subcommands were declared as one table."""
+    golden = json.loads((ROOT / "tests" / "cli_parsers.json").read_text())
+    assert parser_structure() == golden
 
 
 def test_malformed_vector_literal_is_usage_error(capsys):

@@ -233,12 +233,17 @@ def test_enumerate_walls_k3_matches_box_oracle(v, reg):
     (K3, (2, 1, -10), 9954),
 ])
 def test_enumerate_walls_cap_counts_every_candidate(S, v, n):
-    # n is the exact size of the candidate stream (all r1 signs and the
-    # r1 = 0 row): cap = n suffices, cap = n - 1 overflows.
-    reg = Region(F(-8), F(0), F(1, 50), F(20))
-    enumerate_walls(mv(*v), S, reg, cap=n)
+    # cap counts the steps of the pencil walk (m-lines plus fibers):
+    # cap = steps suffices, cap = steps - 1 overflows.  n is the size of
+    # the (r1, d1, a1) candidate stream cap counted before; the walk
+    # takes far fewer steps, so a cap that sufficed then still does.
+    reg = (F(-8), F(0), F(1, 50), F(20))
+    steps = oracles.walk_steps_oracle(v, S.h2, S.kind, reg)
+    assert 0 < steps < n
+    reg = Region(*reg)
+    enumerate_walls(mv(*v), S, reg, cap=steps)
     with pytest.raises(BoundOverflow):
-        enumerate_walls(mv(*v), S, reg, cap=n - 1)
+        enumerate_walls(mv(*v), S, reg, cap=steps - 1)
 
 
 @pytest.mark.parametrize("S, v, reg, n", [
@@ -251,16 +256,31 @@ def test_enumerate_walls_cap_counts_every_candidate(S, v, n):
 ])
 def test_enumerate_walls_cap_counts_every_candidate_on_each_branch(S, v, reg,
                                                                    n):
-    # n is the exact size of the candidate stream, as the class-by-class
-    # scan counts it.  The row-wise closed-form bound of each region is
-    # above n, so cap = n counts the stream to its end and still succeeds,
-    # cap = n - 1 stops the count early, and the default cap skips it.
+    # cap = steps, the exact number of m-lines plus fibers the walk
+    # visits on each branch of its fiber window (r = 0, r < 0, rays),
+    # walks to the end and returns the walls of the default cap;
+    # cap = steps - 1 overflows.  n is the size of the candidate stream
+    # cap counted before, as the class-by-class scan counts it.
+    steps = oracles.walk_steps_oracle(v, S.h2, S.kind, reg)
     assert oracles.wall_stream_oracle(v, S.h2, S.kind, reg)[1] == n
+    assert 0 < steps < n
     reg = Region(*reg)
     walls = enumerate_walls(mv(*v), S, reg)
-    assert enumerate_walls(mv(*v), S, reg, cap=n) == walls
+    assert enumerate_walls(mv(*v), S, reg, cap=steps) == walls
     with pytest.raises(BoundOverflow):
-        enumerate_walls(mv(*v), S, reg, cap=n - 1)
+        enumerate_walls(mv(*v), S, reg, cap=steps - 1)
+
+
+def test_enumerate_walls_work_is_bounded_by_cap():
+    """The walk's m-lines grow as 1/sqrt(t2_min): the default cap covers
+    t2_min = 10^-8 (10^4 lines), and 10^-30 (10^15 lines) overflows at
+    once instead of looping."""
+    reg = Region(F(-3), F(0), F(1, 10 ** 8), F(4))
+    walls = enumerate_walls(V_GOLD, AB, reg)
+    assert walls == enumerate_walls(V_GOLD, AB, reg, cap=10 ** 9)
+    assert len(walls) == 5
+    with pytest.raises(BoundOverflow):
+        enumerate_walls(V_GOLD, AB, Region(F(-3), F(0), F(1, 10 ** 30), F(4)))
 
 
 def test_enumerate_walls_errors():
@@ -414,25 +434,27 @@ def test_category_wall_classes_are_spherical_and_orthogonal():
 # enumerate_walls against a scan of its candidate stream
 
 def _check_against_stream(v, S, reg, cap=10 ** 6):
-    """Walls, their order and representatives, or BoundOverflow, exactly
-    as the class-by-class scan of the step 1-5 stream gives them."""
-    best, count = oracles.wall_stream_oracle(v, S.h2, S.kind, reg)
+    """Walls, their order and representatives exactly as the
+    class-by-class scan of the candidate stream gives them, or
+    BoundOverflow exactly when cap is below the walk's step count."""
+    best = oracles.wall_stream_oracle(v, S.h2, S.kind, reg)[0]
+    steps = oracles.walk_steps_oracle(v, S.h2, S.kind, reg)
 
     def order(key):  # center, radius^2, key: the order of the list
         A, C, D = key
         c = F(-C, 2 * A)
         return (c, c * c - F(D, A), key)
-    if count > cap:
-        with pytest.raises(BoundOverflow, match=f"more than {cap} candidate"):
+    if steps > cap:
+        with pytest.raises(BoundOverflow, match=f"more than {cap} walk steps"):
             enumerate_walls(mv(*v), S, Region(*reg), cap=cap)
         return None
     got = enumerate_walls(mv(*v), S, Region(*reg), cap=cap)
     assert [(w.acd_key(), w.v1.as_tuple()) for w in got] == [
         (key, best[key][1]) for key in sorted(best, key=order)]
-    enumerate_walls(mv(*v), S, Region(*reg), cap=count)
-    if count:
+    enumerate_walls(mv(*v), S, Region(*reg), cap=steps)
+    if steps:
         with pytest.raises(BoundOverflow):
-            enumerate_walls(mv(*v), S, Region(*reg), cap=count - 1)
+            enumerate_walls(mv(*v), S, Region(*reg), cap=steps - 1)
     return got
 
 
@@ -453,6 +475,9 @@ def _check_against_stream(v, S, reg, cap=10 ** 6):
     (K3, (2, -1, -4), (F(-5, 2), F(3, 2), F(1, 25), F(3))),
     (Surface("abelian", 4), (1, 1, -3), (F(-3), F(1), F(1, 15), F(6))),
     (Surface("k3", 6), (2, 1, -2), (F(-2), F(1, 2), F(1, 15), F(9))),
+    # K3: (-8, -11, -15) ties (-5, -7, -10) on |q1| = 2 and is smaller,
+    # but |r1| = 8 is past the step-3 bound 5, so the box keeps it out
+    (K3, (-3, -4, -5), (F(-1, 4), F(27, 4), F(1), F(3, 2))),
 ])
 def test_enumerate_walls_matches_candidate_stream_named(S, v, reg):
     assert _check_against_stream(v, S, reg)
@@ -461,7 +486,8 @@ def test_enumerate_walls_matches_candidate_stream_named(S, v, reg):
 def test_enumerate_walls_matches_candidate_stream_seeded():
     """Seeded differential against the scan: v in [-4, 4]^3 (rank zero and
     negative included), abelian and K3 with h2 in {2, 4, 6}, boxes, rays
-    and boxes across s = d/r, small caps and the default one."""
+    and boxes across s = d/r, caps around the walk's step count and the
+    default one."""
     rng = random.Random(20261018)
     kinds = ("abelian", "k3")
     done = walls = overflows = 0
@@ -486,8 +512,10 @@ def test_enumerate_walls_matches_candidate_stream_seeded():
         # positive degree somewhere on [s_min, s_max]
         if v[1] - v[0] * s_min <= 0 and v[1] - v[0] * s_max <= 0:
             continue
-        cap = rng.choice((10 ** 6, rng.randint(0, 120)))
-        got = _check_against_stream(v, S, (s_min, s_max, t2_min, t2_max), cap)
+        reg = (s_min, s_max, t2_min, t2_max)
+        steps = oracles.walk_steps_oracle(v, S.h2, S.kind, reg)
+        cap = rng.choice((10 ** 6, rng.randint(0, 2 * steps)))
+        got = _check_against_stream(v, S, reg, cap)
         done += 1
         walls += bool(got)
         overflows += got is None
