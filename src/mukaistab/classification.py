@@ -27,14 +27,14 @@ The spherical search is no box scan either: the square -2 fixes a from
 and one test of n per pair.
 """
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from itertools import combinations
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, UniquenessViolation,
                      ZeroCharge, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface,
-                      _kernel_basis_of_functional, _xgcd, d_beta,
+                      _kernel_basis_of_functional, _over, _xgcd, d_beta,
                       mukai_pairing, mukai_square)
 from .stability import StabilityParam, reduced_sigma
 
@@ -46,11 +46,12 @@ def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
     functional of w = (r, d, a); raises ZeroCharge when it vanishes,
     which is exactly when Z(v) = 0 (module docstring)."""
     half = S.h2 // 2
-    q = p.t2 + p.s * p.s
-    normal = (half * v.d * q - v.a * p.s, -half * v.r * q + v.a,
-              v.r * p.s - v.d)
-    den = lcm(*(c.denominator for c in normal))
-    n = [c.numerator * (den // c.denominator) for c in normal]
+    r, d, a, _ = _over(v.r, v.d, v.a)
+    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
+    q, qd = tn * sd * sd + sn * sn * td, sd * sd * td  # t2 + s^2 = q/qd
+    # (half*d*q - a*s, -half*r*q + a, r*s - d), scaled by den(v)*qd > 0
+    n = (half * d * q - a * sn * sd * td, -half * r * q + a * qd,
+         (r * sn - d * sd) * sd * td)
     g = gcd(*n)
     if g == 0:
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
@@ -230,24 +231,23 @@ def classify_decomposition(parts, p: StabilityParam,
     """Decide what a decomposition v = sum n_i v_i into pairwise
     distinct, pairwise aligned classes implies at p.
 
-    s = sum n_i >= 4 always leaves room for a stable pair; s = 3 does
-    too except for the A2 pattern (three mutually pairing-one isotropic
-    classes, where <v^2> = 6); s = 2 has two exceptional shapes: the
-    structural rank-two case (two isotropic classes pairing to 1) and
-    the hidden one where some isotropic w1 with <v, w1> = 1 aligns with
-    v.  The hidden one is decided by the complete line search (module
-    docstring), so both answers are certified; when Z(v) = 0 (parts of
-    opposite charge) there is no line and ZeroCharge is raised.  s = 1
-    says nothing numerically: only that case is Inconclusive.
+    s = sum n_i >= 3 always leaves room for a stable pair.  The one
+    candidate exception at s = 3, the A2 pattern (a2_pattern), never
+    occurs: its Gram matrix [[0,1,1],[1,0,1],[1,1,0]] is nonsingular of
+    signature (1, 2), so three such classes would span the rational
+    lattice, whose form has signature (2, 1), against Sylvester's law of
+    inertia.  s = 2 has two exceptional shapes: the structural rank-two
+    case (two isotropic classes pairing to 1) and the hidden one where
+    some isotropic w1 with <v, w1> = 1 aligns with v.  The hidden one is
+    decided by the complete line search (module docstring), so both
+    answers are certified; when Z(v) = 0 (parts of opposite charge)
+    there is no line and ZeroCharge is raised.  s = 1 says nothing
+    numerically: only that case is Inconclusive.
     """
     _check_parts(parts, p, S)
     s_total = sum(n for n, _ in parts)
     vecs = [vi for _, vi in parts]
-    if s_total >= 4:
-        return DecompositionReport(STABLE_PAIR)
-    if s_total == 3:
-        if a2_pattern(parts, S):
-            return DecompositionReport(EXC_TRIPLE, witnesses=tuple(vecs))
+    if s_total >= 3:
         return DecompositionReport(STABLE_PAIR)
     if s_total == 2:
         if (len(parts) == 2

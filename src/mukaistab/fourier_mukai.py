@@ -127,16 +127,17 @@ def transform_central_charge(T: FMTransform, p: StabilityParam,
         eta =      t * h2 * (lambda^2 + t^2) / (2 |r1| Delta).
     Since Delta = h2^2 (lambda^2 + t^2)^2 / 4 one gets the cross-check
     identity |r1| * l_divisor(lambda, t^2) * xi * h2 = lambda."""
-    t = p.require_t()
-    lam = T.c - p.s
-    re_part = (lam * lam - t * t) * S.h2 / 2
-    im_part = lam * t * S.h2
-    delta = re_part * re_part + im_part * im_part
-    if delta == 0:
+    t, c, s = p.require_t(), T.c, p.s
+    ln = c.numerator * s.denominator - s.numerator * c.denominator
+    ld, tn, td = c.denominator * s.denominator, t.numerator, t.denominator
+    # lambda = ln/ld, t = tn/td; with M = (ld*td)^2, Delta = (half*(L2+T2)/M)^2
+    # and xi, eta share the factor h2*(lambda^2+t^2)/(2|r1|*Delta) = M/k
+    L2, T2, half = (ln * td) ** 2, (tn * ld) ** 2, S.h2 // 2
+    if L2 + T2 == 0:
         # would need lam = t = 0; unreachable with t > 0, kept defensive
         raise ZeroDenominator("degenerate transform at lambda = t = 0")
-    scale = S.h2 * (lam * lam + t * t) / (2 * abs(T.r1) * delta)
-    return TransformedCharge(zeta_re=-T.r1 * re_part,
-                             zeta_im=T.r1 * im_part,
-                             xi_coeff=lam * scale,
-                             eta_coeff=t * scale)
+    k = abs(T.r1) * half * (L2 + T2)
+    return TransformedCharge(zeta_re=Fraction(-T.r1 * half * (L2 - T2), (ld * td) ** 2),
+                             zeta_im=Fraction(T.r1 * S.h2 * ln * tn, ld * td),
+                             xi_coeff=Fraction(ln * ld * td * td, k),
+                             eta_coeff=Fraction(tn * td * ld * ld, k))

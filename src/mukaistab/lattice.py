@@ -7,10 +7,12 @@ class.  The pairing is
 
     <x, y> = h2 * x.d * y.d - x.r * y.a - x.a * y.r,
 
-an even bilinear form of signature (2,1).  Everything here is a pure
-function over ``fractions.Fraction`` — there is no floating point in the
-core, by design: every identity downstream is exact and the tests run at
-zero tolerance.
+an even bilinear form of signature (2,1).  There is no floating point
+in the core, by design: every identity downstream is exact and the tests
+run at zero tolerance.  Kernel convention: Fractions at the interface,
+ints inside.  A formula reads each input's numerator and denominator
+once (``_over``), evaluates its polynomial on Python ints and builds one
+Fraction per returned value.
 
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
@@ -18,7 +20,7 @@ all the stability formulas consume.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NonIntegral, Zero
 
@@ -139,13 +141,24 @@ def mv(r, d, a) -> MukaiVector:
 RHO = MukaiVector(0, 0, 1)
 
 
+def _over(x, y, z):
+    """(x', y', z', den): three rationals as ints over their lcd den."""
+    xd, yd, zd = x.denominator, y.denominator, z.denominator
+    den = lcm(xd, yd, zd)
+    return (x.numerator * (den // xd), y.numerator * (den // yd),
+            z.numerator * (den // zd), den)
+
+
 def mukai_pairing(x: MukaiVector, y: MukaiVector, S: Surface) -> Fraction:
     """<x, y> = h2*x.d*y.d - x.r*y.a - x.a*y.r."""
-    return S.h2 * x.d * y.d - x.r * y.a - x.a * y.r
+    xr, xd, xa, X = _over(x.r, x.d, x.a)
+    yr, yd, ya, Y = _over(y.r, y.d, y.a)
+    return Fraction(S.h2 * xd * yd - xr * ya - xa * yr, X * Y)
 
 
 def mukai_square(x: MukaiVector, S: Surface) -> Fraction:
-    return mukai_pairing(x, x, S)
+    r, d, a, X = _over(x.r, x.d, x.a)
+    return Fraction(S.h2 * d * d - 2 * r * a, X * X)
 
 
 def sheaf_vector(rank: int, c1_mult: int, chi: int, S: Surface) -> MukaiVector:
@@ -176,26 +189,30 @@ class TwistedInvariants(Frozen):
         return (self.r_b, self.d_b, self.a_b)
 
 
+def _twist(r, d, a, s: Fraction, S: Surface):
+    """(r', dn, an, V, sd): the s-twisted triple of (r, d, a) on ints,
+    (r_b, d_b, a_b) = (r'/V, dn/(V*sd), an/(V*sd^2)), sd the denominator
+    of s.  Twisting at -s undoes twisting at s."""
+    r, d, a, V = _over(r, d, a)
+    sn, sd = s.numerator, s.denominator
+    an = (a * sd - d * sn * S.h2) * sd + r * sn * sn * (S.h2 // 2)
+    return r, d * sd - r * sn, an, V, sd
+
+
 def twisted_invariants(v: MukaiVector, s, S: Surface) -> TwistedInvariants:
     """(r, d - r*s, a - d*s*h2 + (r/2)*s^2*h2).
 
     Equivalently a_b = -<v, e^{sH}>, which the tests assert; twisting by a
     rational s is an isometry of the rational lattice.
     """
-    s = rat(s)
-    h2 = S.h2
-    d_b = v.d - v.r * s
-    a_b = v.a - v.d * s * h2 + v.r * s * s * h2 / 2
-    return TwistedInvariants(v.r, d_b, a_b)
+    _, dn, an, V, sd = _twist(v.r, v.d, v.a, rat(s), S)
+    return TwistedInvariants(v.r, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
 
 
 def untwist(ti: TwistedInvariants, s, S: Surface) -> MukaiVector:
     """Inverse of twisted_invariants at the same s."""
-    s = rat(s)
-    h2 = S.h2
-    d = ti.d_b + ti.r_b * s
-    a = ti.a_b + d * s * h2 - ti.r_b * s * s * h2 / 2
-    return MukaiVector(ti.r_b, d, a)
+    _, dn, an, V, sd = _twist(ti.r_b, ti.d_b, ti.a_b, -rat(s), S)
+    return MukaiVector(ti.r_b, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
 
 
 def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariants:
@@ -205,14 +222,12 @@ def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariant
         d_s = d_g + r*(g - s),
         a_s = a_g + d_g*(g - s)*h2 + (r/2)*(s - g)^2*h2,
 
-    with g = s_from, s = s_to.  Composition consistency with the direct
-    computation is a tested invariant.
+    with g = s_from, s = s_to: the twist of the triple at s - g.
+    Composition consistency with the direct computation is a tested
+    invariant.
     """
-    g, s = rat(s_from), rat(s_to)
-    h2 = S.h2
-    d_s = ti.d_b + ti.r_b * (g - s)
-    a_s = ti.a_b + ti.d_b * (g - s) * h2 + ti.r_b * (s - g) ** 2 * h2 / 2
-    return TwistedInvariants(ti.r_b, d_s, a_s)
+    _, dn, an, V, sd = _twist(ti.r_b, ti.d_b, ti.a_b, -rat(s_from) + rat(s_to), S)
+    return TwistedInvariants(ti.r_b, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
 
 
 def d_beta(v: MukaiVector, s, S: Surface) -> Fraction:

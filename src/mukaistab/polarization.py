@@ -17,8 +17,7 @@ t^2 the class v has twisted slope matching the reference point x.
 from fractions import Fraction
 
 from .errors import Degenerate, NonPositive, OutOfDomain, ZeroDegree, ZeroRank
-from .lattice import (Frozen, MukaiVector, Surface, exp_vector, rat,
-                      twisted_invariants)
+from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
 from .stability import StabilityParam
 
 
@@ -28,11 +27,11 @@ def xi_pair(v: MukaiVector, s, S: Surface):
     if v.r == 0:
         raise ZeroRank(f"xi_pair needs rk != 0, got {v}")
     s = rat(s)
-    ti = twisted_invariants(v, s, S)
-    xi1 = MukaiVector(0, 1, (v.d / v.r) * S.h2)
-    chi = ti.a_b
-    xi2 = -(exp_vector(s, S) - (chi / v.r) * MukaiVector(0, 0, 1))
-    return xi1, xi2
+    r, d, a, _ = _over(v.r, v.d, v.a)
+    sn, sd = s.numerator, s.denominator
+    # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r
+    return (MukaiVector(0, 1, Fraction(d * S.h2, r)),
+            MukaiVector(-1, -s, Fraction(a * sd - d * sn * S.h2, r * sd)))
 
 
 class AmpleClassReport(Frozen):
@@ -55,13 +54,20 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
     """
     if v.r == 0:
         raise ZeroRank(f"ample_class needs rk != 0, got {v}")
-    ti = twisted_invariants(v, p.s, S)
-    if ti.d_b == 0:
+    r, d, a, _ = _over(v.r, v.d, v.a)
+    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
+    h2 = S.h2
+    if d * sd == r * sn:
         raise ZeroDegree(f"d_beta({v}) = 0 at s = {p.s}")
-    phi = (v.r * S.h2 * p.t2 / 2 - ti.a_b) / ti.d_b
+    # phi = n/m; xi_omega = (-h2, phi - h2*s, h2*(phi*d + a - d*s*h2)/r)
+    e = a * sd - d * sn * h2
+    n = r * (h2 // 2) * (tn * sd * sd - sn * sn * td) - e * sd * td
+    m = (d * sd - r * sn) * sd * td
     xi1, xi2 = xi_pair(v, p.s, S)
-    xi_omega = phi * xi1 + S.h2 * xi2
-    return AmpleClassReport(phi=phi, xi1=xi1, xi2=xi2, xi_omega=xi_omega)
+    xi_omega = MukaiVector(-h2, Fraction(n * sd - h2 * sn * m, m * sd),
+                           Fraction(h2 * (n * d * sd + e * m), m * sd * r))
+    return AmpleClassReport(phi=Fraction(n, m), xi1=xi1, xi2=xi2,
+                            xi_omega=xi_omega)
 
 
 def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
@@ -76,15 +82,16 @@ def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
     whenever d <= 0 — the slope value is not attained: OutOfDomain.
     """
     s, x = rat(s), rat(x)
-    ti = twisted_invariants(v, s, S)
-    a, d, r = ti.a_b, ti.d_b, v.r
-    if d <= 0:
-        raise OutOfDomain(f"needs d_beta > 0, got {d} at s = {s}")
-    x0 = max(2 * a / (S.h2 * d), Fraction(0))
-    if x <= x0 or (r > 0 and x >= d / r):
+    r, dn, an, V, sd = _twist(v.r, v.d, v.a, s, S)
+    xn, xd, half = x.numerator, x.denominator, S.h2 // 2
+    # x0 = max(2a/(h2 d), 0) = max(an/(half*sd*dn), 0)
+    if dn <= 0:
+        raise OutOfDomain(f"needs d_beta > 0, got {Fraction(dn, V * sd)} at s = {s}")
+    if (xn <= 0 or xn * half * sd * dn <= an * xd
+            or (r > 0 and xn * sd * r >= dn * xd)):
         raise OutOfDomain(f"x = {x} outside the admissible interval")
-    f = x * (a - d * S.h2 * x / 2) / (x * r - d)
-    t2 = 2 * f / S.h2
+    t2 = Fraction(xn * (an * xd - dn * half * xn * sd),
+                  half * xd * sd * (xn * r * sd - dn * xd))
     assert t2 > 0, "omega_x must land at positive t^2 on its domain"
     return t2
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import ZeroCharge
-from .lattice import Frozen, MukaiVector, Surface, rat, twisted_invariants
+from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
 
 
 class StabilityParam(Frozen):
@@ -78,11 +78,25 @@ class CentralCharge(Frozen):
         return self.im_over_t * rat(t)
 
 
+def _charge(v: MukaiVector, p: StabilityParam, S: Surface):
+    """(re, im_over_t, den): Z(v) as two integers over one den > 0."""
+    r, dn, an, V, sd = _twist(v.r, v.d, v.a, p.s, S)
+    tn, td = p.t2.numerator, p.t2.denominator
+    return (S.h2 // 2 * tn * r * sd * sd - an * td, S.h2 * dn * sd * td,
+            V * sd * sd * td)
+
+
 def central_charge(v: MukaiVector, p: StabilityParam, S: Surface) -> CentralCharge:
     """re = -a_b + (h2*t2/2)*r_b ; im_over_t = d_b*h2."""
-    ti = twisted_invariants(v, p.s, S)
-    re = -ti.a_b + Fraction(S.h2, 2) * p.t2 * ti.r_b
-    return CentralCharge(re, ti.d_b * S.h2)
+    re, im, den = _charge(v, p, S)
+    return CentralCharge(Fraction(re, den), Fraction(im, den))
+
+
+def _acd(v1: MukaiVector, v: MukaiVector, S: Surface):
+    """(A, C, D, den): sigma_coefficients as integers over one den > 0."""
+    r1, d1, a1, X = _over(v1.r, v1.d, v1.a)
+    r, d, a, Y = _over(v.r, v.d, v.a)
+    return S.h2 // 2 * (r1 * d - r * d1), a1 * r - r1 * a, a * d1 - a1 * d, X * Y
 
 
 def sigma_coefficients(v1: MukaiVector, v: MukaiVector, S: Surface):
@@ -93,10 +107,8 @@ def sigma_coefficients(v1: MukaiVector, v: MukaiVector, S: Surface):
         C = v1.a*v.r - v1.r*v.a
         D = v.a*v1.d - v1.a*v.d
     """
-    A = Fraction(S.h2, 2) * (v1.r * v.d - v.r * v1.d)
-    C = v1.a * v.r - v1.r * v.a
-    D = v.a * v1.d - v1.a * v.d
-    return A, C, D
+    A, C, D, den = _acd(v1, v, S)
+    return Fraction(A, den), Fraction(C, den), Fraction(D, den)
 
 
 def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
@@ -109,8 +121,10 @@ def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
     closed form A*(t^2+s^2) + C*s + D; agreement with the determinant
     definition is an acceptance-tested identity.
     """
-    A, C, D = sigma_coefficients(v1, v, S)
-    return A * (p.t2 + p.s * p.s) + C * p.s + D
+    A, C, D, den = _acd(v1, v, S)
+    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
+    return Fraction(A * (tn * sd * sd + sn * sn * td) + (C * sn + D * sd) * sd * td,
+                    den * sd * sd * td)
 
 
 # z_domain_check verdicts
@@ -161,11 +175,9 @@ class PhaseKey(Frozen):
 
 
 def phase_key(v: MukaiVector, p: StabilityParam, S: Surface) -> PhaseKey:
-    z = central_charge(v, p, S)
-    if z.is_zero():
+    re, im, _ = _charge(v, p, S)  # slope -re/im is free of the common den
+    if re == 0 and im == 0:
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
-    if z.im_over_t > 0:
-        return PhaseKey(0, -z.re / z.im_over_t)
-    if z.im_over_t == 0:
-        return PhaseKey(1 if z.re < 0 else 3, Fraction(0))
-    return PhaseKey(2, -z.re / z.im_over_t)
+    if im == 0:
+        return PhaseKey(1 if re < 0 else 3, Fraction(0))
+    return PhaseKey(0 if im > 0 else 2, Fraction(-re, im))

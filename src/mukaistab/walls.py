@@ -34,11 +34,10 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
-                     NotPrimitive, ZeroCharge, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, _xgcd, d_beta, d_beta_min,
-                      mukai_pairing, mukai_square, rat)
-from .stability import (StabilityParam, phase_key, reduced_sigma,
-                        sigma_coefficients, central_charge)
+                     NotPrimitive, ZeroDegree)
+from .lattice import (Frozen, MukaiVector, Surface, _over, _xgcd, d_beta,
+                      d_beta_min, mukai_square, rat)
+from .stability import StabilityParam, _acd, phase_key, reduced_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +124,15 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
     line s = -D/C; A = C = 0 is empty or everything according to D.
     """
     assert not v.is_zero() and not v1.is_zero(), "wall_locus needs nonzero classes"
-    A, C, D = sigma_coefficients(v1, v, S)
+    A, C, D, den = _acd(v1, v, S)  # the common den cancels in the geometry
     if A != 0:
-        center = -C / (2 * A)
-        radius_sq = C * C / (4 * A * A) - D / A
-        geom = Circle(center, radius_sq) if radius_sq > 0 else Empty()
+        radius_sq = Fraction(C * C - 4 * A * D, 4 * A * A)
+        geom = Circle(Fraction(-C, 2 * A), radius_sq) if radius_sq > 0 else Empty()
     elif C != 0:
-        geom = VerticalLine(-D / C)
+        geom = VerticalLine(Fraction(-D, C))
     else:
         geom = Empty() if D != 0 else Everywhere()
-    return Wall(A, C, D, geom, v1)
+    return Wall(Fraction(A, den), Fraction(C, den), Fraction(D, den), geom, v1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +267,18 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
     on the twist through the minimal positive degree 1/den(s)."""
     if not (v.is_integral() and v1.is_integral()):
         raise NonIntegral(f"criterion needs integral classes, got {v1}, {v}")
-    q = mukai_square(v, S)
+    h2 = S.h2
+    r, d, a, _ = _over(v.r, v.d, v.a)
+    r1, d1, a1, _ = _over(v1.r, v1.d, v1.a)
+    q = h2 * d * d - 2 * r * a
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
-    v2 = v - v1
-    q1 = mukai_square(v1, S)
-    q2 = mukai_square(v2, S)
-    p12 = mukai_pairing(v1, v2, S)
-    proportional = (v1.r * v.d - v.r * v1.d == 0 and
-                    v1.r * v.a - v.r * v1.a == 0 and
-                    v1.d * v.a - v.d * v1.a == 0)
+    q1 = h2 * d1 * d1 - 2 * r1 * a1
+    p12 = h2 * d1 * d - r1 * a - a1 * r - q1  # <v1, v - v1>
+    q2 = q - q1 - 2 * p12  # <(v - v1)^2>
+    proportional = r1 * d == r * d1 and r1 * a == r * a1 and d1 * a == d * a1
+    base = {"square_v1": Fraction(q1), "square_v2": Fraction(q2),
+            "pairing": Fraction(p12), "proportional": proportional}
     if S.kind == "abelian":
         numeric = (q1 >= 0 and q2 >= 0 and p12 > 0 and not proportional)
         meets = False
@@ -291,24 +291,21 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
             kind="abelian",
             is_wall=numeric and meets,
             necessary_only=False,
-            details={"square_v1": q1, "square_v2": q2, "pairing": p12,
-                     "proportional": proportional, "numeric": numeric,
+            details={**base, "numeric": numeric,
                      "locus_meets_positive_degree": meets})
     # K3: conditions (a)-(c) at the twist s, epsilon = 1
     s = rat(s)
-    d1 = d_beta(v1, s, S)
-    d = d_beta(v, s, S)
-    dmin = d_beta_min(s, S)
-    cond_a = 0 < d1 < d
-    cond_b = q1 < (d1 / d) * q + 2 * d * d1 / dmin ** 2 if d != 0 else False
-    cond_c = q1 >= -2 * d1 * d1 / dmin ** 2
+    # the degrees d_beta over d_beta_min = 1/den(s) are the integers x1, x
+    x1, x = d1 * s.denominator - r1 * s.numerator, d * s.denominator - r * s.numerator
+    cond_a = 0 < x1 < x
+    cond_b = x != 0 and q1 < Fraction(x1 * q, x) + 2 * x * x1
+    cond_c = q1 >= -2 * x1 * x1
     ok = cond_a and cond_b and cond_c and not proportional
     return WallVectorReport(
         kind="k3",
         is_wall=ok,
         necessary_only=True,
-        details={"square_v1": q1, "square_v2": q2, "pairing": p12,
-                 "proportional": proportional, "s": s, "d_beta_min": dmin,
+        details={**base, "s": s, "d_beta_min": d_beta_min(s, S),
                  "a": cond_a, "b": cond_b, "c": cond_c})
 
 
@@ -582,18 +579,15 @@ def wall_side(v: MukaiVector, w1: MukaiVector, p: StabilityParam,
               S: Surface) -> str:
     """Which side of the wall of w1 the point p lies on, for v.
 
+    Z(v) = 0, then Z(w1) = 0, raises ZeroCharge (from phase_key).
     rho(w1, v) = 0 is the wall itself and takes precedence (anti-aligned
     charges also have rho = 0 while their phase keys differ); off the
     wall the verdict is CPlus exactly when phase_key(v) > phase_key(w1).
     """
-    if central_charge(v, p, S).is_zero():
-        raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
-    if central_charge(w1, p, S).is_zero():
-        raise ZeroCharge(f"Z({w1}) = 0 at s={p.s}, t2={p.t2}")
-    rho = reduced_sigma(w1, v, p, S)
-    if rho == 0:
+    key_v, key_w1 = phase_key(v, p, S), phase_key(w1, p, S)
+    if reduced_sigma(w1, v, p, S) == 0:
         return ON_WALL
-    return C_PLUS if phase_key(v, p, S) > phase_key(w1, p, S) else C_MINUS
+    return C_PLUS if key_v > key_w1 else C_MINUS
 
 
 # ---------------------------------------------------------------------------

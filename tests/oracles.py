@@ -12,7 +12,7 @@ is re-verified against the defining inequalities before it is trusted.
 
 from fractions import Fraction
 from itertools import count, takewhile
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 
 F = Fraction
 
@@ -52,6 +52,56 @@ def acd(v1, v, h2):
     r1, d1, a1 = v1
     r, d, a = v
     return (F(h2, 2) * (r1 * d - r * d1), a1 * r - r1 * a, a * d1 - a1 * d)
+
+
+def untwist(t, s, h2):
+    """The plain triple whose s-twisted triple is t."""
+    r, d_b, a_b = t
+    d = d_b + r * s
+    return (r, d, a_b + d * s * h2 - r * s * s * h2 / 2)
+
+
+def ample(v, s, t2, h2):
+    """(phi, xi1, xi2, xi_omega) of the ample class, xi_omega = phi*xi1 +
+    h2*xi2 with xi2 = -(e^{sH} - (a_beta/r) rho); needs r, d_beta != 0."""
+    r, d, a = v
+    _, d_b, a_b = twisted(v, s, h2)
+    phi = (r * h2 * t2 / 2 - a_b) / d_b
+    xi1 = (F(0), F(1), (d / r) * h2)
+    xi2 = (F(-1), -s, a_b / r - s * s * h2 / 2)
+    return phi, xi1, xi2, tuple(phi * x + h2 * y for x, y in zip(xi1, xi2))
+
+
+def omega_x(v, s, x, h2):
+    """t^2 at which v's slope matches x relative to the twist s, or None
+    outside the domain x0 < x (< d/r for r > 0), d_beta > 0."""
+    r = v[0]
+    _, d, a = twisted(v, s, h2)
+    if d <= 0 or x <= max(2 * a / (h2 * d), F(0)) or (r > 0 and x >= d / r):
+        return None
+    return 2 * (x * (a - d * h2 * x / 2) / (x * r - d)) / h2
+
+
+def transformed_charge(r1, c, s, t, h2):
+    """(zeta_re, zeta_im, xi, eta) of the transformed stability condition."""
+    lam = c - s
+    re_part = (lam * lam - t * t) * h2 / 2
+    im_part = lam * t * h2
+    delta = re_part * re_part + im_part * im_part
+    scale = h2 * (lam * lam + t * t) / (2 * abs(r1) * delta)
+    return (-r1 * re_part, r1 * im_part, lam * scale, t * scale)
+
+
+def aligned_normal(v, s, t2, h2):
+    """The primitive integer normal of rho(., v) at (s, t2) as a functional
+    of (r, d, a), or None where it vanishes (Z(v) = 0)."""
+    r, d, a = v
+    q = t2 + s * s
+    normal = (F(h2, 2) * d * q - a * s, -F(h2, 2) * r * q + a, r * s - d)
+    den = lcm(*(c.denominator for c in normal))
+    n = [c.numerator * (den // c.denominator) for c in normal]
+    g = gcd(*n)
+    return None if g == 0 else tuple(x // g for x in n)
 
 
 def normalize_acd(A, C, D):

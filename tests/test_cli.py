@@ -382,8 +382,8 @@ def _config(tmp_path, obj):
 
 
 def test_config_sets_a_flag_with_a_parser_default(tmp_path, capsys):
-    """cap defaults to 10^6, yet the config value applies: the region
-    holds more than 5 candidates, as it does for --cap 5."""
+    """cap defaults to 10^6, yet the config value applies: the walk over
+    the region takes more than 5 steps, as it does for --cap 5."""
     cfg = _config(tmp_path, {"cap": 5})
     rc, out, err = run(capsys, "walls", "--config", cfg, *WALLS_REGION)
     assert rc == 3 and out == ""

@@ -1,5 +1,6 @@
 """Lattice layer: pairing, twisted invariants, orthogonal complements."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,12 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from mukaistab import (
-    RHO, Surface, d_beta, d_beta_min, exp_vector, mukai_pairing, mukai_square,
-    mv, perp_basis, primitivity_report, rat, retwist, sheaf_vector,
-    twisted_invariants, untwist,
+    RHO, FMTransform, StabilityParam, Surface, TwistedInvariants, ample_class,
+    central_charge, d_beta, d_beta_min, exp_vector, fm_inverse, mukai_pairing,
+    mukai_square, mv, omega_x, perp_basis, phase_key, primitivity_report, rat,
+    reduced_sigma, retwist, sheaf_vector, sigma_coefficients,
+    transform_central_charge, twisted_invariants, untwist,
 )
-from mukaistab.errors import NonIntegral, Zero
+from mukaistab.classification import _aligned_normal
+from mukaistab.errors import NonIntegral, OutOfDomain, Zero, ZeroCharge
 from mukaistab.lattice import _kernel_basis_of_functional
 
 AB = Surface("abelian", 2)
@@ -245,3 +250,70 @@ def test_content_scales(v, k):
     if v.is_zero():
         return
     assert (k * v).content() == k * v.content()
+
+
+def test_kernels_exact_on_rational_input():
+    """The integer kernels equal their tuple formulas in oracles.py exactly
+    on rational classes (denominators up to 60, as fm_apply images have)
+    at rational s, t2 and t with large denominators, and every number they
+    return is a Fraction."""
+    rng = random.Random(20261018)
+
+    def q(den, lo=-6, hi=6):
+        d = rng.randint(1, den)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    def exact(got, want):
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+
+    for i in range(2000):
+        S = SURFACES[i % 4]
+        h2 = S.h2
+        v, w = mv(q(60), q(60), q(60)), mv(q(60), q(60), q(60))
+        s, t2 = q(10 ** 6, -5, 5), q(10 ** 6, 0, 20) or Fraction(1)
+        p, pt = StabilityParam(s, t2), StabilityParam(s, None, q(999, 0, 3) or 1)
+        vt, wt = v.as_tuple(), w.as_tuple()
+        exact((mukai_pairing(v, w, S), mukai_square(v, S)),
+              (oracles.pairing(vt, wt, h2), oracles.square(vt, h2)))
+        exact(twisted_invariants(v, s, S).as_tuple(), oracles.twisted(vt, s, h2))
+        s2 = q(10 ** 6, -5, 5)
+        exact(retwist(TwistedInvariants(*oracles.twisted(vt, s2, h2)), s2, s, S)
+              .as_tuple(), oracles.twisted(vt, s, h2))
+        exact(untwist(twisted_invariants(w, s, S), s, S).as_tuple(), wt)
+        exact(untwist(TwistedInvariants(*vt), s, S).as_tuple(),
+              oracles.untwist(vt, s, h2))
+        re, im = oracles.charge(vt, s, t2, h2)
+        z = central_charge(v, p, S)
+        exact((z.re, z.im_over_t), (re, im))
+        acd = oracles.acd(wt, vt, h2)
+        exact(sigma_coefficients(w, v, S), acd)
+        exact((reduced_sigma(w, v, p, S),),
+              (acd[0] * (t2 + s * s) + acd[1] * s + acd[2],))
+        if re or im:
+            exact((phase_key(v, p, S).slope,), (-re / im if im else 0,))
+        normal = oracles.aligned_normal(vt, s, t2, h2)
+        if normal is None:
+            with pytest.raises(ZeroCharge):
+                _aligned_normal(v, p, S)
+        else:
+            assert _aligned_normal(v, p, S) == normal
+        if v.r != 0 and oracles.twisted(vt, s, h2)[1] != 0:
+            rep = ample_class(v, p, S)
+            phi, xi1, xi2, xi_omega = oracles.ample(vt, s, t2, h2)
+            exact((rep.phi,) + rep.xi1.as_tuple() + rep.xi2.as_tuple()
+                  + rep.xi_omega.as_tuple(), (phi,) + xi1 + xi2 + xi_omega)
+        x = q(60, 0, 4)
+        want = oracles.omega_x(vt, s, x, h2)
+        if want is None:
+            with pytest.raises(OutOfDomain):
+                omega_x(v, s, x, S)
+        else:
+            exact((omega_x(v, s, x, S),), (want,))
+        T = FMTransform(rng.choice((-3, -2, -1, 1, 2, 3)), q(6, -3, 3))
+        exact(fm_inverse(T, v, S).as_tuple(),
+              oracles.untwist((-vt[2] * T.r1, vt[1] * (1 if T.r1 > 0 else -1),
+                               -vt[0] / T.r1), T.c, h2))
+        tc = transform_central_charge(T, pt, S)
+        exact((tc.zeta_re, tc.zeta_im, tc.xi_coeff, tc.eta_coeff),
+              oracles.transformed_charge(T.r1, T.c, s, pt.t, h2))

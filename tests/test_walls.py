@@ -380,6 +380,18 @@ def test_wall_side_zero_charge():
         wall_side(V_GOLD, mv(0, 0, 0), param(F(-3, 2), F(1)), AB)
 
 
+def test_wall_side_zero_charge_messages():
+    """Z(v) = 0 is reported before Z(w1) = 0: at s = 0, t2 = 1 on AB the
+    charge of (r, 0, a) is r - a, so (1,0,1) and (2,0,2) have none."""
+    p = param(0, 1)
+    for v, w1, zero in ((mv(1, 0, 1), mv(1, 0, 0), "(1,0,1)"),
+                        (mv(1, 0, 0), mv(2, 0, 2), "(2,0,2)"),
+                        (mv(1, 0, 1), mv(2, 0, 2), "(1,0,1)")):
+        with pytest.raises(ZeroCharge) as err:
+            wall_side(v, w1, p, AB)
+        assert str(err.value) == f"Z({zero}) = 0 at s=0, t2=1"
+
+
 @given(st.fractions(min_value=F(-19, 10), max_value=F(-11, 10),
                     max_denominator=40))
 def test_wall_side_sign_matches_reduced_sigma_on_golden_circle(s):
