@@ -28,9 +28,9 @@ from .stability import StabilityParam
 class FMTransform(Frozen):
     __slots__ = ("r1", "c")
 
-    def __init__(self, r1: int, c: Fraction):
+    def __init__(self, r1: int, c):
         object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", rat(c))
 
     def kernel_class(self, S: Surface) -> MukaiVector:
         return MukaiVector(self.r1, self.r1 * self.c,
@@ -42,7 +42,7 @@ def make_transform(r1, c, S: Surface) -> FMTransform:
     integral primitive class (it is isotropic automatically)."""
     if not isinstance(r1, int) or r1 == 0:
         raise NotIntegral(f"r1 must be a nonzero integer, got {r1!r}")
-    T = FMTransform(r1, rat(c))
+    T = FMTransform(r1, c)
     w1 = T.kernel_class(S)
     if not w1.is_integral():
         raise NotIntegral(f"kernel class {w1} is not integral")

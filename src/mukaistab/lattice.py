@@ -180,10 +180,10 @@ class TwistedInvariants(Frozen):
 
     __slots__ = ("r_b", "d_b", "a_b")
 
-    def __init__(self, r_b: Fraction, d_b: Fraction, a_b: Fraction):
-        object.__setattr__(self, "r_b", r_b)
-        object.__setattr__(self, "d_b", d_b)
-        object.__setattr__(self, "a_b", a_b)
+    def __init__(self, r_b, d_b, a_b):
+        object.__setattr__(self, "r_b", rat(r_b))
+        object.__setattr__(self, "d_b", rat(d_b))
+        object.__setattr__(self, "a_b", rat(a_b))
 
     def as_tuple(self):
         return (self.r_b, self.d_b, self.a_b)

@@ -5,13 +5,17 @@ category walls of K3 surfaces.
 In the (s, t) upper half-plane the locus where the charges of v1 and v
 align is rho(v1, v) = A*(t^2 + s^2) + C*s + D = 0: a circle centered on
 the s-axis (A != 0, positive radius^2), a vertical line (A = 0, C != 0),
-empty, or everything.  All geometry questions asked here (does a circle
-arc meet a box intersected with a half-plane?) are decided exactly over
-the rationals: for a circle the substitution u = (s - c)^2 turns
-"t^2 in [t2_min, t2_max]" into a rational window for u, and the attained
-range of u over an s-interval is computed endpoint-wise, so no square
-root is ever taken.  The few comparisons against c +- sqrt(R2) that
-remain are done by sign bookkeeping and squaring.
+empty, or everything.  Every circle asked about here lies in the
+pencil of v (q = <v^2> > 0): with center c and radius^2 R2,
+(d/r - c)^2 - R2 = q/(h2 r^2) > 0 when r != 0, so the height
+T(s) = R2 - (s - c)^2 of the arc is negative at s = d/r, where d_beta(v)
+vanishes.  So the arc lies on one side of s = d/r, the side of its
+center, and an open end d/r of a degree-clipped s-interval never decides
+whether the arc meets a region.  T being concave, the arc reaches
+t^2 in [t2_min, t2_max] over a closed [lo, hi] iff T is >= t2_min at the
+point of [lo, hi] nearest c and <= t2_max at the end farther from c.
+All of this is decided exactly over the rationals; no square root is
+ever taken.
 
 enumerate_walls walks the pencil of walls instead of scanning classes.
 (A, C, D) is linear in v1 with kernel Zv, so the walls of v form one
@@ -136,90 +140,31 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
 
 
 # ---------------------------------------------------------------------------
-# exact one-radical comparisons and interval bookkeeping
+# the region test
 
-def _clip_degree_interval(v, S, s_lo, s_hi):
-    """The set {s in [s_lo, s_hi] : d_beta(v)(s) > 0} as an interval with
-    open-endpoint flags, or None when empty.  For r != 0 the boundary
-    d/r is an open endpoint (the degree vanishes exactly there)."""
+def _clip_degree_interval(v, lo: Fraction, hi: Fraction):
+    """The closure (lo', hi') of {s in [lo, hi] : d_beta(v)(s) > 0}, or
+    None when that set is empty.  For r != 0 the end d/r, where the degree
+    vanishes, is open; the module docstring says why that never matters."""
     r, d = v.r, v.d
-    lo, hi = rat(s_lo), rat(s_hi)
-    lo_open = hi_open = False
-    if r == 0:
-        if d <= 0:
-            return None
-    elif r > 0:
-        # d - r*s > 0  <=>  s < d/r
-        if d / r <= hi:
-            hi, hi_open = d / r, True
-    elif d / r >= lo:
-        lo, lo_open = d / r, True
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
+    if max(d - r * lo, d - r * hi) <= 0:
         return None
-    return lo, hi, lo_open, hi_open
+    if r > 0:
+        hi = min(hi, d / r)
+    elif r < 0:
+        lo = max(lo, d / r)
+    return lo, hi
 
 
-def _sq_dist_range(lo, hi, lo_open, hi_open, c):
-    """Range of (s - c)^2 over the interval, as (min, max, min_attained,
-    max_attained).  The minimum is 0 when c lies in the closure; the
-    maximum sits at the endpoint farther from c."""
-    dlo, dhi = (lo - c) ** 2, (hi - c) ** 2
-    if lo <= c <= hi:
-        m = Fraction(0)
-        m_att = (lo < c < hi) or (c == lo and not lo_open) or (c == hi and not hi_open)
-    elif c < lo:
-        m, m_att = dlo, not lo_open
-    else:
-        m, m_att = dhi, not hi_open
-    if dlo > dhi:
-        M, M_att = dlo, not lo_open
-    elif dhi > dlo:
-        M, M_att = dhi, not hi_open
-    else:
-        M, M_att = dlo, (not lo_open) or (not hi_open)
-    return m, M, m_att, M_att
-
-
-def _ranges_meet(m, M, m_att, M_att, l, u) -> bool:
-    """Does the attained interval (possibly open at its min/max) meet the
-    closed window [l, u]?  The attained set contains all of (m, M)."""
-    if m > u or M < l:
-        return False
-    L, U = max(m, l), min(M, u)
-    if L < U:
-        return True
-    # single candidate value L == U; it must actually be attained
-    y = L
-    if m < y < M:
-        return True
-    return (y == m and m_att) or (y == M and M_att)
-
-
-def _circle_meets_region_positive_degree(c, R2, J, reg: Region) -> bool:
-    """Does the circle carry a point with s in J, t^2 in [t2_min, t2_max]?
-    J is the degree-clipped interval of reg, _clip_degree_interval(v, S,
-    reg.s_min, reg.s_max), not None.  Exact: u = (s-c)^2 must land in
-    [max(R2 - t2_max, 0), R2 - t2_min] for some s in J."""
-    u_hi = R2 - reg.t2_min
-    if u_hi < 0:
-        return False
-    u_lo = max(R2 - reg.t2_max, Fraction(0))
-    m, M, m_att, M_att = _sq_dist_range(*J, c)
-    return _ranges_meet(m, M, m_att, M_att, u_lo, u_hi)
-
-
-def _circle_meets_positive_degree(c, R2, v) -> bool:
-    """Does the open arc {(s, t): (s-c)^2 + t^2 = R2, t > 0} contain a
-    point with d_beta(v) > 0?  Unbounded version used by the wall
-    criterion: the arc spans s in (c - R, c + R) openly, and d_beta(v) > 0
-    is the side of s = d/r where r*(s - d/r) < 0.  So the answer is yes
-    iff the center is on that side or |d/r - c| < R, exactly as
-    (d/r - c)^2 < R2."""
-    r, d = v.r, v.d
-    if r == 0:
-        return d > 0
-    x = d / r - c
-    return x * r > 0 or x * x < R2
+def _circle_meets_region(circle: Circle, lo, hi, reg: Region) -> bool:
+    """Does the arc of a circle of the pencil of v carry a point with s in
+    [lo, hi] (the degree-clipped interval of reg) and t^2 in
+    [t2_min, t2_max]?  Its concave height peaks over [lo, hi] at the point
+    nearest the center and bottoms out at the end farther from it."""
+    c, R2 = circle.center_s, circle.radius_sq
+    near = min(max(c, lo), hi)
+    return (R2 - (near - c) ** 2 >= reg.t2_min and
+            R2 - max((lo - c) ** 2, (hi - c) ** 2) <= reg.t2_max)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +228,11 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
         numeric = (q1 >= 0 and q2 >= 0 and p12 > 0 and not proportional)
         meets = False
         if numeric:
-            w = wall_locus(v1, v, S)
-            meets = (isinstance(w.geometry, Circle) and
-                     _circle_meets_positive_degree(
-                         w.geometry.center_s, w.geometry.radius_sq, v))
+            # a circle (C^2 > 4AD, and A != 0 for the second test to
+            # hold) of the pencil of v meets d_beta(v) > 0 iff its center
+            # -C/(2A) does (module docstring)
+            A, C, D, _ = _acd(v1, v, S)
+            meets = C * C > 4 * A * D and A * (2 * A * d + r * C) > 0
         return WallVectorReport(
             kind="abelian",
             is_wall=numeric and meets,
@@ -410,9 +356,10 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         K3 list depends on the box.
 
     The walk runs on ints.  Fraction appears only in the bounds drawn
-    from J and reg, in the region test, run once per distinct (A:C:D)
-    since all its classes cut the same circle, and in the returned
-    Walls, built by wall_locus for the winners only.
+    from J and reg and in the Circle of each distinct (A:C:D): all its
+    classes cut that circle, so it is built and region-tested once and
+    returned in the Wall, whose coefficients are the winner's own fiber
+    triple (h2*m/2, C, D), negated when the winner is a complement.
 
     Raises BoundOverflow when the walk would take more than ``cap``
     steps, before it visits the fibers past that budget, and ValueError
@@ -427,11 +374,11 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     q = int(mukai_square(v, S))
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
-    J = _clip_degree_interval(v, S, reg.s_min, reg.s_max)
+    J = _clip_degree_interval(v, reg.s_min, reg.s_max)
     if J is None:
         raise ZeroDegree(f"d_beta({v}) is nowhere positive on s in "
                          f"[{reg.s_min}, {reg.s_max}]")
-    lo, hi, _, _ = J
+    lo, hi = J
     r, d, a = int(v.r), int(v.d), int(v.a)
     h2, t_lo, t_hi = S.h2, reg.t2_min, reg.t2_max
     tn, td = t_lo.numerator, t_lo.denominator
@@ -462,12 +409,12 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         x = d - r * lo
         K = ((q + h2 * (x * x + r * r * t_lo)) / (2 * x)) ** 2
         U = ((q + h2 * (x * x + r * r * t_hi)) / (2 * x)) ** 2
-    best = {}  # acd key -> (|q1|, (r1, d1, a1)) of the representative, or
-    # False when the circle misses reg in positive degree
+    best = {}  # acd key -> [(|q1|, (r1, d1, a1), its (A, C, D)), circle] of
+    # the representative, or False when the circle misses reg
     lines = range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g)
     budget = cap - len(lines)  # cap bounds the m-lines plus the fibers
     for m in lines:
-        e = m * m
+        e, A = m * m, h2 // 2 * m
         if r:
             z0, step = m * kappa, r * r // g
             z_lo = isqrt((e * K.numerator - 1) // K.denominator) + 1
@@ -486,7 +433,7 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                 D = (-a * m - d * C) // r
             else:
                 D = (C * C - z) // step
-            disc = C * C - 2 * h2 * m * D
+            disc = C * C - 4 * A * D
             r1, d1, a1 = u1 * m - u2 * C, u2 * D - u0 * m, u0 * C - u1 * D
             p = h2 * d1 * d - r1 * a - a1 * r
             w = isqrt(q * q - 4 * q + 4 * disc)  # p12 >= 1: |2P - q| <= w
@@ -497,23 +444,24 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                 if q1 < sq_lo or q2 < sq_lo or q1 + q2 >= q:
                     continue
                 x1 = (r1 + k * r, d1 + k * d, a1 + k * a)
-                for y1, q_y in ((x1, q1), ((r - x1[0], d - x1[1], a - x1[2]),
-                                           q2)):
+                x2 = (r - x1[0], d - x1[1], a - x1[2])
+                for y1, q_y, sg in ((x1, q1, 1), (x2, q2, -1)):
                     if not in_box(y1[0], y1[1]):
                         continue
-                    key = _normalize_acd(h2 // 2 * m, C, D)
-                    sel = (abs(q_y), y1)
+                    key = _normalize_acd(A, C, D)
+                    sel = (abs(q_y), y1, (sg * A, sg * C, sg * D))
                     if key not in best:  # one region test per circle
-                        best[key] = _circle_meets_region_positive_degree(
-                            Fraction(-C, h2 * m),
-                            Fraction(disc, (h2 * m) ** 2), J, reg) and sel
-                    elif best[key] and sel < best[key]:
-                        best[key] = sel
+                        circle = Circle(Fraction(-C, 2 * A),
+                                        Fraction(disc, 4 * A * A))
+                        best[key] = (_circle_meets_region(circle, lo, hi, reg)
+                                     and [sel, circle])
+                    elif best[key] and sel < best[key][0]:
+                        best[key][0] = sel
     if budget < 0:
         raise BoundOverflow(f"more than {cap} walk steps (m-lines and "
                             f"fibers) for v={v} over the requested region")
-    walls = [wall_locus(MukaiVector(*sel[1]), v, S)
-             for sel in best.values() if sel]
+    walls = [Wall(*map(Fraction, acd), circle, MukaiVector(*y1))
+             for (_, y1, acd), circle in filter(None, best.values())]
     walls.sort(key=lambda w: (w.geometry.center_s, w.geometry.radius_sq,
                               w.acd_key()))
     return walls

@@ -44,6 +44,24 @@ def test_rat_refuses_floats():
         rat(0.5)
 
 
+def test_value_constructors_refuse_floats():
+    """TwistedInvariants and FMTransform coerce their rational fields as
+    MukaiVector does: a float is refused at construction with rat's
+    TypeError, not deep inside the integer kernels, and ints and 'p/q'
+    strings become Fractions."""
+    with pytest.raises(TypeError, match="refusing float"):
+        retwist(TwistedInvariants(0.5, 1, 2), 0, 1, AB)
+    with pytest.raises(TypeError, match="refusing float"):
+        transform_central_charge(FMTransform(1, 0.5),
+                                 StabilityParam(0, None, 1), AB)
+    for fields in ((1, 0.5, 2), (1, 1, 0.5)):
+        with pytest.raises(TypeError, match="refusing float"):
+            TwistedInvariants(*fields)
+    ti, T = TwistedInvariants(1, "3/2", -2), FMTransform(2, "1/2")
+    assert ti.as_tuple() == (1, Fraction(3, 2), -2) and T.c == Fraction(1, 2)
+    assert all(type(x) is Fraction for x in ti.as_tuple() + (T.c,))
+
+
 def test_surface_validation():
     with pytest.raises(ValueError):
         Surface("elliptic", 2)

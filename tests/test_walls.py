@@ -18,6 +18,7 @@ from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotK3, NotPrimitive,
     ZeroCharge, ZeroDegree,
 )
+from mukaistab.walls import _circle_meets_region, _clip_degree_interval
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -153,6 +154,42 @@ def test_is_wall_vector_matches_point_oracle_on_small_box():
                 assert bool(is_wall_vector(mv(*v1), V, AB)) == expect
 
 
+def test_is_wall_vector_matches_point_oracle_seeded():
+    """Seeded check of the verdict and of the locus flag on abelian
+    surfaces with h2 in {2, 4, 6} and v of positive, negative and zero
+    rank, plus the two rank-one degenerations of the WallVectorReport
+    docstring.  The flag is checked against an independent circle test
+    (a circle whose span meets the half-line d_beta(v) > 0) and, with the
+    numeric conditions, against the point-existence oracle."""
+    rng = random.Random(20261020)
+    cases = [(2, (1, 1, 0), (1, 0, -3)),   # squares 2, pairing 1: empty locus
+             (2, (0, 0, -1), (1, 0, -2))]  # vertical line s = d/r
+    while len(cases) < 3000:
+        h2, r = rng.choice((2, 4, 6)), (1, -1, 0)[len(cases) % 3]
+        v = (r * rng.randint(1, 4), rng.randint(-4, 4), rng.randint(-4, 4))
+        if h2 * v[1] ** 2 - 2 * v[0] * v[2] > 0 and gcd(*v) == 1:
+            cases.append((h2, tuple(rng.randint(-5, 5) for _ in range(3)), v))
+    flags = {}
+    for h2, v1, v in cases:
+        v2 = tuple(x - y for x, y in zip(v, v1))
+        rep = is_wall_vector(mv(*v1), mv(*v), Surface("abelian", h2))
+        numeric = rep.details["numeric"]
+        meets = rep.details["locus_meets_positive_degree"]
+        if oracles.square(v1, h2) >= 0 and oracles.square(v2, h2) >= 0:
+            expect = oracles.wall_point_oracle(v1, v, h2)[0]
+        else:
+            expect = False
+        assert rep.is_wall == expect == (numeric and meets)
+        A, C, D = oracles.acd(v1, v, h2)
+        circle = A != 0 and C * C > 4 * A * D
+        assert meets == (numeric and circle and
+                         oracles.open_interval_meets_circle_span(
+                             oracles.halfline(v[0], v[1]), F(-C, 2 * A),
+                             F(C * C - 4 * A * D, 4 * A * A)))
+        flags[numeric, meets, v[0] > 0, v[0] < 0] = True
+    assert len(flags) == 9  # meets or not on numeric classes of each rank
+
+
 # ---------------------------------------------------------------------------
 # enumerate_walls
 
@@ -182,6 +219,51 @@ def test_enumerate_walls_wider_region_against_oracle():
     want = oracles.wall_set_box_oracle((1, 0, -1), 2,
                                        (F(-2), F(2), F(1, 10), F(3)), 12)
     assert got == want
+
+
+def test_region_test_matches_oracle_on_pencil_circles():
+    """The closed-interval region test against the independent oracle,
+    which tracks the open end s = d/r: circles of the pencil of seeded v
+    of positive, negative and zero rank on abelian and K3 surfaces with
+    h2 in {2, 4, 6}; boxes and rays with an s-end exactly at d/r; t2
+    windows whose ends are the height at an end of J or at its peak."""
+    rng = random.Random(20261019)
+    seen = {True: 0, False: 0}
+    edges = 0
+    while sum(seen.values()) < 3000:
+        S = Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
+        r = (1, -1, 0)[sum(seen.values()) % 3] * rng.randint(1, 4)
+        v = (r, rng.randint(-5, 5), rng.randint(-5, 5))
+        q = S.h2 * v[1] ** 2 - 2 * r * v[2]
+        v1 = mv(*(rng.randint(-5, 5) for _ in range(3)))
+        if q <= 0 or v1.is_zero():
+            continue
+        circle = wall_locus(v1, mv(*v), S).geometry
+        if not isinstance(circle, Circle):
+            continue
+        c, R2 = circle.center_s, circle.radius_sq
+        if r:
+            assert (F(v[1], r) - c) ** 2 - R2 == F(q, S.h2 * r * r)
+        end = F(v[1], r) if r else c + F(rng.randint(-8, 8), 4)
+        w = rng.choice((0, F(rng.randint(1, 16), rng.randint(1, 4))))
+        s_min, s_max = rng.choice(((end - w, end), (end, end + w),
+                                   (end - w, end + w)))
+        J = _clip_degree_interval(mv(*v), s_min, s_max)
+        if J is None:  # a ray at s = d/r, or a box on the wrong side
+            assert not oracles.circle_meets_region_oracle(
+                c, R2, v, (s_min, s_max, F(1, 100), R2 + 1), S.h2)
+            continue
+        lo, hi = J
+        marks = [R2 - (x - c) ** 2 for x in (lo, hi, min(max(c, lo), hi))]
+        pool = [x for x in marks if x > 0] + [
+            F(rng.randint(1, 40), rng.randint(1, 10))]
+        t2_min, t2_max = sorted((rng.choice(pool), rng.choice(pool)))
+        reg = (s_min, s_max, t2_min, t2_max)
+        got = _circle_meets_region(circle, lo, hi, Region(*reg))
+        assert got == oracles.circle_meets_region_oracle(c, R2, v, reg, S.h2)
+        seen[got] += 1
+        edges += t2_min in marks or t2_max in marks
+    assert min(seen.values()) > 500 and edges > 1000
 
 
 @pytest.mark.parametrize("S, v, reg", [
