@@ -4,12 +4,9 @@ tree over aligned decompositions, and the A2 pattern test.
 
 Both searches run on the aligned plane Lambda = {w integral :
 rho(w, v) = 0} at p, the kernel of one primitive integer normal n
-(_aligned_normal).  With Omega = e^{(s+it)H} and Z(w) = <Omega, w>,
-rho(·, v) is the pairing with y = d_beta(v)·Re Omega -
-(Re Z(v)/(h2·t))·Im Omega.  Re Omega and Im Omega are independent, so
-n = 0 exactly when d_beta(v) = Re Z(v) = 0, that is when Z(v) = 0
-(Im Z(v) = h2·t·d_beta(v)); the rho-coefficient of n is -d_beta(v).
-Then there is no plane and ZeroCharge is raised.
+(_aligned_normal).  n = 0 exactly when Z(v) = 0
+(stability._rho_normal); then there is no plane and ZeroCharge is
+raised.
 
 The decisive search — "is there an isotropic w with <v, w> = 1 whose
 charge aligns with v at p?" — is solved analytically, not by box scan.
@@ -34,9 +31,9 @@ from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, UniquenessViolation,
                      ZeroCharge, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface,
-                      _kernel_basis_of_functional, _over, _xgcd, d_beta,
+                      _kernel_basis_of_functional, _xgcd, d_beta,
                       mukai_pairing, mukai_square)
-from .stability import StabilityParam, reduced_sigma
+from .stability import StabilityParam, _rho_normal, reduced_sigma
 
 _BOX_CAP = 5 * 10 ** 6  # hard ceiling on the candidates a bounded scan visits
 
@@ -44,18 +41,12 @@ _BOX_CAP = 5 * 10 ** 6  # hard ceiling on the candidates a bounded scan visits
 def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
     """The primitive integer normal (n0, n1, n2) of rho(w, v) at p as a
     functional of w = (r, d, a); raises ZeroCharge when it vanishes,
-    which is exactly when Z(v) = 0 (module docstring)."""
-    half = S.h2 // 2
-    r, d, a, _ = _over(v.r, v.d, v.a)
-    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
-    q, qd = tn * sd * sd + sn * sn * td, sd * sd * td  # t2 + s^2 = q/qd
-    # (half*d*q - a*s, -half*r*q + a, r*s - d), scaled by den(v)*qd > 0
-    n = (half * d * q - a * sn * sd * td, -half * r * q + a * qd,
-         (r * sn - d * sd) * sd * td)
-    g = gcd(*n)
+    which is exactly when Z(v) = 0."""
+    n0, n1, n2, _ = _rho_normal(v, p, S)
+    g = gcd(n0, n1, n2)
     if g == 0:
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
-    return n[0] // g, n[1] // g, n[2] // g
+    return n0 // g, n1 // g, n2 // g
 
 
 def _ipo_line_search(v, p, S):

@@ -20,8 +20,7 @@ It preserves the Mukai pairing:
 from fractions import Fraction
 
 from .errors import NotIntegral, NotPrimitive, ZeroDenominator
-from .lattice import (Frozen, MukaiVector, Surface, TwistedInvariants, rat,
-                      twisted_invariants, untwist)
+from .lattice import Frozen, MukaiVector, Surface, _over, _twist, exp_vector, rat
 from .stability import StabilityParam
 
 
@@ -33,8 +32,7 @@ class FMTransform(Frozen):
         object.__setattr__(self, "c", rat(c))
 
     def kernel_class(self, S: Surface) -> MukaiVector:
-        return MukaiVector(self.r1, self.r1 * self.c,
-                           self.r1 * self.c * self.c * S.h2 / 2)
+        return self.r1 * exp_vector(self.c, S)
 
 
 def make_transform(r1, c, S: Surface) -> FMTransform:
@@ -51,24 +49,25 @@ def make_transform(r1, c, S: Surface) -> FMTransform:
     return T
 
 
-def _coordinate_map(T: FMTransform, r, d, a):
-    sign = 1 if T.r1 > 0 else -1
-    return -T.r1 * a, sign * d, Fraction(-r) / T.r1
-
-
 def fm_apply(T: FMTransform, v: MukaiVector, S: Surface) -> MukaiVector:
     """Image of v, as a plain Mukai vector on the target surface (whose
     distinguished twist gamma' is 0).  Rational entries can occur for
     classes that are not genuine sheaf classes on the source."""
-    ti = twisted_invariants(v, T.c, S)
-    return MukaiVector(*_coordinate_map(T, ti.r_b, ti.d_b, ti.a_b))
+    r, dn, an, V, sd = _twist(v.r, v.d, v.a, T.c, S)
+    return MukaiVector(Fraction(-T.r1 * an, V * sd * sd),
+                       Fraction(dn if T.r1 > 0 else -dn, V * sd),
+                       Fraction(-r, V * T.r1))
 
 
 def fm_inverse(T: FMTransform, w: MukaiVector, S: Surface) -> MukaiVector:
     """Inverse of fm_apply: the coordinate map is an involution, so apply
     it to w (already gamma'-twisted = plain) and untwist at gamma."""
-    r, d, a = _coordinate_map(T, w.r, w.d, w.a)
-    return untwist(TwistedInvariants(r, d, a), T.c, S)
+    r, d, a, W = _over(w.r, w.d, w.a)
+    # the mapped triple times k = r1*W is integral, and twisting is linear
+    k = T.r1 * W
+    rk, dn, an, _, sd = _twist(-T.r1 * T.r1 * a, abs(T.r1) * d, -r, -T.c, S)
+    return MukaiVector(Fraction(rk, k), Fraction(dn, k * sd),
+                       Fraction(an, k * sd * sd))
 
 
 def dual(v: MukaiVector) -> MukaiVector:

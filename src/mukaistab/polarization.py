@@ -10,15 +10,17 @@ v (and with every class aligned with v at the given parameter), where
     xi2 = -(e^{sH} - (chi/r) rho),      chi = a_beta(v),
     phi_omega = (r h2 t^2/2 - a_beta) / d_beta .
 
-The function x -> omega(x) below inverts the slope: it answers at which
-t^2 the class v has twisted slope matching the reference point x.
+It is the Mukai dual of the normal of rho(., v) at the parameter
+(stability._rho_normal).  The functions omega_x (x relative to the
+twist) and omega_sx (x absolute) invert the slope through one integer
+formula (_omega): at which t^2 has v twisted slope matching x?
 """
 
 from fractions import Fraction
 
 from .errors import Degenerate, NonPositive, OutOfDomain, ZeroDegree, ZeroRank
 from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
-from .stability import StabilityParam
+from .stability import StabilityParam, _rho_normal
 
 
 def xi_pair(v: MukaiVector, s, S: Surface):
@@ -48,26 +50,30 @@ class AmpleClassReport(Frozen):
 def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassReport:
     """xi_omega = phi * xi1 + h2 * xi2 with phi = (r h2 t^2/2 - a_beta)/d_beta.
 
-    By construction <v, xi_omega> = 0, and in fact xi_omega annihilates
-    the entire plane of classes aligned with v at p (checked in tests);
-    t^2 -> xi_omega is injective since phi is strictly increasing in t^2.
+    xi_omega is the Mukai dual (-n2, n1/h2, -n0) of the normal n of
+    rho(., v) at p (stability._rho_normal) scaled to rank -h2, and phi is
+    its degree plus h2*s.  So it annihilates the entire plane of classes
+    aligned with v at p; t^2 -> xi_omega is injective since phi is
+    strictly increasing in t^2.
     """
     if v.r == 0:
         raise ZeroRank(f"ample_class needs rk != 0, got {v}")
-    r, d, a, _ = _over(v.r, v.d, v.a)
-    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
-    h2 = S.h2
-    if d * sd == r * sn:
+    n0, n1, n2, _ = _rho_normal(v, p, S)
+    if n2 == 0:
         raise ZeroDegree(f"d_beta({v}) = 0 at s = {p.s}")
-    # phi = n/m; xi_omega = (-h2, phi - h2*s, h2*(phi*d + a - d*s*h2)/r)
-    e = a * sd - d * sn * h2
-    n = r * (h2 // 2) * (tn * sd * sd - sn * sn * td) - e * sd * td
-    m = (d * sd - r * sn) * sd * td
-    xi1, xi2 = xi_pair(v, p.s, S)
-    xi_omega = MukaiVector(-h2, Fraction(n * sd - h2 * sn * m, m * sd),
-                           Fraction(h2 * (n * d * sd + e * m), m * sd * r))
-    return AmpleClassReport(phi=Fraction(n, m), xi1=xi1, xi2=xi2,
-                            xi_omega=xi_omega)
+    h2, sn, sd = S.h2, p.s.numerator, p.s.denominator
+    return AmpleClassReport(Fraction(n1 * sd + h2 * sn * n2, n2 * sd),
+                            *xi_pair(v, p.s, S),
+                            MukaiVector(-h2, Fraction(n1, n2), Fraction(-h2 * n0, n2)))
+
+
+def _omega(v: MukaiVector, s: Fraction, x: Fraction, S: Surface):
+    """(N, M, dn, V, sd): t^2 = N/M, N = x (a - d h2 x/2) and M = (h2/2)
+    (x r - d) at the twist s, as ints over one positive denominator."""
+    r, dn, an, V, sd = _twist(v.r, v.d, v.a, s, S)
+    xn, xd, half = x.numerator, x.denominator, S.h2 // 2
+    return (xn * (an * xd - dn * half * xn * sd),
+            half * xd * sd * (xn * r * sd - dn * xd), dn, V, sd)
 
 
 def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
@@ -79,39 +85,29 @@ def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
     valid on the open interval D = (x0, d/r) for r > 0 (or (x0, inf)
     otherwise) where x0 = max(2a/(h2 d), 0); there f is positive and the
     formula inverts the slope.  Outside D — including both endpoints and
-    whenever d <= 0 — the slope value is not attained: OutOfDomain.
+    whenever d <= 0 — the slope value is not attained: OutOfDomain.  For
+    d, x > 0, D is N < 0 and M < 0 in t^2 = N/M (_omega).
     """
     s, x = rat(s), rat(x)
-    r, dn, an, V, sd = _twist(v.r, v.d, v.a, s, S)
-    xn, xd, half = x.numerator, x.denominator, S.h2 // 2
-    # x0 = max(2a/(h2 d), 0) = max(an/(half*sd*dn), 0)
+    N, M, dn, V, sd = _omega(v, s, x, S)
     if dn <= 0:
         raise OutOfDomain(f"needs d_beta > 0, got {Fraction(dn, V * sd)} at s = {s}")
-    if (xn <= 0 or xn * half * sd * dn <= an * xd
-            or (r > 0 and xn * sd * r >= dn * xd)):
+    if x <= 0 or N >= 0 or M >= 0:
         raise OutOfDomain(f"x = {x} outside the admissible interval")
-    t2 = Fraction(xn * (an * xd - dn * half * xn * sd),
-                  half * xd * sd * (xn * r * sd - dn * xd))
-    assert t2 > 0, "omega_x must land at positive t^2 on its domain"
-    return t2
+    return Fraction(N, M)
 
 
 def omega_sx(v: MukaiVector, s, x, S: Surface) -> Fraction:
-    """Same inversion with x an absolute coordinate (independent of the
-    twist): omega_sx(v, s, s + x_rel) == omega_x(v, s, x_rel).
-
-    Using the plain entries (r, d0, a0) of v:
-        t^2 = 2 (x - s) (a0 - d0 x h2/2 + s (r x - d0) h2/2)
-              / ((x r - d0) h2).
-    The value is independent of s on the common domain.  Degenerate when
-    x r = d0 (the pole), NonPositive when the formula gives t^2 <= 0.
-    """
+    """omega_x with x absolute: t^2 = N/M of _omega at x - s, so
+    omega_sx(v, s, s + x_rel) == omega_x(v, s, x_rel) on omega_x's
+    domain.  It solves rho(e^{xH}, v) = 0 at (s, t^2), so it depends on
+    s.  Degenerate when x r = d0 (the pole, M = 0), NonPositive when
+    t^2 <= 0."""
     s, x = rat(s), rat(x)
-    r, d0, a0 = v.r, v.d, v.a
-    den = (x * r - d0) * S.h2
-    if den == 0:
+    N, M, *_ = _omega(v, s, x - s, S)
+    if M == 0:
         raise Degenerate(f"pole at x = {x} (x rk = degree)")
-    t2 = 2 * (x - s) * (a0 - d0 * x * S.h2 / 2 + s * (r * x - d0) * S.h2 / 2) / den
+    t2 = Fraction(N, M)
     if t2 <= 0:
         raise NonPositive(f"t^2 = {t2} <= 0 at x = {x}")
     return t2

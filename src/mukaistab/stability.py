@@ -111,20 +111,36 @@ def sigma_coefficients(v1: MukaiVector, v: MukaiVector, S: Surface):
     return Fraction(A, den), Fraction(C, den), Fraction(D, den)
 
 
+def _rho_normal(v: MukaiVector, p: StabilityParam, S: Surface):
+    """(n0, n1, n2, den), den > 0: rho(w, v) at p is the functional
+    (n0*r + n1*d + n2*a)/den of w = (r, d, a).  Read off A*(t^2+s^2) +
+    C*s + D, n/den = ((h2/2)*d*q - a*s, a - (h2/2)*r*q, r*s - d) with
+    q = t^2 + s^2, so n2 = 0 exactly when d_beta(v) = 0.  It is the
+    pairing with d_beta(v)*Re Omega - (Re Z(v)/(h2*t))*Im Omega, where
+    Z(w) = <Omega, w> for Omega = e^{(s+it)H}; Re Omega and Im Omega are
+    independent, so n = 0 exactly when d_beta(v) = Re Z(v) = 0, that is
+    when Z(v) = 0 (Im Z(v) = h2*t*d_beta(v))."""
+    half = S.h2 // 2
+    r, d, a, V = _over(v.r, v.d, v.a)
+    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
+    q, e = tn * sd * sd + sn * sn * td, sd * td  # t2 + s^2 = q/(sd*e)
+    return (half * d * q - a * sn * e, a * sd * e - half * r * q,
+            (r * sn - d * sd) * e, V * sd * e)
+
+
 def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
                   S: Surface) -> Fraction:
     """rho(v1, v) = ReZ(v1)*d_beta(v) - d_beta(v1)*ReZ(v).
 
     The full phase-ordering determinant is t*h2*rho, so the sign of rho is
     the sign of the determinant; rho depends on t only through t^2, which
-    is why it is the primitive everything else uses.  Computed through the
-    closed form A*(t^2+s^2) + C*s + D; agreement with the determinant
-    definition is an acceptance-tested identity.
+    is why it is the primitive everything else uses.  Computed as the
+    functional _rho_normal of v applied to v1; agreement with the
+    determinant definition is an acceptance-tested identity.
     """
-    A, C, D, den = _acd(v1, v, S)
-    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
-    return Fraction(A * (tn * sd * sd + sn * sn * td) + (C * sn + D * sd) * sd * td,
-                    den * sd * sd * td)
+    n0, n1, n2, den = _rho_normal(v, p, S)
+    r1, d1, a1, X = _over(v1.r, v1.d, v1.a)
+    return Fraction(n0 * r1 + n1 * d1 + n2 * a1, den * X)
 
 
 # z_domain_check verdicts

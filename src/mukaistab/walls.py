@@ -497,14 +497,9 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
     if d_beta(v, s, S) <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, s, S)} at s = {s}; "
                          "the ray lies outside the positive-degree region")
-    reg = Region(s, s, t2_lo, t2_hi)
-    cuts = set()
-    for w in enumerate_walls(v, S, reg, cap=cap):
-        g = w.geometry
-        assert isinstance(g, Circle)
-        t2 = g.radius_sq - (s - g.center_s) ** 2
-        if t2 > 0 and t2_lo <= t2 <= t2_hi:
-            cuts.add(t2)
+    # J = [s, s]: the region test keeps heights at s in [t2_lo, t2_hi]
+    cuts = {w.geometry.radius_sq - (s - w.geometry.center_s) ** 2
+            for w in enumerate_walls(v, S, Region(s, s, t2_lo, t2_hi), cap=cap)}
     if cut_category_walls:
         for cw in category_walls_k3(s, S, t2_hi):
             if t2_lo <= cw.t2 <= t2_hi:

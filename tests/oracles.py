@@ -82,6 +82,15 @@ def omega_x(v, s, x, h2):
     return 2 * (x * (a - d * h2 * x / 2) / (x * r - d)) / h2
 
 
+def omega_sx(v, s, x, h2):
+    """The t^2 solving rho(e^{xH}, v) = A(t^2 + s^2) + C s + D = 0, or None
+    where A = 0 (the pole x r = d); the value may be <= 0."""
+    A, C, D = acd((1, x, x * x * h2 / 2), v, h2)
+    if A == 0:
+        return None
+    return -(C * s + D) / A - s * s
+
+
 def transformed_charge(r1, c, s, t, h2):
     """(zeta_re, zeta_im, xi, eta) of the transformed stability condition."""
     lam = c - s
@@ -255,11 +264,13 @@ def wall_point_oracle(v1, v, h2):
     if A == 0 and C == 0:
         if D != 0:
             return False, None
-        # locus is everything: v1 rationally proportional to v.  v
-        # positive-degree makes Im Z(v) > 0, so v1 = k v and v2 = (1-k) v
-        # can never both sit in the domain (k integral: one of them is a
-        # nonpositive multiple or zero).  Still scan a few sample points
-        # honestly rather than by argument.
+        # locus is everything: v1 rationally proportional to v.  The
+        # oracle answers its literal question here: v1 = k v and
+        # v2 = (1 - k) v both sit in the domain exactly when 0 < k < 1,
+        # which an integral v1 allows when v is not primitive (v1 = v/4
+        # of v = (4,0,-4)).  Such a v1 is no wall, so callers exclude
+        # proportional v1 themselves (bench/ref.py explicitly, the tests
+        # by drawing primitive v).  Scan a few sample points.
         for s_num in range(-8, 9):
             s = F(s_num, 3)
             if v[1] - v[0] * s <= 0:

@@ -12,12 +12,13 @@ import oracles
 from mukaistab import (
     RHO, FMTransform, StabilityParam, Surface, TwistedInvariants, ample_class,
     central_charge, d_beta, d_beta_min, exp_vector, fm_inverse, mukai_pairing,
-    mukai_square, mv, omega_x, perp_basis, phase_key, primitivity_report, rat,
-    reduced_sigma, retwist, sheaf_vector, sigma_coefficients,
-    transform_central_charge, twisted_invariants, untwist,
+    mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key,
+    primitivity_report, rat, reduced_sigma, retwist, sheaf_vector,
+    sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
 )
 from mukaistab.classification import _aligned_normal
-from mukaistab.errors import NonIntegral, OutOfDomain, Zero, ZeroCharge
+from mukaistab.errors import (Degenerate, NonIntegral, NonPositive,
+                              OutOfDomain, Zero, ZeroCharge)
 from mukaistab.lattice import _kernel_basis_of_functional
 
 AB = Surface("abelian", 2)
@@ -274,10 +275,12 @@ def test_kernels_exact_on_rational_input():
     """The integer kernels equal their tuple formulas in oracles.py exactly
     on rational classes (denominators up to 60, as fm_apply images have)
     at rational s, t2 and t with large denominators, and every number they
-    return is a Fraction."""
+    return is a Fraction; omega_sx also raises Degenerate and NonPositive
+    where its oracle says so."""
     rng = random.Random(20261018)
+    pick = random.Random(20261019)  # omega_sx's draws, apart from the rest
 
-    def q(den, lo=-6, hi=6):
+    def q(den, lo=-6, hi=6, rng=rng):
         d = rng.randint(1, den)
         return Fraction(rng.randint(lo * d, hi * d), d)
 
@@ -328,6 +331,17 @@ def test_kernels_exact_on_rational_input():
                 omega_x(v, s, x, S)
         else:
             exact((omega_x(v, s, x, S),), (want,))
+        # absolute x: relative to s, free, or at the pole x r = d
+        xa = pick.choice((s + x, q(60, -5, 5, pick), v.d / v.r if v.r else s))
+        want = oracles.omega_sx(vt, s, xa, h2)
+        if want is None:
+            with pytest.raises(Degenerate):
+                omega_sx(v, s, xa, S)
+        elif want <= 0:
+            with pytest.raises(NonPositive):
+                omega_sx(v, s, xa, S)
+        else:
+            exact((omega_sx(v, s, xa, S),), (want,))
         T = FMTransform(rng.choice((-3, -2, -1, 1, 2, 3)), q(6, -3, 3))
         exact(fm_inverse(T, v, S).as_tuple(),
               oracles.untwist((-vt[2] * T.r1, vt[1] * (1 if T.r1 > 0 else -1),

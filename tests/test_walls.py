@@ -190,6 +190,18 @@ def test_is_wall_vector_matches_point_oracle_seeded():
     assert len(flags) == 9  # meets or not on numeric classes of each rank
 
 
+def test_point_oracle_answers_literally_for_proportional_v1():
+    """For non-primitive v the point oracle finds a witness for v1 = v/4,
+    since v1 and v - v1 = 3v/4 both have charge in the domain; the
+    criterion says False (proportional), so proportional v1 must be
+    excluded before the two are compared."""
+    v1, v = (1, 0, -1), (4, 0, -4)
+    exists, witness = oracles.wall_point_oracle(v1, v, 2)
+    assert exists and witness is not None
+    rep = is_wall_vector(mv(*v1), mv(*v), AB)
+    assert rep.details["proportional"] and not rep.is_wall
+
+
 # ---------------------------------------------------------------------------
 # enumerate_walls
 
