@@ -72,8 +72,8 @@ class UniquenessViolation(MukaiStabError):
 class NotIntegral(MukaiStabError):
     """A Fourier-Mukai transform that must be integral is not.
 
-    Raised only by ``make_transform``, for an ``r1`` that is not a
-    nonzero integer or a kernel class with a non-integer entry.  It
+    Raised by ``FMTransform`` for an ``r1`` that is not a nonzero
+    integer and by ``make_transform`` for a non-integral kernel class.  It
     differs from NonIntegral, which rejects the caller's own classes;
     both codes are part of the external contract, so they stay apart."""
 

@@ -28,6 +28,8 @@ class FMTransform(Frozen):
     __slots__ = ("r1", "c")
 
     def __init__(self, r1: int, c):
+        if not isinstance(r1, int) or r1 == 0:
+            raise NotIntegral(f"r1 must be a nonzero integer, got {r1!r}")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "c", rat(c))
 
@@ -36,10 +38,8 @@ class FMTransform(Frozen):
 
 
 def make_transform(r1, c, S: Surface) -> FMTransform:
-    """Validated constructor: the kernel class r1*e^{cH} must be an
-    integral primitive class (it is isotropic automatically)."""
-    if not isinstance(r1, int) or r1 == 0:
-        raise NotIntegral(f"r1 must be a nonzero integer, got {r1!r}")
+    """Validated constructor: beyond FMTransform's check of r1, the kernel
+    class r1*e^{cH} must be integral and primitive (it is isotropic)."""
     T = FMTransform(r1, c)
     w1 = T.kernel_class(S)
     if not w1.is_integral():

@@ -13,9 +13,8 @@ vanishes.  So the arc lies on one side of s = d/r, the side of its
 center, and an open end d/r of a degree-clipped s-interval never decides
 whether the arc meets a region.  T being concave, the arc reaches
 t^2 in [t2_min, t2_max] over a closed [lo, hi] iff T is >= t2_min at the
-point of [lo, hi] nearest c and <= t2_max at the end farther from c.
-All of this is decided exactly over the rationals; no square root is
-ever taken.
+point of [lo, hi] nearest c and <= t2_max at the end farther from c,
+an exact test on integers (no square root is ever taken).
 
 enumerate_walls walks the pencil of walls instead of scanning classes.
 (A, C, D) is linear in v1 with kernel Zv, so the walls of v form one
@@ -29,9 +28,9 @@ of one m an integer window (one isqrt); within a fiber, p12 >= 1 is a
 quadratic window in <v1, v> that leaves at most three members to test
 exactly.  The members must also lie in the bounded (r1, d1) box of the
 bound chain: on K3 that box is part of what the list is.  ``cap``
-bounds the lines plus fibers walked.  The walk runs on Python ints;
-Fraction enters only through the bounds from the region, the region
-test (once per distinct wall) and the returned Walls.
+bounds the lines plus fibers walked.  The walk and its region test run
+on Python ints; Fraction enters only through the fiber bounds drawn from
+the region and the returned Walls.
 """
 
 from fractions import Fraction
@@ -143,28 +142,33 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
 # the region test
 
 def _clip_degree_interval(v, lo: Fraction, hi: Fraction):
-    """The closure (lo', hi') of {s in [lo, hi] : d_beta(v)(s) > 0}, or
-    None when that set is empty.  For r != 0 the end d/r, where the degree
-    vanishes, is open; the module docstring says why that never matters."""
-    r, d = v.r, v.d
-    if max(d - r * lo, d - r * hi) <= 0:
+    """The closure [L/N, H/N] of {s in [lo, hi] : d_beta(v)(s) > 0} as ints
+    (L, H, N), N > 0, or None when it is empty.  Its end d/r (r != 0) is
+    open; the module docstring says why that never matters."""
+    r, d = int(v.r), int(v.d)
+    N = lo.denominator * hi.denominator
+    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    if max(d * N - r * L, d * N - r * H) <= 0:
         return None
-    if r > 0:
-        hi = min(hi, d / r)
-    elif r < 0:
-        lo = max(lo, d / r)
-    return lo, hi
+    if r > 0 and r * H > d * N:  # hi > d/r
+        return L * r, d * N, N * r
+    if r < 0 and r * L > d * N:  # lo < d/r
+        return -d * N, -H * r, -N * r
+    return L, H, N
 
 
-def _circle_meets_region(circle: Circle, lo, hi, reg: Region) -> bool:
-    """Does the arc of a circle of the pencil of v carry a point with s in
-    [lo, hi] (the degree-clipped interval of reg) and t^2 in
-    [t2_min, t2_max]?  Its concave height peaks over [lo, hi] at the point
-    nearest the center and bottoms out at the end farther from it."""
-    c, R2 = circle.center_s, circle.radius_sq
+def _circle_meets_region(A, C, disc, J, t2) -> bool:
+    """Does the arc of A*(s^2 + t^2) + C*s + D = 0 (A > 0, disc = C^2 - 4AD,
+    a circle of the pencil of v) reach t^2 in [tn/td, Tn/Td] over the
+    degree-clipped J = [L/N, H/N]?  In s' = 2AN*s the center is c' = -C*N
+    and (2AN)^2 times the concave height is disc*N^2 - (s' - c')^2, which
+    peaks at the point of J nearest c' and bottoms out at the farther end."""
+    (L, H, N), (tn, td, Tn, Td) = J, t2
+    c, lo, hi = -C * N, 2 * A * L, 2 * A * H
+    R2, E = disc * N * N, (2 * A * N) ** 2
     near = min(max(c, lo), hi)
-    return (R2 - (near - c) ** 2 >= reg.t2_min and
-            R2 - max((lo - c) ** 2, (hi - c) ** 2) <= reg.t2_max)
+    return (td * (R2 - (near - c) ** 2) >= tn * E and
+            Td * (R2 - max((lo - c) ** 2, (hi - c) ** 2)) <= Tn * E)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +359,11 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         the squares >= -2 policy admits classes outside steps 3-4, so the
         K3 list depends on the box.
 
-    The walk runs on ints.  Fraction appears only in the bounds drawn
-    from J and reg and in the Circle of each distinct (A:C:D): all its
-    classes cut that circle, so it is built and region-tested once and
-    returned in the Wall, whose coefficients are the winner's own fiber
-    triple (h2*m/2, C, D), negated when the winner is a complement.
+    The walk runs on ints, and so does the region test, once per distinct
+    (A:C:D) on its fiber's A, C and disc: all its classes cut that circle.
+    Fraction appears only in the bounds drawn from reg and in the walls
+    returned: each passing circle's Circle, built once, and the winner's
+    own fiber triple (h2*m/2, C, D), negated when it is a complement.
 
     Raises BoundOverflow when the walk would take more than ``cap``
     steps, before it visits the fibers past that budget, and ValueError
@@ -378,19 +382,18 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     if J is None:
         raise ZeroDegree(f"d_beta({v}) is nowhere positive on s in "
                          f"[{reg.s_min}, {reg.s_max}]")
-    lo, hi = J
+    L, H, N = J
     r, d, a = int(v.r), int(v.d), int(v.a)
     h2, t_lo, t_hi = S.h2, reg.t2_min, reg.t2_max
     tn, td = t_lo.numerator, t_lo.denominator
+    t2 = (tn, td, t_hi.numerator, t_hi.denominator)
     if S.kind == "abelian":
         sq_lo, B, r1_sq = 0, q * q // 4, 2 * (q - 1)
     else:
         sq_lo, B, r1_sq = -2, q * (q + 8) // 4, 2 * (q + 2)
     # the step 2-4 box on ints (every m walked is inside step 2): step 3,
-    # and step 4 with lo = L/N, hi = H/N
+    # and step 4 with J = [L/N, H/N]
     r1_max = abs(r) + isqrt((r1_sq * td - 1) // (h2 * tn)) + 1
-    N = lo.denominator * hi.denominator
-    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
 
     def in_box(r1, d1):
         return (abs(r1) <= r1_max and min(r1 * L, r1 * H) < d1 * N <
@@ -405,12 +408,11 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     # m^2 K <= disc <= B if r = 0
     K = h2 * q + (h2 * r) ** 2 * t_lo if r else h2 * h2 * t_lo
     U = Fraction(r * r * B + B + h2 * q)  # no cut beyond the disc bound
-    if r and lo == hi:  # a ray: t2_min <= T(s0) <= t2_max
-        x = d - r * lo
+    if r and L == H:  # a ray: t2_min <= T(s0) <= t2_max
+        x = Fraction(d * N - r * L, N)
         K = ((q + h2 * (x * x + r * r * t_lo)) / (2 * x)) ** 2
         U = ((q + h2 * (x * x + r * r * t_hi)) / (2 * x)) ** 2
-    best = {}  # acd key -> [(|q1|, (r1, d1, a1), its (A, C, D)), circle] of
-    # the representative, or False when the circle misses reg
+    best = {}  # acd key -> [(|q1|, v1, its (A, C, D)), circle] or False (missed)
     lines = range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g)
     budget = cap - len(lines)  # cap bounds the m-lines plus the fibers
     for m in lines:
@@ -451,20 +453,18 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                     key = _normalize_acd(A, C, D)
                     sel = (abs(q_y), y1, (sg * A, sg * C, sg * D))
                     if key not in best:  # one region test per circle
-                        circle = Circle(Fraction(-C, 2 * A),
-                                        Fraction(disc, 4 * A * A))
-                        best[key] = (_circle_meets_region(circle, lo, hi, reg)
-                                     and [sel, circle])
+                        best[key] = (_circle_meets_region(A, C, disc, J, t2)
+                                     and [sel, Circle(Fraction(-C, 2 * A),
+                                                      Fraction(disc, 4 * A * A))])
                     elif best[key] and sel < best[key][0]:
                         best[key][0] = sel
     if budget < 0:
         raise BoundOverflow(f"more than {cap} walk steps (m-lines and "
                             f"fibers) for v={v} over the requested region")
-    walls = [Wall(*map(Fraction, acd), circle, MukaiVector(*y1))
-             for (_, y1, acd), circle in filter(None, best.values())]
-    walls.sort(key=lambda w: (w.geometry.center_s, w.geometry.radius_sq,
-                              w.acd_key()))
-    return walls
+    won = sorted((w[1].center_s, w[1].radius_sq, key, w)
+                 for key, w in best.items() if w)
+    return [Wall(*map(Fraction, acd), circle, MukaiVector(*y1))
+            for *_, ((_, y1, acd), circle) in won]
 
 
 # ---------------------------------------------------------------------------

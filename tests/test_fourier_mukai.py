@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mukaistab import (
-    RHO, Surface, central_charge, dual, exp_vector, fm_apply, fm_inverse,
-    l_divisor, make_transform, mukai_pairing, mv, param, slope_defect,
-    transform_central_charge, twisted_invariants,
+    RHO, FMTransform, Surface, central_charge, dual, exp_vector, fm_apply,
+    fm_inverse, l_divisor, make_transform, mukai_pairing, mv, param,
+    slope_defect, transform_central_charge, twisted_invariants,
 )
 from mukaistab.errors import NotIntegral, NotPrimitive
 
@@ -51,6 +51,14 @@ def test_make_transform_errors():
         make_transform(2, F(1, 2), AB)   # kernel (2,1,1/2)
     with pytest.raises(NotPrimitive):
         make_transform(2, F(0), AB)      # kernel (2,0,0)
+
+
+@pytest.mark.parametrize("r1", [0, 1.0])
+def test_fm_transform_rejects_r1_that_is_not_a_nonzero_int(r1):
+    # checked on construction, so fm_apply and fm_inverse never divide by 0
+    with pytest.raises(NotIntegral,
+                       match=f"^r1 must be a nonzero integer, got {r1!r}$"):
+        FMTransform(r1, 0)
 
 
 def test_kernel_is_isotropic_and_primitive():

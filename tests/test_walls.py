@@ -18,6 +18,7 @@ from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotK3, NotPrimitive,
     ZeroCharge, ZeroDegree,
 )
+from mukaistab.stability import _acd
 from mukaistab.walls import _circle_meets_region, _clip_degree_interval
 
 AB = Surface("abelian", 2)
@@ -265,13 +266,19 @@ def test_region_test_matches_oracle_on_pencil_circles():
             assert not oracles.circle_meets_region_oracle(
                 c, R2, v, (s_min, s_max, F(1, 100), R2 + 1), S.h2)
             continue
-        lo, hi = J
+        L, H, N = J
+        lo, hi = F(L, N), F(H, N)
         marks = [R2 - (x - c) ** 2 for x in (lo, hi, min(max(c, lo), hi))]
         pool = [x for x in marks if x > 0] + [
             F(rng.randint(1, 40), rng.randint(1, 10))]
         t2_min, t2_max = sorted((rng.choice(pool), rng.choice(pool)))
         reg = (s_min, s_max, t2_min, t2_max)
-        got = _circle_meets_region(circle, lo, hi, Region(*reg))
+        # the circle's (A, C, D) up to a nonzero factor, taken with A > 0
+        A, C, D, _ = _acd(v1, mv(*v), S)
+        A, C, D = (A, C, D) if A > 0 else (-A, -C, -D)
+        got = _circle_meets_region(A, C, C * C - 4 * A * D, J, (
+            t2_min.numerator, t2_min.denominator,
+            t2_max.numerator, t2_max.denominator))
         assert got == oracles.circle_meets_region_oracle(c, R2, v, reg, S.h2)
         seen[got] += 1
         edges += t2_min in marks or t2_max in marks
@@ -557,6 +564,8 @@ def _check_against_stream(v, S, reg, cap=10 ** 6):
     got = enumerate_walls(mv(*v), S, Region(*reg), cap=cap)
     assert [(w.acd_key(), w.v1.as_tuple()) for w in got] == [
         (key, best[key][1]) for key in sorted(best, key=order)]
+    # the (A, C, D) and Circle built on the walk's ints are the locus's own
+    assert all(w == wall_locus(w.v1, mv(*v), S) for w in got)
     enumerate_walls(mv(*v), S, Region(*reg), cap=steps)
     if steps:
         with pytest.raises(BoundOverflow):
