@@ -1,8 +1,9 @@
-"""Error taxonomy.
+"""Error taxonomy: the package's one failure contract.
 
-Every domain error carries a stable ``code`` string that the command line
-front end serializes verbatim, so the class names here are part of the
-external contract and must not be renamed casually.
+A class's ``code`` is its name; the command line front end serializes it
+verbatim as ``{"error": code}``, so the class names here are part of the
+external contract.  Every public precondition raises a class from this
+module in every interpreter mode, ``python -O`` included.
 """
 
 
@@ -10,6 +11,10 @@ class MukaiStabError(Exception):
     """Base class for all domain errors raised by this package."""
 
     code = "Error"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __init__(self, detail=""):
         self.detail = str(detail)
@@ -21,37 +26,25 @@ class NonIntegral(MukaiStabError):
     not: a vector argument with a non-integer entry, or a decomposition
     multiplicity that is not a positive integer.  Compare NotIntegral."""
 
-    code = "NonIntegral"
-
 
 class Zero(MukaiStabError):
     """A vector that must be nonzero is zero."""
-
-    code = "Zero"
 
 
 class ZeroCharge(MukaiStabError):
     """The central charge vanishes where a phase is required."""
 
-    code = "ZeroCharge"
-
 
 class NonPositiveSquare(MukaiStabError):
     """A self-pairing that must be positive is not."""
-
-    code = "NonPositiveSquare"
 
 
 class BoundOverflow(MukaiStabError):
     """A bounded search would exceed its candidate cap."""
 
-    code = "BoundOverflow"
-
 
 class NotK3(MukaiStabError):
     """Operation defined only on K3 surfaces was called on an abelian one."""
-
-    code = "NotK3"
 
 
 class UniquenessViolation(MukaiStabError):
@@ -66,8 +59,6 @@ class UniquenessViolation(MukaiStabError):
     Pell-type orbits.  The error reports a box holding two or more of
     them, not an implementation bug."""
 
-    code = "UniquenessViolation"
-
 
 class NotIntegral(MukaiStabError):
     """A Fourier-Mukai transform that must be integral is not.
@@ -77,58 +68,38 @@ class NotIntegral(MukaiStabError):
     differs from NonIntegral, which rejects the caller's own classes;
     both codes are part of the external contract, so they stay apart."""
 
-    code = "NotIntegral"
-
 
 class NotPrimitive(MukaiStabError):
     """A derived class that must be primitive is not."""
-
-    code = "NotPrimitive"
 
 
 class ZeroRank(MukaiStabError):
     """A formula requiring nonzero rank was fed rank zero."""
 
-    code = "ZeroRank"
-
 
 class ZeroDegree(MukaiStabError):
     """A formula requiring nonzero twisted degree was fed degree zero."""
-
-    code = "ZeroDegree"
 
 
 class OutOfDomain(MukaiStabError):
     """Argument lies outside the real domain of the formula."""
 
-    code = "OutOfDomain"
-
 
 class Degenerate(MukaiStabError):
     """A denominator vanishes identically for these inputs."""
-
-    code = "Degenerate"
 
 
 class NonPositive(MukaiStabError):
     """A quantity that must be positive came out nonpositive."""
 
-    code = "NonPositive"
-
 
 class NotAligned(MukaiStabError):
     """Input classes are required to be phase-aligned but are not."""
-
-    code = "NotAligned"
 
 
 class ZeroDenominator(MukaiStabError):
     """A transform denominator vanished."""
 
-    code = "ZeroDenominator"
-
 
 class UsageError(MukaiStabError):
     """Malformed command line input (reserved for the CLI layer)."""
-
-    code = "UsageError"

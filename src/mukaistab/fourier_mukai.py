@@ -19,7 +19,7 @@ It preserves the Mukai pairing:
 
 from fractions import Fraction
 
-from .errors import NotIntegral, NotPrimitive, ZeroDenominator
+from .errors import NonPositive, NotIntegral, NotPrimitive, ZeroDenominator
 from .lattice import Frozen, MukaiVector, Surface, _over, _twist, exp_vector, rat
 from .stability import StabilityParam
 
@@ -80,7 +80,8 @@ def l_divisor(lam, t2) -> Fraction:
     direction on the target; strictly positive for t^2 > 0."""
     lam, t2 = rat(lam), rat(t2)
     val = (t2 + lam * lam) / 2
-    assert val > 0, "l_divisor needs t^2 > 0"
+    if val <= 0:
+        raise NonPositive("l_divisor needs t^2 > 0")
     return val
 
 

@@ -123,7 +123,8 @@ class MukaiVector(Frozen):
 
     def content(self) -> int:
         """gcd of the entries of an integral vector; 0 for the zero vector."""
-        assert self.is_integral(), "content is defined for integral vectors"
+        if not self.is_integral():
+            raise NonIntegral("content is defined for integral vectors")
         return gcd(gcd(int(self.r), int(self.d)), int(self.a))
 
     def is_primitive(self) -> bool:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
-                     NotPrimitive, ZeroDegree)
+                     NotPrimitive, Zero, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface, _over, _xgcd, d_beta,
                       d_beta_min, mukai_square, rat)
 from .stability import StabilityParam, _acd, phase_key, reduced_sigma
@@ -102,8 +102,8 @@ class Wall(Frozen):
         object.__setattr__(self, "v1", v1)
 
     def acd_key(self):
-        assert all(x.denominator == 1 for x in (self.A, self.C, self.D)), \
-            "wall coefficients of integral classes are integers"
+        if not all(x.denominator == 1 for x in (self.A, self.C, self.D)):
+            raise NonIntegral("wall coefficients of integral classes are integers")
         return _normalize_acd(int(self.A), int(self.C), int(self.D))
 
 
@@ -126,7 +126,8 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
     would be a single point on the axis).  A = 0, C != 0 is the vertical
     line s = -D/C; A = C = 0 is empty or everything according to D.
     """
-    assert not v.is_zero() and not v1.is_zero(), "wall_locus needs nonzero classes"
+    if v.is_zero() or v1.is_zero():
+        raise Zero("wall_locus needs nonzero classes")
     A, C, D, den = _acd(v1, v, S)  # the common den cancels in the geometry
     if A != 0:
         radius_sq = Fraction(C * C - 4 * A * D, 4 * A * A)
