@@ -28,18 +28,18 @@ of one m an integer window (one isqrt); within a fiber, p12 >= 1 is a
 quadratic window in <v1, v> that leaves at most three members to test
 exactly.  The members must also lie in the bounded (r1, d1) box of the
 bound chain: on K3 that box is part of what the list is.  ``cap``
-bounds the lines plus fibers walked.  The walk and its region test run
-on Python ints; Fraction enters only through the fiber bounds drawn from
-the region and the returned Walls.
+bounds the lines plus fibers walked.  The walk, its region test and the
+order of the walls run on Python ints; Fraction enters only in what a
+caller receives: the returned Walls and a ray's cut heights.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, Zero, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface, _over, _xgcd, d_beta,
-                      d_beta_min, mukai_square, rat)
+                      d_beta_min, rat)
 from .stability import StabilityParam, _acd, phase_key, reduced_sigma
 
 
@@ -360,23 +360,38 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         the squares >= -2 policy admits classes outside steps 3-4, so the
         K3 list depends on the box.
 
-    The walk runs on ints, and so does the region test, once per distinct
-    (A:C:D) on its fiber's A, C and disc: all its classes cut that circle.
-    Fraction appears only in the bounds drawn from reg and in the walls
-    returned: each passing circle's Circle, built once, and the winner's
-    own fiber triple (h2*m/2, C, D), negated when it is a complement.
+    The walk runs on ints (its windows K and U as numerator, denominator
+    pairs), and so do the region test, once per distinct (A:C:D) on its
+    fiber's A, C and disc (all its classes cut that circle), and the order
+    of the winners: center -C/(2A), radius^2 disc/(2A)^2 over the lcm of
+    their 2A, then key.  Fraction appears only in the walls returned: each
+    winner's Circle and fiber triple (h2*m/2, C, D), negated for a complement.
 
     Raises BoundOverflow when the walk would take more than ``cap``
     steps, before it visits the fibers past that budget, and ValueError
     for a negative ``cap`` before any walk.
     """
+    won = _walk(v, S, reg, cap)
+    M = lcm(*(2 * A for A, *_ in won))  # center*M, radius^2*M^2 are ints
+    won.sort(key=lambda w: (-w[1] * M // (2 * w[0]),
+                            w[2] * M * M // (2 * w[0]) ** 2, w[3]))
+    return [Wall(*map(Fraction, acd),
+                 Circle(Fraction(-C, 2 * A), Fraction(disc, 4 * A * A)),
+                 MukaiVector(*y1))
+            for A, C, disc, _, (_, y1, acd) in won]
+
+
+def _walk(v, S, reg, cap):
+    """enumerate_walls' validation and walk: (A, C, disc, key, selected)
+    for each circle that passes the region test, in no order."""
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if not v.is_integral():
         raise NonIntegral(f"enumeration needs an integral v, got {v}")
-    if not v.is_primitive():
+    r, d, a, h2 = v.r.numerator, v.d.numerator, v.a.numerator, S.h2
+    if gcd(r, d, a) != 1:
         raise NotPrimitive(f"enumeration needs a primitive v, got {v}")
-    q = int(mukai_square(v, S))
+    q = h2 * d * d - 2 * r * a
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
     J = _clip_degree_interval(v, reg.s_min, reg.s_max)
@@ -384,10 +399,8 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         raise ZeroDegree(f"d_beta({v}) is nowhere positive on s in "
                          f"[{reg.s_min}, {reg.s_max}]")
     L, H, N = J
-    r, d, a = int(v.r), int(v.d), int(v.a)
-    h2, t_lo, t_hi = S.h2, reg.t2_min, reg.t2_max
-    tn, td = t_lo.numerator, t_lo.denominator
-    t2 = (tn, td, t_hi.numerator, t_hi.denominator)
+    tn, td = reg.t2_min.numerator, reg.t2_min.denominator
+    t2 = (tn, td, reg.t2_max.numerator, reg.t2_max.denominator)
     if S.kind == "abelian":
         sq_lo, B, r1_sq = 0, q * q // 4, 2 * (q - 1)
     else:
@@ -406,26 +419,26 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     u0, u1, u2 = al * ur, al * ud, be  # u . v = 1
     kappa = h2 * d - r // g * ud * a
     # fiber windows: m^2 K <= Y^2 <= min(r^2 B + h2 q m^2, m^2 U) if r != 0,
-    # m^2 K <= disc <= B if r = 0
-    K = h2 * q + (h2 * r) ** 2 * t_lo if r else h2 * h2 * t_lo
-    U = Fraction(r * r * B + B + h2 * q)  # no cut beyond the disc bound
-    if r and L == H:  # a ray: t2_min <= T(s0) <= t2_max
-        x = Fraction(d * N - r * L, N)
-        K = ((q + h2 * (x * x + r * r * t_lo)) / (2 * x)) ** 2
-        U = ((q + h2 * (x * x + r * r * t_hi)) / (2 * x)) ** 2
-    best = {}  # acd key -> [(|q1|, v1, its (A, C, D)), circle] or False (missed)
+    # m^2 K <= disc <= B if r = 0, with K = Kn/Kd and U = Un/Ud
+    Kn, Kd = h2 * q * td + (h2 * r) ** 2 * tn if r else h2 * h2 * tn, td
+    Un, Ud = r * r * B + B + h2 * q, 1  # no cut beyond the disc bound
+    if r and L == H:  # a ray: t2_min <= T(s0) <= t2_max, y(t) at x = X/N
+        X = d * N - r * L
+        y0, y1 = q * N * N + h2 * X * X, h2 * r * r * N * N
+        (Kn, Kd), (Un, Ud) = (((y0 * b + y1 * c) ** 2, (2 * X * N * b) ** 2)
+                              for c, b in (t2[:2], t2[2:]))
+    best = {}  # acd key -> [(|q1|, v1, its (A, C, D)), (A, C, disc)] or False
     lines = range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g)
     budget = cap - len(lines)  # cap bounds the m-lines plus the fibers
     for m in lines:
         e, A = m * m, h2 // 2 * m
         if r:
             z0, step = m * kappa, r * r // g
-            z_lo = isqrt((e * K.numerator - 1) // K.denominator) + 1
-            z_hi = isqrt(min(r * r * B + h2 * q * e,
-                             e * U.numerator // U.denominator))
+            z_lo = isqrt((e * Kn - 1) // Kd) + 1
+            z_hi = isqrt(min(r * r * B + h2 * q * e, e * Un // Ud))
         else:
             C, step = -a * m // d, 2 * h2 * m
-            z0, z_lo, z_hi = C * C, -(-e * K.numerator // K.denominator), B
+            z0, z_lo, z_hi = C * C, -(-e * Kn // Kd), B
         fibers = range(z_lo + (z0 - z_lo) % step, z_hi + 1, step)
         budget -= len(fibers)
         if budget < 0:
@@ -455,17 +468,13 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                     sel = (abs(q_y), y1, (sg * A, sg * C, sg * D))
                     if key not in best:  # one region test per circle
                         best[key] = (_circle_meets_region(A, C, disc, J, t2)
-                                     and [sel, Circle(Fraction(-C, 2 * A),
-                                                      Fraction(disc, 4 * A * A))])
+                                     and [sel, (A, C, disc)])
                     elif best[key] and sel < best[key][0]:
                         best[key][0] = sel
     if budget < 0:
         raise BoundOverflow(f"more than {cap} walk steps (m-lines and "
                             f"fibers) for v={v} over the requested region")
-    won = sorted((w[1].center_s, w[1].radius_sq, key, w)
-                 for key, w in best.items() if w)
-    return [Wall(*map(Fraction, acd), circle, MukaiVector(*y1))
-            for *_, ((_, y1, acd), circle) in won]
+    return [(*w[1], key, w[0]) for key, w in best.items() if w]
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +497,11 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
                     cap: int = 10 ** 6) -> ChamberRay:
     """Intersect every enumerated wall with the vertical ray at s.
 
+    The walls are enumerate_walls' for Region(s, s, t2_lo, t2_hi), under
+    its policy (on K3, the candidates of the step 2-4 box), read off the
+    walk's ints: the circle with A, C and disc = C^2 - 4AD cuts the ray
+    s = p/n at t^2 = (disc*n^2 - (2A*p + C*n)^2)/(2A*n)^2, one Fraction.
+
     ``cut_category_walls`` additionally cuts at the K3 category walls for
     b = s (their stratification is separate from the stability walls, so
     mixing them is opt-in); on an abelian surface the flag raises NotK3
@@ -499,8 +513,9 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, s, S)} at s = {s}; "
                          "the ray lies outside the positive-degree region")
     # J = [s, s]: the region test keeps heights at s in [t2_lo, t2_hi]
-    cuts = {w.geometry.radius_sq - (s - w.geometry.center_s) ** 2
-            for w in enumerate_walls(v, S, Region(s, s, t2_lo, t2_hi), cap=cap)}
+    p, n = s.numerator, s.denominator
+    cuts = {Fraction(disc * n * n - (2 * A * p + C * n) ** 2, (2 * A * n) ** 2)
+            for A, C, disc, *_ in _walk(v, S, Region(s, s, t2_lo, t2_hi), cap)}
     if cut_category_walls:
         for cw in category_walls_k3(s, S, t2_hi):
             if t2_lo <= cw.t2 <= t2_hi:

@@ -465,6 +465,63 @@ def test_chambers_category_cut_flag_k3():
     assert set(plain.cut_points) <= set(cut.cut_points)
 
 
+@pytest.mark.parametrize("v, s, t2, cuts, steps", [
+    # the golden circle, height 1/4 at s = -3/2, at either closed end
+    ((1, 0, -2), F(-3, 2), (F(1, 4), F(4)), (F(1, 4),), 4),
+    ((1, 0, -2), F(-3, 2), (F(1, 100), F(1, 4)), (F(1, 4),), 12),
+    # r < 0, and r = 0 (the disc window): a cut at each end of the window
+    ((-1, 3, -2), F(-1), (F(1), F(3)), (F(1), F(3)), 6),
+    ((0, 2, 1), F(1, 3), (F(1, 18), F(5, 9)), (F(1, 18), F(5, 9)), 9),
+])
+def test_chambers_ray_window_ends_are_closed(v, s, t2, cuts, steps):
+    # a wall crossing the ray exactly at t2_min or t2_max is cut; steps is
+    # the smallest cap that succeeds, counted by the oracle
+    assert oracles.walk_steps_oracle(v, 2, "abelian", (s, s) + t2) == steps
+    ray = chambers_on_ray(mv(*v), AB, s, t2, cap=steps)
+    assert ray.cut_points == cuts
+    assert ray.chambers == ((t2[0], t2[1]),)
+    with pytest.raises(BoundOverflow):
+        chambers_on_ray(mv(*v), AB, s, t2, cap=steps - 1)
+
+
+def test_chambers_on_ray_matches_candidate_stream_seeded():
+    """Seeded differential against the class-by-class scan: the cuts are
+    t^2 = -(A s^2 + C s + D)/A over the walls (A:C:D) that the scan finds
+    on the ray Region(s, s, lo, hi), plus, on half the K3 rays, the
+    category walls of a box scan.  v in [-4, 4]^3 with ranks -4..4 (rays
+    with r = 0 take the disc window), abelian and K3 with h2 in {2, 4, 6};
+    the cuts at cap = the walk's step count, BoundOverflow one below."""
+    rng = random.Random(20261020)
+    done = walls = flagged = 0
+    while done < 180:
+        S = Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
+        v = (done % 9 - 4, rng.randint(-4, 4), rng.randint(-4, 4))
+        s = F(rng.randint(-8, 8), rng.randint(1, 4))
+        if (S.h2 * v[1] ** 2 - 2 * v[0] * v[2] <= 0 or gcd(*v) != 1
+                or v[1] - v[0] * s <= 0):
+            continue
+        lo = rng.choice((F(1, 40), F(1, 20), F(1, 7), F(1, 3), F(1)))
+        hi = lo + rng.choice((F(0), F(1, 2), F(3), F(20)))
+        flag = S.kind == "k3" and rng.random() < 0.5
+        reg = (s, s, lo, hi)
+        want = {-(A * s * s + C * s + D) / A for A, C, D in
+                oracles.wall_stream_oracle(v, S.h2, S.kind, reg)[0]}
+        walls += bool(want)
+        if flag:
+            p, n = s.numerator, s.denominator
+            want |= {t2 for _, t2 in oracles.category_walls_box_oracle(
+                s, S.h2, hi, 2 * n, S.h2 // 2 * p * p + 1) if lo <= t2}
+            flagged += 1
+        steps = oracles.walk_steps_oracle(v, S.h2, S.kind, reg)
+        ray = chambers_on_ray(mv(*v), S, s, (lo, hi), flag, cap=steps)
+        assert ray.cut_points == tuple(sorted(want))
+        if steps:
+            with pytest.raises(BoundOverflow):
+                chambers_on_ray(mv(*v), S, s, (lo, hi), flag, cap=steps - 1)
+        done += 1
+    assert walls > 45 and flagged > 30
+
+
 # ---------------------------------------------------------------------------
 # wall_side
 
