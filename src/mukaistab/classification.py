@@ -19,9 +19,9 @@ roots, found with isqrt.  Every point of the line is integral, aligned
 and, because <v, w> = 1, primitive.  The search is therefore complete
 for every v with Z(v) != 0; no box is involved.
 
-The spherical search is no box scan either: the square -2 fixes a from
-(r, d), so it is an integer scan over (r, d) with one divisibility test
-and one test of n per pair.
+The spherical search is no box scan either: for r != 0 the square -2
+fixes a = (h2*d^2 + 2)/(2r), and alignment times 2r becomes a quadratic
+in d, so each rank costs one isqrt (find_minus_two_aligned).
 """
 
 from math import gcd, isqrt
@@ -35,7 +35,10 @@ from .lattice import (Frozen, MukaiVector, Surface,
                       mukai_pairing, mukai_square)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
-_BOX_CAP = 5 * 10 ** 6  # hard ceiling on the candidates a bounded scan visits
+# find_minus_two_aligned visits no (r, d) pairs; it refuses a box of over
+# _BOX_CAP of them (bound >= 1118) only to keep its contract until ROADMAP
+# item 5 takes ``bound`` out of it
+_BOX_CAP = 5 * 10 ** 6
 
 
 def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
@@ -111,11 +114,16 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     (r, d, a) order.  K3 only: a sheaf class on an abelian surface never
     has square -2.
 
-    The scan runs over (r, d) alone: <w^2> = h2*d^2 - 2*r*a = -2 rules
-    out r = 0 and fixes a = (h2*d^2 + 2)/(2*r) whenever that is
-    integral.  Alignment is n·w = 0 for the normal n of the plane aligned
-    with the reference at p (_aligned_normal), and d_beta(w) > 0 is
-    d*q - r*m > 0 for s = m/q in lowest terms.
+    <w^2> = h2*d^2 - 2*r*a = -2 rules out r = 0 and fixes
+    a = (h2*d^2 + 2)/(2*r).  Alignment is n·w = 0 for the normal n of the
+    plane aligned with the reference at p (_aligned_normal); times 2r and
+    halved it is alpha*d^2 + beta*d + gamma = 0 with alpha = n2*h2/2,
+    beta = n1*r, gamma = n0*r^2 + n2, equivalent to alignment as r != 0.
+    So each rank is solved, not scanned: a nonzero quadratic has at most
+    two roots (one isqrt).  alpha = 0 is n2 = 0, d_beta(reference) = 0:
+    then Z(reference) is real, so is Z(w) for every aligned w, and no w
+    has d_beta(w) > 0.  d_beta(w) > 0 is d*q - r*m > 0 for s = m/q in
+    lowest terms.
 
     The qualifying classes are not unique: they lie in a rank-2 lattice
     on which the Mukai form can be indefinite, so they can form infinite
@@ -127,22 +135,27 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     n0, n1, n2 = _aligned_normal(reference, p, S)
     pairs = 2 * bound * (2 * bound + 1) if bound > 0 else 0
     if pairs > _BOX_CAP:
-        raise BoundOverflow(f"scan of bound {bound} visits {pairs} (r, d) "
-                            f"pairs, over {_BOX_CAP}")
+        raise BoundOverflow(f"bound {bound} spans {pairs} (r, d) pairs, over "
+                            f"the {_BOX_CAP} this search accepts")
+    if n2 == 0:
+        return []
     s_num, s_den = p.s.numerator, p.s.denominator
     h2 = S.h2
+    alpha = n2 * (h2 // 2)
     out = []
-    rng = range(-bound, bound + 1)
-    for r in rng:
+    for r in range(-bound, bound + 1):
         if r == 0:
             continue
-        for d in rng:
-            num = h2 * d * d + 2
-            if num % (2 * r):
-                continue
-            a = num // (2 * r)
-            if (abs(a) <= bound and d * s_den - r * s_num > 0
-                    and n0 * r + n1 * d + n2 * a == 0):
+        beta, gamma = n1 * r, n0 * r * r + n2
+        disc = beta * beta - 4 * alpha * gamma
+        root = isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            continue
+        for d in sorted({(e - beta) // (2 * alpha) for e in (-root, root)
+                         if (e - beta) % (2 * alpha) == 0}):
+            # |a| <= bound bounds d too: h2*d^2 + 2 = 2*r*a <= 2*bound^2
+            a, rem = divmod(h2 * d * d + 2, 2 * r)
+            if not rem and abs(a) <= bound and d * s_den - r * s_num > 0:
                 out.append(MukaiVector(r, d, a))
     if len(out) > 1:
         raise UniquenessViolation(

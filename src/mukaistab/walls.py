@@ -512,14 +512,13 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
     if d_beta(v, s, S) <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, s, S)} at s = {s}; "
                          "the ray lies outside the positive-degree region")
+    # before the walk, so an abelian surface raises NotK3 whatever cap is
+    category = category_walls_k3(s, S, t2_hi) if cut_category_walls else []
     # J = [s, s]: the region test keeps heights at s in [t2_lo, t2_hi]
     p, n = s.numerator, s.denominator
     cuts = {Fraction(disc * n * n - (2 * A * p + C * n) ** 2, (2 * A * n) ** 2)
             for A, C, disc, *_ in _walk(v, S, Region(s, s, t2_lo, t2_hi), cap)}
-    if cut_category_walls:
-        for cw in category_walls_k3(s, S, t2_hi):
-            if t2_lo <= cw.t2 <= t2_hi:
-                cuts.add(cw.t2)
+    cuts.update(cw.t2 for cw in category if t2_lo <= cw.t2 <= t2_hi)
     cut_points = tuple(sorted(cuts))
     bounds = [t2_lo] + list(cut_points) + [t2_hi]
     chambers = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if a < b)

@@ -643,6 +643,27 @@ def minus_two_box_oracle(s, t2, h2, bound, ref):
     return out
 
 
+def minus_two_pair_scan_oracle(s, t2, h2, bound, ref):
+    """Same list as minus_two_box_oracle in O(bound^2): every pair (r, d)
+    with r != 0, a = (h2 d^2 + 2)/(2r) when integral, alignment by one
+    test of the primitive normal of rho(., ref).  Needs Z(ref) != 0."""
+    n0, n1, n2 = aligned_normal(ref, s, t2, h2)
+    out = []
+    rng = range(-bound, bound + 1)
+    for r in rng:
+        if r == 0:
+            continue
+        for d in rng:
+            num = h2 * d * d + 2
+            if num % (2 * r):
+                continue
+            a = num // (2 * r)
+            if (abs(a) <= bound and d - r * s > 0
+                    and n0 * r + n1 * d + n2 * a == 0):
+                out.append((r, d, a))
+    return out
+
+
 def category_walls_box_oracle(b, h2, t2max, rmax, amax):
     """Spherical classes u with twisted degree zero at beta = b*H and an
     in-range wall value, by scanning ranks 1..rmax and entries |a| <=

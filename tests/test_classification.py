@@ -400,6 +400,155 @@ def test_minus_two_matches_box_oracle():
     assert violations >= 1
 
 
+def _assert_minus_two_answer(p, S, bound, ref, want):
+    """find_minus_two_aligned against the list ``want`` of an oracle: the
+    same list, or UniquenessViolation naming want in (r, d, a) order when
+    it holds two or more classes."""
+    if len(want) > 1:
+        with pytest.raises(UniquenessViolation) as err:
+            find_minus_two_aligned(p, S, bound, mv(*ref))
+        assert str([str(mv(*w)) for w in want]) in str(err.value)
+    else:
+        got = find_minus_two_aligned(p, S, bound, mv(*ref))
+        assert [x.as_tuple() for x in got] == want
+
+
+def _matches_box_oracle(s, t2, h2, bound, ref):
+    """Check one call against minus_two_box_oracle, or ZeroCharge when
+    Z(ref) = 0; returns the oracle's list (None for Z(ref) = 0)."""
+    p, S = param(s, t2), Surface("k3", h2)
+    if oracles.charge(ref, s, t2, h2) == (0, 0):
+        with pytest.raises(ZeroCharge):
+            find_minus_two_aligned(p, S, bound, mv(*ref))
+        return None
+    want = oracles.minus_two_box_oracle(s, t2, h2, bound, ref)
+    _assert_minus_two_answer(p, S, bound, ref, want)
+    return want
+
+
+def _rank_quadratic(s, t2, h2, ref, r):
+    """(alpha, beta, gamma): alignment with ref at rank r, times 2r and
+    halved, as alpha*d^2 + beta*d + gamma = 0."""
+    n0, n1, n2 = _aligned_normal(mv(*ref), param(s, t2), Surface("k3", h2))
+    return n2 * h2 // 2, n1 * r, n0 * r * r + n2
+
+
+def _integer_roots(alpha, beta, gamma):
+    disc = beta * beta - 4 * alpha * gamma
+    return sorted({F(e - beta, 2 * alpha) for e in (-isqrt(disc), isqrt(disc))
+                   if (e - beta) % (2 * alpha) == 0})
+
+
+@pytest.mark.parametrize("s, t2, h2, bound, ref, r, branch", [
+    # d_beta(ref) = 0 at s, so d_beta(w) = 0 for every aligned w
+    (F(0), F(1), 2, 6, (1, 0, 0), 1, "alpha = 0"),
+    (F(1), F(1, 4), 2, 6, (-3, -2, -1), 1, "disc < 0"),
+    (F(4, 3), F(1, 3), 2, 6, (0, -2, -2), 1, "square disc, no integer root"),
+    # the root d = 0 passes every filter but 2r | h2*d^2 + 2
+    (F(-1, 2), F(1, 3), 2, 6, (0, -3, 2), 2, "integer root, a not integral"),
+    # both roots of the rank give classes of the box; alpha > 0, then < 0
+    (F(3, 2), F(1, 4), 2, 5, (2, 0, 2), -1, "two integer roots"),
+    (F(5, 2), F(1, 4), 2, 5, (-3, -2, -3), -1, "two integer roots"),
+    (F(1, 2), F(3, 4), 2, 0, (1, 0, 0), 1, "bound 0"),
+    # the one class of the box has rank bound, then -bound
+    (F(1, 4), F(1, 16), 2, 2, (0, 2, 3), 2, "class at the box's edge"),
+    (F(17, 2), F(1, 4), 2, 2, (3, 1, -3), -2, "class at the box's edge"),
+])
+def test_minus_two_rank_branches_match_box_oracle(s, t2, h2, bound, ref, r,
+                                                  branch):
+    """One case per branch of the per-rank solve, each named by what its
+    quadratic at rank r does, and each equal to the box oracle."""
+    alpha, beta, gamma = _rank_quadratic(s, t2, h2, ref, r)
+    disc = beta * beta - 4 * alpha * gamma
+    want = _matches_box_oracle(s, t2, h2, bound, ref)
+    if branch == "alpha = 0":
+        assert alpha == 0 and want == []
+    elif branch == "disc < 0":
+        assert alpha != 0 and disc < 0
+    elif branch == "square disc, no integer root":
+        assert alpha != 0 and isqrt(disc) ** 2 == disc
+        assert _integer_roots(alpha, beta, gamma) == []
+    elif branch == "integer root, a not integral":
+        assert _integer_roots(alpha, beta, gamma) == [0] and 2 % (2 * r)
+        assert want == []
+    elif branch == "two integer roots":
+        ds = _integer_roots(alpha, beta, gamma)
+        assert len(ds) == 2
+        assert all((r, d) in [w[:2] for w in want] for d in ds)
+    elif branch == "bound 0":
+        assert bound == 0 and want == []
+    else:
+        assert abs(r) == bound and [w[0] for w in want] == [r]
+
+
+def test_minus_two_per_rank_solve_matches_box_oracle():
+    """Seeded differential at bounds up to 12 over h2 in {2, 4, 6}: points
+    on the alignment circle of a -2 class u with a random reference, of
+    two -2 classes with reference their sum (two or more classes in the
+    box: UniquenessViolation), and references with Z = 0 at the point."""
+    rng = random.Random(17003)
+    spherical = {h2: [(r, d, a) for r in range(-6, 7) for d in range(-6, 7)
+                      for a in range(-6, 7)
+                      if oracles.square((r, d, a), h2) == -2]
+                 for h2 in (2, 4, 6)}
+    seen = []
+    while len(seen) < 90:
+        h2 = rng.choice((2, 4, 6))
+        bound = rng.randint(0, 12)
+        if len(seen) % 10 == 0:
+            ref, s, t2 = _zero_charge_draw(h2, rng)
+        else:
+            u = rng.choice(spherical[h2])
+            pair = len(seen) % 5 == 0
+            w = (rng.choice(spherical[h2]) if pair
+                 else tuple(rng.randint(-4, 4) for _ in range(3)))
+            point = _point_on_circle(u, w, h2, rng)
+            if point is None:
+                continue
+            s, t2 = point
+            if pair:
+                u = _flip_to_positive_degree(u, s)
+                w = _flip_to_positive_degree(w, s)
+                ref = tuple(x + y for x, y in zip(u, w))
+                bound = rng.randint(max(map(abs, u + w)), 12)
+            else:
+                ref = w
+        want = _matches_box_oracle(s, t2, h2, bound, ref)
+        seen.append("zero charge" if want is None else min(len(want), 2))
+    assert all(seen.count(k) >= 3 for k in (0, 1, 2, "zero charge")), seen
+
+
+def test_minus_two_matches_pair_scan_at_large_bounds():
+    """Equal to the (r, d) pair scan, today's bounded list, at bounds 13 to
+    200 on seeded K3 points on -2 alignment circles."""
+    rng = random.Random(17004)
+    spherical = {h2: [(r, d, a) for r in range(-5, 6) for d in range(-5, 6)
+                      for a in range(-5, 6)
+                      if oracles.square((r, d, a), h2) == -2]
+                 for h2 in (2, 4, 6)}
+    sizes = []
+    while len(sizes) < 50:
+        h2 = rng.choice((2, 4, 6))
+        u = rng.choice(spherical[h2])
+        ref = tuple(rng.randint(-4, 4) for _ in range(3))
+        point = _point_on_circle(u, ref, h2, rng)
+        if point is None or oracles.charge(ref, *point, h2) == (0, 0):
+            continue
+        s, t2 = point
+        bound = rng.randint(13, 200)
+        want = oracles.minus_two_pair_scan_oracle(s, t2, h2, bound, ref)
+        _assert_minus_two_answer(param(s, t2), Surface("k3", h2), bound, ref,
+                                 want)
+        sizes.append(len(want))
+    assert 0 in sizes and 1 in sizes and max(sizes) >= 2
+
+
+def test_minus_two_bound_1117_at_the_golden_point():
+    """The largest bound the contract accepts, 4992990 (r, d) pairs."""
+    got = find_minus_two_aligned(param(F(1, 2), F(3, 4)), K3, 1117, mv(1, 0, 0))
+    assert got == [mv(1, 1, 2)]
+
+
 # ---------------------------------------------------------------------------
 # the A2 pattern
 

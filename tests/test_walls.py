@@ -458,6 +458,16 @@ def test_chambers_category_cut_flag_abelian_raises():
                         cut_category_walls=True)
 
 
+@pytest.mark.parametrize("cap", [0, 3, 10 ** 6])
+def test_chambers_category_cut_flag_abelian_raises_before_the_walk(cap):
+    """The category walls are asked for before the pencil is walked, so
+    the error of this invalid request does not depend on cap (at caps 0
+    and 3 the walk alone would raise BoundOverflow)."""
+    with pytest.raises(NotK3):
+        chambers_on_ray(V_GOLD, AB, F(-3, 2), (F(1, 100), F(4)),
+                        cut_category_walls=True, cap=cap)
+
+
 def test_chambers_category_cut_flag_k3():
     plain = chambers_on_ray(V_GOLD, K3, F(0) - F(3, 2), (F(1, 100), F(4)))
     cut = chambers_on_ray(V_GOLD, K3, F(-3, 2), (F(1, 100), F(4)),
