@@ -6,7 +6,8 @@ Both searches run on the aligned plane Lambda = {w integral :
 rho(w, v) = 0} at p, the kernel of one primitive integer normal n
 (_aligned_normal).  n = 0 exactly when Z(v) = 0
 (stability._rho_normal); then there is no plane and ZeroCharge is
-raised.
+raised.  The searches and checks run on the int triples of _over and
+build MukaiVectors only for the classes returned and for error texts.
 
 The decisive search — "is there an isotropic w with <v, w> = 1 whose
 charge aligns with v at p?" — is solved analytically, not by box scan.
@@ -24,6 +25,7 @@ fixes a = (h2*d^2 + 2)/(2r), and alignment times 2r becomes a quadratic
 in d, so each rank costs one isqrt (find_minus_two_aligned).
 """
 
+from fractions import Fraction
 from math import gcd, isqrt
 from itertools import combinations
 
@@ -31,7 +33,7 @@ from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, UniquenessViolation,
                      ZeroCharge, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface,
-                      _kernel_basis_of_functional, _xgcd, d_beta,
+                      _kernel_basis_of_functional, _over, _xgcd, d_beta,
                       mukai_pairing, mukai_square)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
@@ -45,17 +47,23 @@ def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
     """The primitive integer normal (n0, n1, n2) of rho(w, v) at p as a
     functional of w = (r, d, a); raises ZeroCharge when it vanishes,
     which is exactly when Z(v) = 0."""
-    n0, n1, n2, _ = _rho_normal(v, p, S)
+    return _primitive_normal(*_over(v.r, v.d, v.a), p, S)
+
+
+def _primitive_normal(r, d, a, V, p, S):
+    """_aligned_normal of v = (r, d, a)/V as _over reads it."""
+    n0, n1, n2, _ = _rho_normal(r, d, a, V, p, S)
     g = gcd(n0, n1, n2)
     if g == 0:
+        v = MukaiVector(Fraction(r, V), Fraction(d, V), Fraction(a, V))
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
     return n0 // g, n1 // g, n2 // g
 
 
-def _ipo_line_search(v, p, S):
+def _ipo_line_search(r, d, a, p, S):
     """All integral primitive isotropic w with <v, w> = 1, aligned with
-    v at p and d_beta(w) > 0, in (r, d, a) order; raises ZeroCharge when
-    Z(v) = 0.
+    v = (r, d, a) (ints) at p and d_beta(w) > 0, as int triples in
+    (r, d, a) order; raises ZeroCharge when Z(v) = 0.
 
     On an integral basis (b1, b2) of the aligned plane Lambda, <v, ·> is
     (p1, p2).  It takes the value 1 on Lambda exactly when gcd(p1, p2) = 1,
@@ -64,18 +72,19 @@ def _ipo_line_search(v, p, S):
     A·k^2 + B·k + C in k is not identically zero (module docstring), so
     its integer roots are every candidate: the search is complete, with
     no bound."""
-    def pair(x, y):
-        return S.h2 * x[1] * y[1] - x[0] * y[2] - x[2] * y[0]
-
-    b1, b2 = _kernel_basis_of_functional(*_aligned_normal(v, p, S))
-    vt = (int(v.r), int(v.d), int(v.a))
-    p1, p2 = pair(vt, b1), pair(vt, b2)
+    h2 = S.h2
+    (r1, d1, a1), (r2, d2, a2) = _kernel_basis_of_functional(
+        *_primitive_normal(r, d, a, 1, p, S))
+    p1 = h2 * d * d1 - r * a1 - a * r1
+    p2 = h2 * d * d2 - r * a2 - a * r2
     if gcd(p1, p2) != 1:
         return []
     x0, y0 = _xgcd(p1, p2)
-    w0 = tuple(x0 * i + y0 * j for i, j in zip(b1, b2))
-    u = tuple(p2 * i - p1 * j for i, j in zip(b1, b2))
-    A, B, C = pair(u, u), 2 * pair(w0, u), pair(w0, w0)
+    wr, wd, wa = x0 * r1 + y0 * r2, x0 * d1 + y0 * d2, x0 * a1 + y0 * a2
+    ur, ud, ua = p2 * r1 - p1 * r2, p2 * d1 - p1 * d2, p2 * a1 - p1 * a2
+    A = h2 * ud * ud - 2 * ur * ua
+    B = 2 * (h2 * wd * ud - wr * ua - wa * ur)
+    C = h2 * wd * wd - 2 * wr * wa
     ks = []
     if A == 0:
         if B and C % B == 0:
@@ -86,13 +95,8 @@ def _ipo_line_search(v, p, S):
         if root * root == disc:
             ks = [(e - B) // (2 * A) for e in {root, -root}
                   if (e - B) % (2 * A) == 0]
-    s_num, s_den = p.s.numerator, p.s.denominator
-    out = []
-    for k in ks:
-        r, d, a = (x + k * y for x, y in zip(w0, u))
-        if d * s_den - r * s_num > 0:
-            out.append((r, d, a))
-    return [MukaiVector(*w) for w in sorted(out)]
+    ws = [(wr + k * ur, wd + k * ud, wa + k * ua) for k in ks]
+    return sorted(w for w in ws if w[1] * p.s.denominator > w[0] * p.s.numerator)
 
 
 def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
@@ -101,10 +105,11 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
     ``bound``, <v, w1> = 1, aligned with v at p, of positive twisted
     degree.  The line search makes this complete; the box bound only
     truncates the output.  Raises ZeroCharge when Z(v) = 0."""
-    if not v.is_integral():
+    r, d, a, V = _over(v.r, v.d, v.a)
+    if V != 1:
         raise NonIntegral(f"search needs an integral v, got {v}")
-    return [w for w in _ipo_line_search(v, p, S)
-            if max(abs(w.r), abs(w.d), abs(w.a)) <= bound]
+    return [MukaiVector(*w) for w in _ipo_line_search(r, d, a, p, S)
+            if max(map(abs, w)) <= bound]
 
 
 def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
@@ -187,24 +192,29 @@ class DecompositionReport(Frozen):
 
 
 def _check_parts(parts, p, S):
+    """The parts' classes as int triples, checked integral, primitive,
+    pairwise distinct and pairwise aligned at p (rho on _rho_normal)."""
     if not parts:
         raise NotAligned("empty decomposition")
     vecs = []
     for n, vi in parts:
         if not (isinstance(n, int) and n >= 1):
             raise NonIntegral(f"multiplicity must be a positive integer, got {n!r}")
-        if not vi.is_integral():
+        r, d, a, V = _over(vi.r, vi.d, vi.a)
+        if V != 1:
             raise NonIntegral(f"part {vi} is not integral")
-        if not vi.is_primitive():
-            raise NotPrimitive(f"part {vi} has content {vi.content()}")
-        vecs.append(vi)
-    tuples = [v.as_tuple() for v in vecs]
-    if len(set(tuples)) != len(tuples):
+        g = gcd(r, d, a)
+        if g != 1:
+            raise NotPrimitive(f"part {vi} has content {g}")
+        vecs.append((r, d, a))
+    if len(set(vecs)) != len(vecs):
         raise NotAligned("parts must be pairwise distinct classes")
-    for x, y in combinations(vecs, 2):
-        if reduced_sigma(x, y, p, S) != 0:
+    for (x, xt), (y, yt) in combinations(zip([vi for _, vi in parts], vecs), 2):
+        n0, n1, n2, _ = _rho_normal(*yt, 1, p, S)
+        if n0 * xt[0] + n1 * xt[1] + n2 * xt[2]:
             raise NotAligned(f"rho({x}, {y}) = {reduced_sigma(x, y, p, S)} != 0 "
                              f"at s={p.s}, t2={p.t2}")
+    return vecs
 
 
 def a2_pattern(parts, S: Surface) -> bool:
@@ -248,22 +258,23 @@ def classify_decomposition(parts, p: StabilityParam,
     there is no line and ZeroCharge is raised.  s = 1 says nothing
     numerically: only that case is Inconclusive.
     """
-    _check_parts(parts, p, S)
+    vecs = _check_parts(parts, p, S)
     s_total = sum(n for n, _ in parts)
-    vecs = [vi for _, vi in parts]
     if s_total >= 3:
         return DecompositionReport(STABLE_PAIR)
     if s_total == 2:
-        if (len(parts) == 2
-                and all(mukai_square(vi, S) == 0 for vi in vecs)
-                and mukai_pairing(vecs[0], vecs[1], S) == 1):
-            return DecompositionReport(EXC_RANK_TWO, witnesses=tuple(vecs))
-        v = MukaiVector(0, 0, 0)
-        for n, vi in parts:
-            v = v + n * vi
-        found = _ipo_line_search(v, p, S)
+        # v = x + y: two parts once each, or one part twice (x = y, and
+        # then <x, y> = <x^2> is never 1 when x is isotropic)
+        (r1, d1, a1), (r2, d2, a2) = vecs if len(vecs) == 2 else vecs * 2
+        h2 = S.h2
+        if (h2 * d1 * d1 == 2 * r1 * a1 and h2 * d2 * d2 == 2 * r2 * a2
+                and h2 * d1 * d2 - r1 * a2 - a1 * r2 == 1):
+            return DecompositionReport(EXC_RANK_TWO,
+                                       witnesses=tuple(vi for _, vi in parts))
+        found = _ipo_line_search(r1 + r2, d1 + d2, a1 + a2, p, S)
         if found:
-            return DecompositionReport(EXC_ISOTROPIC, witnesses=(found[0],))
+            return DecompositionReport(EXC_ISOTROPIC,
+                                       witnesses=(MukaiVector(*found[0]),))
         return DecompositionReport(STABLE_PAIR)
     # a single class: stability of one object is not a lattice question
     return DecompositionReport(INCONCLUSIVE, certified=False)
@@ -289,15 +300,18 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
     the line search (module docstring) is complete: "Yes" is certified
     by it finding no isotropic pairing-one class aligned at p, and the
     first such class is reported otherwise.  There is no third answer."""
-    if not v.is_integral():
+    r, d, a, V = _over(v.r, v.d, v.a)
+    if V != 1:
         raise NonIntegral(f"needs an integral v, got {v}")
-    if mukai_square(v, S) <= 0:
-        raise NonPositiveSquare(f"<v^2> = {mukai_square(v, S)} <= 0 for {v}")
-    if d_beta(v, p.s, S) <= 0:
+    square = S.h2 * d * d - 2 * r * a
+    if square <= 0:
+        raise NonPositiveSquare(f"<v^2> = {square} <= 0 for {v}")
+    if d * p.s.denominator - r * p.s.numerator <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, p.s, S)} <= 0 at s = {p.s}")
-    found = _ipo_line_search(v, p, S)
+    found = _ipo_line_search(r, d, a, p, S)
     if found:
-        return StableExistenceReport("ExceptionalWitness", witness=found[0])
+        return StableExistenceReport("ExceptionalWitness",
+                                     witness=MukaiVector(*found[0]))
     return StableExistenceReport("Yes")
 
 

@@ -12,7 +12,9 @@ in the core, by design: every identity downstream is exact and the tests
 run at zero tolerance.  Kernel convention: Fractions at the interface,
 ints inside.  A formula reads each input's numerator and denominator
 once (``_over``), evaluates its polynomial on Python ints and builds one
-Fraction per returned value.
+Fraction per returned value.  Validation reads the same ints: integral
+is den = 1, primitive is gcd 1, and a sign or phase order is an integer
+comparison.
 
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
@@ -288,15 +290,15 @@ def perp_basis(v: MukaiVector, S: Surface):
     <x, v> is the integer functional (-v.a)*x_r + (h2*v.d)*x_d + (-v.r)*x_a,
     so this is a 1-functional kernel computation.
     """
-    if not v.is_integral():
+    r, d, a, V = _over(v.r, v.d, v.a)
+    if V != 1:
         raise NonIntegral(f"perp_basis needs an integral vector, got {v}")
-    if v.is_zero():
+    if not (r or d or a):
         raise Zero("perp_basis of the zero vector")
-    n = (-int(v.a), S.h2 * int(v.d), -int(v.r))
-    u1, u2 = _kernel_basis_of_functional(*n)
-    b1, b2 = MukaiVector(*u1), MukaiVector(*u2)
-    assert mukai_pairing(b1, v, S) == 0 and mukai_pairing(b2, v, S) == 0
-    return b1, b2
+    n0, n1, n2 = -a, S.h2 * d, -r
+    u1, u2 = _kernel_basis_of_functional(n0, n1, n2)
+    assert not any(n0 * x + n1 * y + n2 * z for x, y, z in (u1, u2))
+    return MukaiVector(*u1), MukaiVector(*u2)
 
 
 def primitivity_report(v: MukaiVector, S: Surface = None) -> dict:

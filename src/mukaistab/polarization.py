@@ -23,17 +23,21 @@ from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
 from .stability import StabilityParam, _rho_normal
 
 
+def _xi(r: int, d: int, a: int, s: Fraction, S: Surface):
+    """(xi1, xi2) of v = (r, d, a)/V, r != 0, from _over's ints; V cancels."""
+    sn, sd = s.numerator, s.denominator
+    # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r
+    return (MukaiVector(0, 1, Fraction(d * S.h2, r)),
+            MukaiVector(-1, -s, Fraction(a * sd - d * sn * S.h2, r * sd)))
+
+
 def xi_pair(v: MukaiVector, s, S: Surface):
     """The two building blocks (xi1, xi2) of the ample class of v at the
     twist s; needs r != 0."""
     if v.r == 0:
         raise ZeroRank(f"xi_pair needs rk != 0, got {v}")
-    s = rat(s)
     r, d, a, _ = _over(v.r, v.d, v.a)
-    sn, sd = s.numerator, s.denominator
-    # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r
-    return (MukaiVector(0, 1, Fraction(d * S.h2, r)),
-            MukaiVector(-1, -s, Fraction(a * sd - d * sn * S.h2, r * sd)))
+    return _xi(r, d, a, rat(s), S)
 
 
 class AmpleClassReport(Frozen):
@@ -56,14 +60,15 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
     aligned with v at p; t^2 -> xi_omega is injective since phi is
     strictly increasing in t^2.
     """
-    if v.r == 0:
+    r, d, a, V = _over(v.r, v.d, v.a)
+    if r == 0:
         raise ZeroRank(f"ample_class needs rk != 0, got {v}")
-    n0, n1, n2, _ = _rho_normal(v, p, S)
+    n0, n1, n2, _ = _rho_normal(r, d, a, V, p, S)
     if n2 == 0:
         raise ZeroDegree(f"d_beta({v}) = 0 at s = {p.s}")
     h2, sn, sd = S.h2, p.s.numerator, p.s.denominator
     return AmpleClassReport(Fraction(n1 * sd + h2 * sn * n2, n2 * sd),
-                            *xi_pair(v, p.s, S),
+                            *_xi(r, d, a, p.s, S),
                             MukaiVector(-h2, Fraction(n1, n2), Fraction(-h2 * n0, n2)))
 
 

@@ -111,17 +111,17 @@ def sigma_coefficients(v1: MukaiVector, v: MukaiVector, S: Surface):
     return Fraction(A, den), Fraction(C, den), Fraction(D, den)
 
 
-def _rho_normal(v: MukaiVector, p: StabilityParam, S: Surface):
-    """(n0, n1, n2, den), den > 0: rho(w, v) at p is the functional
-    (n0*r + n1*d + n2*a)/den of w = (r, d, a).  Read off A*(t^2+s^2) +
-    C*s + D, n/den = ((h2/2)*d*q - a*s, a - (h2/2)*r*q, r*s - d) with
+def _rho_normal(r, d, a, V, p: StabilityParam, S: Surface):
+    """(n0, n1, n2, den), den > 0, for v = (r, d, a)/V as _over reads it:
+    rho(w, v) at p is the functional (n0*x + n1*y + n2*z)/den of
+    w = (x, y, z).  Read off A*(t^2+s^2) + C*s + D,
+    n/den = ((h2/2)*d*q - a*s, a - (h2/2)*r*q, r*s - d)/V with
     q = t^2 + s^2, so n2 = 0 exactly when d_beta(v) = 0.  It is the
     pairing with d_beta(v)*Re Omega - (Re Z(v)/(h2*t))*Im Omega, where
     Z(w) = <Omega, w> for Omega = e^{(s+it)H}; Re Omega and Im Omega are
     independent, so n = 0 exactly when d_beta(v) = Re Z(v) = 0, that is
     when Z(v) = 0 (Im Z(v) = h2*t*d_beta(v))."""
     half = S.h2 // 2
-    r, d, a, V = _over(v.r, v.d, v.a)
     sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
     q, e = tn * sd * sd + sn * sn * td, sd * td  # t2 + s^2 = q/(sd*e)
     return (half * d * q - a * sn * e, a * sd * e - half * r * q,
@@ -138,7 +138,7 @@ def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
     functional _rho_normal of v applied to v1; agreement with the
     determinant definition is an acceptance-tested identity.
     """
-    n0, n1, n2, den = _rho_normal(v, p, S)
+    n0, n1, n2, den = _rho_normal(*_over(v.r, v.d, v.a), p, S)
     r1, d1, a1, X = _over(v1.r, v1.d, v1.a)
     return Fraction(n0 * r1 + n1 * d1 + n2 * a1, den * X)
 
@@ -190,10 +190,19 @@ class PhaseKey(Frozen):
         return 0 if self.band <= 1 else 1
 
 
-def phase_key(v: MukaiVector, p: StabilityParam, S: Surface) -> PhaseKey:
-    re, im, _ = _charge(v, p, S)  # slope -re/im is free of the common den
+def _nonzero_charge(v: MukaiVector, p: StabilityParam, S: Surface):
+    """(re, im) of _charge without its common den; ZeroCharge when Z(v) = 0."""
+    re, im, _ = _charge(v, p, S)
     if re == 0 and im == 0:
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
-    if im == 0:
-        return PhaseKey(1 if re < 0 else 3, Fraction(0))
-    return PhaseKey(0 if im > 0 else 2, Fraction(-re, im))
+    return re, im
+
+
+def _band(re: int, im: int) -> int:
+    """The PhaseKey band of a nonzero charge re + i*im*t."""
+    return (0 if im > 0 else 2) if im else (1 if re < 0 else 3)
+
+
+def phase_key(v: MukaiVector, p: StabilityParam, S: Surface) -> PhaseKey:
+    re, im = _nonzero_charge(v, p, S)  # slope -re/im is free of the den
+    return PhaseKey(_band(re, im), Fraction(-re, im) if im else Fraction(0))

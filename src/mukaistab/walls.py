@@ -40,7 +40,7 @@ from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, Zero, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface, _over, _xgcd, d_beta,
                       d_beta_min, rat)
-from .stability import StabilityParam, _acd, phase_key, reduced_sigma
+from .stability import StabilityParam, _acd, _band, _nonzero_charge
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +537,23 @@ def wall_side(v: MukaiVector, w1: MukaiVector, p: StabilityParam,
               S: Surface) -> str:
     """Which side of the wall of w1 the point p lies on, for v.
 
-    Z(v) = 0, then Z(w1) = 0, raises ZeroCharge (from phase_key).
+    Z(v) = 0, then Z(w1) = 0, raises ZeroCharge (as phase_key does).
     rho(w1, v) = 0 is the wall itself and takes precedence (anti-aligned
     charges also have rho = 0 while their phase keys differ); off the
     wall the verdict is CPlus exactly when phase_key(v) > phase_key(w1).
+
+    On _charge's ints, Z(v) = (re + i*im*t)/den with im/den = h2*d_beta(v),
+    so det = re1*im - im1*re = h2*den*den1*rho(w1, v).  Phase keys compare
+    by band first; in one band off the wall im, im1 are nonzero of one
+    sign (det = 0 on the real axis), and -re/im > -re1/im1 times
+    im*im1 > 0 is det > 0.  So CPlus is (band(v), det) > (band(w1), 0).
     """
-    key_v, key_w1 = phase_key(v, p, S), phase_key(w1, p, S)
-    if reduced_sigma(w1, v, p, S) == 0:
+    re, im = _nonzero_charge(v, p, S)
+    re1, im1 = _nonzero_charge(w1, p, S)
+    det = re1 * im - im1 * re
+    if det == 0:
         return ON_WALL
-    return C_PLUS if key_v > key_w1 else C_MINUS
+    return C_PLUS if (_band(re, im), det) > (_band(re1, im1), 0) else C_MINUS
 
 
 # ---------------------------------------------------------------------------

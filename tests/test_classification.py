@@ -63,11 +63,13 @@ def test_ipo_rho_vector():
 
 
 def test_ipo_errors():
-    with pytest.raises(NonIntegral):
+    with pytest.raises(NonIntegral) as err:
         find_isotropic_pairing_one(mv(F(1, 2), 0, 0), OFF_P, AB, bound=5)
-    with pytest.raises(ZeroCharge):
+    assert str(err.value) == "search needs an integral v, got (1/2,0,0)"
+    with pytest.raises(ZeroCharge) as err:
         # Z((1,0,1)) = 0 at s=0, t2=1 on the abelian surface
         find_isotropic_pairing_one(mv(1, 0, 1), param(F(0), F(1)), AB, bound=5)
+    assert str(err.value) == "Z((1,0,1)) = 0 at s=0, t2=1"
     # huge bounds are harmless: the line search scans no box, the bound
     # only filters its at most two points
     assert mv(1, -1, 1) in find_isotropic_pairing_one(V, WALL_P, AB,
@@ -644,18 +646,46 @@ def test_classify_single_part_is_inconclusive():
 
 
 def test_classify_part_validation():
-    with pytest.raises(NotAligned):
+    with pytest.raises(NotAligned) as err:
         classify_decomposition([(1, mv(1, -1, 1)), (1, mv(1, 0, 0))],
                                WALL_P, AB)
-    with pytest.raises(NotAligned):
+    assert str(err.value) == "rho((1,-1,1), (1,0,0)) = 1 != 0 at s=-3/2, t2=1/4"
+    with pytest.raises(NotAligned) as err:
         classify_decomposition([(1, mv(1, -1, 1)), (1, mv(1, -1, 1))],
                                WALL_P, AB)
-    with pytest.raises(NonIntegral):
+    assert str(err.value) == "parts must be pairwise distinct classes"
+    with pytest.raises(NonIntegral) as err:
         classify_decomposition([(0, mv(1, -1, 1))], WALL_P, AB)
-    with pytest.raises(NotPrimitive):
+    assert str(err.value) == "multiplicity must be a positive integer, got 0"
+    with pytest.raises(NotPrimitive) as err:
         classify_decomposition([(1, mv(2, -2, 2))], WALL_P, AB)
-    with pytest.raises(NotAligned):
+    assert str(err.value) == "part (2,-2,2) has content 2"
+    with pytest.raises(NotAligned) as err:
         classify_decomposition([], WALL_P, AB)
+    assert str(err.value) == "empty decomposition"
+    # the texts of the other checks, in the order the parts are read: a
+    # multiplicity that is not an int, a rational part, the zero class,
+    # a duplicate after two valid parts and a rho value that is a fraction
+    for parts, cls, text in (
+            ([(1, mv(1, -1, 1)), (F(1), mv(1, 0, 0))], NonIntegral,
+             "multiplicity must be a positive integer, got Fraction(1, 1)"),
+            ([(2, mv(F(1, 2), -1, 1))], NonIntegral,
+             "part (1/2,-1,1) is not integral"),
+            ([(1, mv(F(1, 2), -1, 1)), (1, mv(2, 2, 2))], NonIntegral,
+             "part (1/2,-1,1) is not integral"),
+            ([(1, mv(0, 0, 0))], NotPrimitive, "part (0,0,0) has content 0"),
+            ([(1, mv(3, 0, -6)), (0, mv(1, 0, 0))], NotPrimitive,
+             "part (3,0,-6) has content 3"),
+            ([(1, mv(1, -1, 1)), (1, mv(0, 1, -3)), (1, mv(1, -1, 1))],
+             NotAligned, "parts must be pairwise distinct classes"),
+            ([(1, mv(1, -1, 1)), (1, mv(0, 1, -3)), (1, mv(2, -1, 0))],
+             NotAligned, "rho((1,-1,1), (2,-1,0)) = 1/2 != 0 at s=-3/2, t2=1/4")):
+        with pytest.raises(cls) as err:
+            classify_decomposition(parts, WALL_P, AB)
+        assert str(err.value) == text
+        with pytest.raises(cls) as err:
+            detect_a2(parts, WALL_P, AB)
+        assert str(err.value) == text
 
 
 def test_classify_is_permutation_invariant():
@@ -682,12 +712,25 @@ def test_stable_existence_witness_on_wall():
 
 
 def test_stable_existence_preconditions():
-    with pytest.raises(NonPositiveSquare):
+    with pytest.raises(NonPositiveSquare) as err:
         stable_existence(mv(1, 0, 0), OFF_P, AB)
-    with pytest.raises(ZeroDegree):
+    assert str(err.value) == "<v^2> = 0 <= 0 for (1,0,0)"
+    with pytest.raises(ZeroDegree) as err:
         stable_existence(V, param(F(1), F(1)), AB)
-    with pytest.raises(NonIntegral):
+    assert str(err.value) == "d_beta((1,0,-2)) = -1 <= 0 at s = 1"
+    with pytest.raises(NonIntegral) as err:
         stable_existence(mv(F(1, 2), 0, -2), OFF_P, AB)
+    assert str(err.value) == "needs an integral v, got (1/2,0,-2)"
+    # a negative square, and a twisted degree that is a fraction or zero
+    with pytest.raises(NonPositiveSquare) as err:
+        stable_existence(mv(1, 0, 3), OFF_P, AB)
+    assert str(err.value) == "<v^2> = -6 <= 0 for (1,0,3)"
+    with pytest.raises(ZeroDegree) as err:
+        stable_existence(mv(3, 1, -2), param(F(1, 2), F(1)), AB)
+    assert str(err.value) == "d_beta((3,1,-2)) = -1/2 <= 0 at s = 1/2"
+    with pytest.raises(ZeroDegree) as err:
+        stable_existence(mv(2, 1, -2), param(F(1, 2), F(1)), AB)
+    assert str(err.value) == "d_beta((2,1,-2)) = 0 <= 0 at s = 1/2"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 public call on bad input ends in a typed error, and the public
 preconditions hold also under ``python -O``, where ``assert`` is gone."""
 
+import ast
 import os
 import pathlib
 import random
@@ -92,6 +93,24 @@ def test_preconditions_raise_typed_errors(flags):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_asserts_are_the_two_internal_invariants():
+    """python -O strips asserts, so src/ keeps only the two that check the
+    library's own arithmetic: the kernel basis annihilates its functional
+    and perp_basis's basis is orthogonal to v.  A public precondition
+    written as an assert shows up here."""
+    found = []
+    for path in sorted((ROOT / "src" / "mukaistab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # ast.walk is breadth first: the innermost function wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        found += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == [("lattice.py", "_kernel_basis_of_functional"),
+                     ("lattice.py", "perp_basis")]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 import oracles
 from mukaistab import (
     C_MINUS, C_PLUS, ON_WALL, CategoryWall, Circle, Empty, Everywhere, Region,
-    Surface, VerticalLine, category_walls_k3, chambers_on_ray, enumerate_walls,
-    is_wall_vector, mukai_square, mv, param, wall_locus, wall_side,
+    Surface, VerticalLine, category_walls_k3, central_charge, chambers_on_ray,
+    enumerate_walls, is_wall_vector, mukai_square, mv, param, phase_key,
+    reduced_sigma, wall_locus, wall_side,
 )
+from mukaistab.classification import _aligned_normal
+from mukaistab.lattice import _kernel_basis_of_functional
 from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotK3, NotPrimitive,
     ZeroCharge, ZeroDegree,
@@ -577,6 +580,76 @@ def test_wall_side_sign_matches_reduced_sigma_on_golden_circle(s):
         side = wall_side(V_GOLD, w1, p, AB)
         rho = reduced_sigma(w1, V_GOLD, p, AB)
         assert side == (C_PLUS if rho > 0 else C_MINUS)
+
+
+def _side_by_definition(v, w1, p, S):
+    """wall_side as its docstring defines it: phase_key raises ZeroCharge
+    for Z(v), then for Z(w1); rho(w1, v) = 0 is OnWall; otherwise CPlus
+    exactly when phase_key(v) > phase_key(w1)."""
+    key_v, key_w1 = phase_key(v, p, S), phase_key(w1, p, S)
+    if reduced_sigma(w1, v, p, S) == 0:
+        return ON_WALL
+    return C_PLUS if key_v > key_w1 else C_MINUS
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroCharge as e:
+        return ("ZeroCharge", str(e))
+
+
+def test_wall_side_matches_its_definition_seeded():
+    """wall_side against phase_key order and rho = 0 on seeded classes:
+    random pairs, pairs on the real axis (Im Z = 0, Re < 0 or Re > 0, the
+    bands 1 and 3), pairs in the plane aligned with v (aligned and
+    anti-aligned charges) and zero charges, alone or on both classes."""
+    rng = random.Random(1801)
+    seen = set()
+    for _ in range(4000):
+        S = rng.choice((AB, K3, Surface("abelian", 4), Surface("k3", 6)))
+        s = F(rng.randint(-8, 8), rng.randint(1, 4))
+        p = param(s, F(rng.randint(1, 40), rng.randint(1, 6)))
+        zero = (1, s, S.h2 * (p.t2 + s * s) / 2)  # Z = 0 at p
+
+        def real():  # d = r*s, so Im Z = 0
+            r = s.denominator * rng.choice((-2, -1, 1, 2))
+            return mv(r, r * s, rng.randint(-12, 12))
+
+        def rand():
+            return mv(*(rng.randint(-6, 6) for _ in range(3)))
+
+        kind = rng.choice(("random", "real", "aligned", "zero"))
+        v = real() if kind == "real" and rng.random() < 0.5 else rand()
+        if kind == "real":
+            w1 = real()
+        elif kind == "aligned" and not central_charge(v, p, S).is_zero():
+            b1, b2 = _kernel_basis_of_functional(*_aligned_normal(v, p, S))
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            w1 = mv(*(x * i + y * j for i, j in zip(b1, b2)))
+        elif kind == "zero":
+            v, w1 = rng.choice(((mv(*zero), rand()), (rand(), mv(*zero)),
+                                (mv(*zero), mv(*(-2 * x for x in zero)))))
+        else:
+            w1 = rand()
+        want = _outcome(_side_by_definition, v, w1, p, S)
+        assert _outcome(wall_side, v, w1, p, S) == want, (v, w1, p, S)
+        if isinstance(want, tuple):
+            seen.add(("error names v", want[1].startswith(f"Z({v})"),
+                      central_charge(w1, p, S).is_zero()))
+        else:
+            bands = phase_key(v, p, S).band, phase_key(w1, p, S).band
+            seen.add(("bands",) + bands + (want,))
+    pairs = {x[1:3] for x in seen if x[0] == "bands"}
+    assert pairs == {(b, c) for b in range(4) for c in range(4)}
+    for b, c in ((0, 2), (2, 0), (1, 3), (3, 1)):  # anti-aligned charges
+        assert ("bands", b, c, ON_WALL) in seen
+    for b in (0, 2):  # one open half-plane: the wall and both of its sides
+        assert {("bands", b, b, ON_WALL), ("bands", b, b, C_PLUS),
+                ("bands", b, b, C_MINUS)} <= seen
+    # Z(v) = 0 is named before Z(w1) = 0, and Z(w1) = 0 alone is named
+    assert {("error names v", True, True), ("error names v", True, False),
+            ("error names v", False, True)} <= seen
 
 
 # ---------------------------------------------------------------------------
