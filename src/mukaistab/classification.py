@@ -182,13 +182,7 @@ class DecompositionReport(Frozen):
     # bound is always None (no verdict depends on a box); kept so the
     # field tuple, repr and pickles keep their shape
     __slots__ = ("verdict", "witnesses", "bound", "certified")
-
-    def __init__(self, verdict: str, witnesses: tuple = (), bound: int = None,
-                 certified: bool = True):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "certified", certified)
+    _defaults = {"witnesses": (), "bound": None, "certified": True}
 
 
 def _check_parts(parts, p, S):
@@ -284,13 +278,7 @@ class StableExistenceReport(Frozen):
     # verdict is "Yes" or "ExceptionalWitness"; certified is always True
     # (both verdicts are certified), bound always None (nothing is bounded)
     __slots__ = ("verdict", "witness", "certified", "bound")
-
-    def __init__(self, verdict: str, witness: MukaiVector = None,
-                 certified: bool = True, bound: int = None):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "bound", bound)
+    _defaults = {"witness": None, "certified": True, "bound": None}
 
 
 def stable_existence(v: MukaiVector, p: StabilityParam,

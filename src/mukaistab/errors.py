@@ -40,7 +40,10 @@ class NonPositiveSquare(MukaiStabError):
 
 
 class BoundOverflow(MukaiStabError):
-    """A bounded search would exceed its candidate cap."""
+    """A search or walk would exceed its cap: ``enumerate_walls`` walks
+    at most ``cap`` steps (m-lines plus fibers), and
+    ``find_minus_two_aligned`` refuses a bound of 1118 or more, whose box
+    spans over 5*10^6 (r, d) pairs."""
 
 
 class NotK3(MukaiStabError):

@@ -19,7 +19,7 @@ It preserves the Mukai pairing:
 
 from fractions import Fraction
 
-from .errors import NonPositive, NotIntegral, NotPrimitive, ZeroDenominator
+from .errors import NonPositive, NotIntegral, NotPrimitive
 from .lattice import Frozen, MukaiVector, Surface, _over, _twist, exp_vector, rat
 from .stability import StabilityParam
 
@@ -107,13 +107,6 @@ class TransformedCharge(Frozen):
 
     __slots__ = ("zeta_re", "zeta_im", "xi_coeff", "eta_coeff")
 
-    def __init__(self, zeta_re: Fraction, zeta_im: Fraction,
-                 xi_coeff: Fraction, eta_coeff: Fraction):
-        object.__setattr__(self, "zeta_re", zeta_re)
-        object.__setattr__(self, "zeta_im", zeta_im)
-        object.__setattr__(self, "xi_coeff", xi_coeff)
-        object.__setattr__(self, "eta_coeff", eta_coeff)
-
 
 def transform_central_charge(T: FMTransform, p: StabilityParam,
                              S: Surface) -> TransformedCharge:
@@ -133,9 +126,6 @@ def transform_central_charge(T: FMTransform, p: StabilityParam,
     # lambda = ln/ld, t = tn/td; with M = (ld*td)^2, Delta = (half*(L2+T2)/M)^2
     # and xi, eta share the factor h2*(lambda^2+t^2)/(2|r1|*Delta) = M/k
     L2, T2, half = (ln * td) ** 2, (tn * ld) ** 2, S.h2 // 2
-    if L2 + T2 == 0:
-        # would need lam = t = 0; unreachable with t > 0, kept defensive
-        raise ZeroDenominator("degenerate transform at lambda = t = 0")
     k = abs(T.r1) * half * (L2 + T2)
     return TransformedCharge(zeta_re=Fraction(-T.r1 * half * (L2 - T2), (ld * td) ** 2),
                              zeta_im=Fraction(T.r1 * S.h2 * ln * tn, ld * td),

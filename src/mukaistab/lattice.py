@@ -38,12 +38,29 @@ def rat(x) -> Fraction:
 
 class Frozen:
     """Immutable value base: a subclass lists its fields in order as
-    ``__slots__`` and sets them in ``__init__`` with object.__setattr__.
+    ``__slots__`` and the defaults of trailing fields in a ``_defaults``
+    dict.  A subclass with fields and no ``__init__`` of its own gets one
+    that stores its arguments, built with exec from the slot names as
+    dataclasses builds its own; a subclass that converts or checks its
+    fields writes ``__init__`` and sets them with object.__setattr__.
     As for a frozen dataclass, repr, == (same class only) and hash follow
     the field tuple, and assignment or deletion raises AttributeError.
     Copies and pickles rebuild through ``__init__``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("__slots__", ())
+        if names and "__init__" not in cls.__dict__:
+            defaults = cls.__dict__.get("_defaults", {})
+            args = "".join([f", {f}=_defaults[{f!r}]" if f in defaults
+                            else f", {f}" for f in names])
+            body = "".join([f"\n    _set(self, {f!r}, {f})" for f in names])
+            ns = {"_set": object.__setattr__, "_defaults": defaults,
+                  "__name__": cls.__module__}
+            exec(f"def __init__(self{args}):{body}", ns)
+            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = ns["__init__"]
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])

@@ -43,13 +43,6 @@ def xi_pair(v: MukaiVector, s, S: Surface):
 class AmpleClassReport(Frozen):
     __slots__ = ("phi", "xi1", "xi2", "xi_omega")
 
-    def __init__(self, phi: Fraction, xi1: MukaiVector, xi2: MukaiVector,
-                 xi_omega: MukaiVector):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "xi1", xi1)
-        object.__setattr__(self, "xi2", xi2)
-        object.__setattr__(self, "xi_omega", xi_omega)
-
 
 def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassReport:
     """xi_omega = phi * xi1 + h2 * xi2 with phi = (r h2 t^2/2 - a_beta)/d_beta.

@@ -22,7 +22,7 @@ this module:
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import ZeroCharge
+from .errors import OutOfDomain, ZeroCharge
 from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
 
 
@@ -51,8 +51,8 @@ class StabilityParam(Frozen):
 
     def require_t(self) -> Fraction:
         if self.t is None:
-            raise ValueError("this operation needs an exact rational t, "
-                             "but the parameter only carries t^2")
+            raise OutOfDomain("this operation needs an exact rational t, "
+                              "but the parameter only carries t^2")
         return self.t
 
 
@@ -66,10 +66,6 @@ class CentralCharge(Frozen):
     even when t is irrational."""
 
     __slots__ = ("re", "im_over_t")
-
-    def __init__(self, re: Fraction, im_over_t: Fraction):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im_over_t", im_over_t)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im_over_t == 0
@@ -175,10 +171,6 @@ class PhaseKey(Frozen):
     """
 
     __slots__ = ("band", "slope")
-
-    def __init__(self, band: int, slope: Fraction):
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "slope", slope)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:

@@ -49,16 +49,9 @@ from .stability import StabilityParam, _acd, _band, _nonzero_charge
 class Circle(Frozen):
     __slots__ = ("center_s", "radius_sq")
 
-    def __init__(self, center_s: Fraction, radius_sq: Fraction):
-        object.__setattr__(self, "center_s", center_s)
-        object.__setattr__(self, "radius_sq", radius_sq)
-
 
 class VerticalLine(Frozen):
     __slots__ = ("s",)
-
-    def __init__(self, s: Fraction):
-        object.__setattr__(self, "s", s)
 
 
 class Empty(Frozen):
@@ -92,14 +85,7 @@ class Wall(Frozen):
     normalized coefficient triple."""
 
     __slots__ = ("A", "C", "D", "geometry", "v1")
-
-    def __init__(self, A: Fraction, C: Fraction, D: Fraction, geometry,
-                 v1: MukaiVector = None):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "v1", v1)
+    _defaults = {"v1": None}
 
     def acd_key(self):
         if not all(x.denominator == 1 for x in (self.A, self.C, self.D)):
@@ -198,13 +184,6 @@ class WallVectorReport(Frozen):
     """
 
     __slots__ = ("kind", "is_wall", "necessary_only", "details")
-
-    def __init__(self, kind: str, is_wall: bool, necessary_only: bool,
-                 details: dict):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "is_wall", is_wall)
-        object.__setattr__(self, "necessary_only", necessary_only)
-        object.__setattr__(self, "details", details)
 
     def __bool__(self) -> bool:
         return self.is_wall
@@ -486,11 +465,6 @@ class ChamberRay(Frozen):
 
     __slots__ = ("s", "cut_points", "chambers")
 
-    def __init__(self, s: Fraction, cut_points: tuple, chambers: tuple):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "cut_points", cut_points)
-        object.__setattr__(self, "chambers", chambers)
-
 
 def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
                     cut_category_walls: bool = False,
@@ -561,10 +535,6 @@ def wall_side(v: MukaiVector, w1: MukaiVector, p: StabilityParam,
 
 class CategoryWall(Frozen):
     __slots__ = ("u", "t2")
-
-    def __init__(self, u: MukaiVector, t2: Fraction):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "t2", t2)
 
 
 def category_walls_k3(b, S: Surface, t2_max) -> list:

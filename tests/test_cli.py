@@ -86,6 +86,12 @@ def test_charge_golden(capsys):
     assert rc == 0 and out == '{"im_over_t":"3","re":"0"}\n'
 
 
+def test_charge_with_t_golden(capsys):
+    rc, out, err = run(capsys, "charge", "--v", "1,0,-2",
+                       "--s", "-3/2", "--t", "1/2")
+    assert (rc, out, err) == (0, '{"im":"3/2","re":"0"}\n', "")
+
+
 def test_walls_golden_json(capsys):
     rc, out, _ = run(capsys, "walls", "--v", "1,0,-2", "--s-min", "-3",
                      "--s-max", "0", "--t2-min", "1/100", "--t2-max", "4")
@@ -257,6 +263,27 @@ def test_malformed_vector_literal_is_usage_error(capsys):
     assert json.loads(err)["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (("charge", "--v", "1,0,-2", "--s", "-3/2"), "charge needs --t or --t2"),
+    (("charge", "--v", "1,0,-2", "--s", "1/0", "--t2", "1"),
+     "cannot parse rational '1/0': Fraction(1, 0)"),
+    (("fm", "--r1", "x", "--c", "0", "--v", "1,0,0"),
+     "--r1 must be an integer, got 'x'"),
+    (("classify", "--parts", "x*1,0,0", "--s", "0", "--t2", "1"),
+     "bad multiplicity in 'x*1,0,0'"),
+    (("classify", "--parts", ";", "--s", "0", "--t2", "1"),
+     "empty decomposition"),
+    (("plot", "--v", "1,0,-2", "--s-min", "-1", "--s-max", "-1",
+      "--t2-min", "1/100", "--t2-max", "4"), "plotting needs s_min < s_max"),
+    (("plot", "--v", "1,0,-2", "--s-min", "-3", "--s-max", "0",
+      "--t2-min", "1", "--t2-max", "1"), "plotting needs t2_min < t2_max"),
+])
+def test_handler_usage_errors(capsys, argv, detail):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"detail": detail, "error": "UsageError"}
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     rc, out, err = run(capsys, "frobnicate")
     assert rc == 1 and out == ""
@@ -396,6 +423,24 @@ def test_config_sets_format(tmp_path, capsys):
     rc, out, _ = run(capsys, "walls", "--config", cfg, *WALLS_REGION)
     assert rc == 0 and out.startswith("circle center_s=")
     assert out == run(capsys, "walls", "--format", "plain", *WALLS_REGION)[1]
+
+
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    rc, out, err = run(capsys, "charge", "--config", _config(tmp_path, [1, 2]))
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"detail": "config must be a JSON object",
+                               "error": "UsageError"}
+
+
+def test_config_switch_set_to_true(tmp_path, capsys):
+    cfg = _config(tmp_path, {"approx": True, "v": "1,0,-2", "s": "-3/2",
+                             "t2": "1/4"})
+    rc, out, err = run(capsys, "charge", "--config", cfg)
+    assert (rc, err) == (0, "")
+    assert out == ('{"approx":{"im_over_t":3.0,"re":0.0},'
+                   '"im_over_t":"3","re":"0"}\n')
+    assert out == run(capsys, "charge", "--approx", "--v", "1,0,-2", "--s",
+                      "-3/2", "--t2", "1/4")[1]
 
 
 @pytest.mark.parametrize("obj", [{"approx": "no"}, {"approx": 1},

@@ -231,8 +231,8 @@ PUBLIC_CALLS = {
 
 def _from_value_class(exc):
     """True when exc was raised inside one of the package's value classes
-    (a Frozen method such as a constructor or StabilityParam.require_t)
-    or by the coercion rat: their ValueError/TypeError is documented."""
+    (a Frozen method such as a constructor that checks its fields) or by
+    the coercion rat: their ValueError/TypeError is documented."""
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next

@@ -11,7 +11,7 @@ from mukaistab import (
     fm_inverse, l_divisor, make_transform, mukai_pairing, mv, param,
     slope_defect, transform_central_charge, twisted_invariants,
 )
-from mukaistab.errors import NotIntegral, NotPrimitive
+from mukaistab.errors import NotIntegral, NotPrimitive, OutOfDomain
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -131,7 +131,7 @@ def test_transform_central_charge_golden():
 
 def test_transform_central_charge_needs_rational_t():
     T = make_transform(1, F(1), AB)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         transform_central_charge(T, param(F(0), t2=F(3, 2)), AB)
 
 

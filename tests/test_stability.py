@@ -11,7 +11,7 @@ from mukaistab import (
     mukai_pairing, mv, param, phase_key, reduced_sigma, sigma_coefficients,
     z_domain_check,
 )
-from mukaistab.errors import ZeroCharge
+from mukaistab.errors import OutOfDomain, ZeroCharge
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -32,7 +32,7 @@ def test_param_validation():
         param(0, t=Fraction(-1))
     with pytest.raises(ValueError):
         param(0, t2=Fraction(2), t=Fraction(1))  # inconsistent
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         param(0, t2=Fraction(2)).require_t()  # sqrt(2) is not rational
 
 

@@ -2,8 +2,12 @@
 behave as frozen dataclasses do (field-order repr, equality only within a
 class, hash of the field tuple, no assignment, copy and pickle round
 trips, tuple order for PhaseKey), and importing the CLI loads neither
-``dataclasses`` nor ``inspect``."""
+``dataclasses`` nor ``inspect``.  Twelve classes declare their fields
+only and take the constructor that Frozen generates: it binds by
+position or by name, fills ``_defaults`` and fails with the TypeError
+texts of the hand-written constructors it replaced."""
 
+import ast
 import copy
 import os
 import pickle
@@ -212,3 +216,102 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+# the classes whose constructor only stores its arguments; the other six
+# convert or check their fields in an __init__ of their own
+STORE_ONLY = [
+    "AmpleClassReport", "CategoryWall", "ChamberRay", "CentralCharge",
+    "Circle", "DecompositionReport", "PhaseKey", "StableExistenceReport",
+    "TransformedCharge", "VerticalLine", "Wall", "WallVectorReport"]
+OWN_INIT = ["FMTransform", "MukaiVector", "Region", "StabilityParam",
+            "Surface", "TwistedInvariants"]
+
+
+def test_exactly_six_value_classes_write_their_own_init():
+    """A new result type declares its fields (and _defaults) only; an
+    __init__ in src/ belongs to a class that converts or checks them."""
+    src = os.path.dirname(mukaistab.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            found += [node.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef)
+                      and any(getattr(b, "id", None) == "Frozen"
+                              for b in node.bases)
+                      and any(isinstance(f, ast.FunctionDef)
+                              and f.name == "__init__" for f in node.body)]
+    assert sorted(found) == OWN_INIT
+    assert sorted(STORE_ONLY + OWN_INIT + ["Empty", "Everywhere"]) == NAMES
+
+
+@pytest.mark.parametrize("name", STORE_ONLY)
+def test_generated_init_binds_by_position_and_by_name(name):
+    cls = getattr(mukaistab, name)
+    _, names, _ = CASES[name]
+    values = tuple(range(10, 10 + len(names)))
+    x, y = cls(*values), cls(**dict(zip(names, values)))
+    assert type(x) is cls and x == y and repr(x) == repr(y)
+    assert fields(x, names) == values
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_generated_init_defaults():
+    Wall, Dec = mukaistab.Wall, mukaistab.DecompositionReport
+    Ser = mukaistab.StableExistenceReport
+    assert Wall(1, 2, 3, 4) == Wall(1, 2, 3, 4, None)
+    assert Wall(1, 2, 3, geometry=4).v1 is None
+    assert fields(Dec("v"), CASES["DecompositionReport"][1]) == \
+        ("v", (), None, True)
+    assert Dec("v", bound=7) == Dec("v", (), 7, True)
+    assert fields(Ser("v"), CASES["StableExistenceReport"][1]) == \
+        ("v", None, True, None)
+    assert Ser("v", bound=3, witness=V) == Ser("v", V, True, 3)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: Circle(), "Circle.__init__() missing 2 required positional "
+                       "arguments: 'center_s' and 'radius_sq'"),
+    (lambda: Circle(0), "Circle.__init__() missing 1 required positional "
+                        "argument: 'radius_sq'"),
+    (lambda: Circle(0, 1, 2), "Circle.__init__() takes 3 positional "
+                              "arguments but 4 were given"),
+    (lambda: Circle(0, 1, bogus=1), "Circle.__init__() got an unexpected "
+                                    "keyword argument 'bogus'"),
+    (lambda: Circle(0, 1, center_s=1), "Circle.__init__() got multiple "
+                                       "values for argument 'center_s'"),
+    (lambda: VerticalLine(), "VerticalLine.__init__() missing 1 required "
+                             "positional argument: 's'"),
+    (lambda: mukaistab.Wall(1), "Wall.__init__() missing 3 required "
+                                "positional arguments: 'C', 'D', and "
+                                "'geometry'"),
+    (lambda: mukaistab.Wall(0, 1, 2, 3, 4, 5),
+     "Wall.__init__() takes from 5 to 6 positional arguments but 7 were "
+     "given"),
+    (lambda: mukaistab.TransformedCharge(),
+     "TransformedCharge.__init__() missing 4 required positional arguments: "
+     "'zeta_re', 'zeta_im', 'xi_coeff', and 'eta_coeff'"),
+    (lambda: mukaistab.DecompositionReport(),
+     "DecompositionReport.__init__() missing 1 required positional "
+     "argument: 'verdict'"),
+    (lambda: mukaistab.DecompositionReport(0, 1, 2, 3, 4),
+     "DecompositionReport.__init__() takes from 2 to 5 positional "
+     "arguments but 6 were given"),
+    (lambda: mukaistab.DecompositionReport(0, 1, 2, 3, verdict=1),
+     "DecompositionReport.__init__() got multiple values for argument "
+     "'verdict'"),
+    (lambda: mukaistab.StableExistenceReport(0, x=1, y=2),
+     "StableExistenceReport.__init__() got an unexpected keyword argument "
+     "'x'"),
+    (lambda: Empty(1), "Empty() takes no arguments"),
+    (lambda: Everywhere(verdict=0), "Everywhere() takes no arguments"),
+])
+def test_constructor_type_errors_keep_their_text(call, text):
+    # each text as the hand-written constructors raised it
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == text
