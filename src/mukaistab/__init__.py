@@ -11,30 +11,27 @@ from .errors import (MukaiStabError, NonIntegral, Zero, ZeroCharge,
                      NonPositiveSquare, BoundOverflow, NotK3,
                      UniquenessViolation, NotIntegral, NotPrimitive,
                      ZeroRank, ZeroDegree, OutOfDomain, Degenerate,
-                     NonPositive, NotAligned, ZeroDenominator, UsageError)
+                     NonPositive, NotAligned, UsageError)
 from .lattice import (Surface, MukaiVector, mv, RHO, rat, mukai_pairing,
                       mukai_square, sheaf_vector, exp_vector,
                       TwistedInvariants, twisted_invariants, untwist,
-                      retwist, d_beta, d_beta_min, perp_basis,
-                      primitivity_report)
+                      retwist, d_beta, d_beta_min, perp_basis)
 from .stability import (StabilityParam, param, CentralCharge, central_charge,
-                        sigma_coefficients, reduced_sigma, z_domain_check,
-                        PhaseKey, phase_key, UPPER_HALF, NEGATIVE_REAL,
-                        OUTSIDE, ZERO)
+                        sigma_coefficients, reduced_sigma, PhaseKey,
+                        phase_key)
 from .walls import (Circle, VerticalLine, Empty, Everywhere, Region, Wall,
                     wall_locus, WallVectorReport, is_wall_vector,
                     enumerate_walls, ChamberRay, chambers_on_ray, wall_side,
                     C_PLUS, C_MINUS, ON_WALL, CategoryWall, category_walls_k3)
 from .fourier_mukai import (FMTransform, make_transform, fm_apply, fm_inverse,
-                            dual, l_divisor, slope_defect, TransformedCharge,
+                            dual, l_divisor, TransformedCharge,
                             transform_central_charge)
 from .polarization import (xi_pair, AmpleClassReport, ample_class, omega_x,
                            omega_sx)
 from .classification import (find_isotropic_pairing_one,
                              find_minus_two_aligned, DecompositionReport,
                              classify_decomposition, StableExistenceReport,
-                             stable_existence, detect_a2, a2_pattern, STABLE_PAIR,
-                             EXC_ISOTROPIC, EXC_TRIPLE, EXC_RANK_TWO,
-                             INCONCLUSIVE)
+                             stable_existence, a2_pattern, STABLE_PAIR,
+                             EXC_ISOTROPIC, EXC_RANK_TWO, INCONCLUSIVE)
 
 __version__ = "0.1.0"

@@ -173,7 +173,6 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
 
 STABLE_PAIR = "StablePairExists"
 EXC_ISOTROPIC = "ExceptionalIsotropicPairingOne"
-EXC_TRIPLE = "ExceptionalTriple"
 EXC_RANK_TWO = "ExceptionalRankTwoCase"
 INCONCLUSIVE = "Inconclusive"
 
@@ -222,9 +221,8 @@ def a2_pattern(parts, S: Surface) -> bool:
     nonsingular), so they can never be simultaneously phase-aligned at
     a single (s, t) point: classes aligned with a nonzero charge span
     at most a 2-dimensional subspace, and classes of zero charge at a
-    fixed point span at most a line.  detect_a2 therefore reports the
-    pattern only through this predicate, after its alignment check has
-    rejected any configuration that pretends to be simultaneous.
+    fixed point span at most a line.  So no verdict of
+    classify_decomposition reports the pattern.
     """
     if len(parts) != 3 or any(n != 1 for n, _ in parts):
         return False
@@ -301,13 +299,3 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
         return StableExistenceReport("ExceptionalWitness",
                                      witness=MukaiVector(*found[0]))
     return StableExistenceReport("Yes")
-
-
-def detect_a2(parts, p: StabilityParam, S: Surface) -> bool:
-    """True exactly on the A2 pattern among decompositions that pass the
-    alignment check at p.  See a2_pattern for why the strict combination
-    (independent pattern classes + simultaneous alignment at one point)
-    is empty: this wrapper exists for contract symmetry with
-    classify_decomposition and rejects non-aligned parts the same way."""
-    _check_parts(parts, p, S)
-    return a2_pattern(parts, S)

@@ -123,12 +123,8 @@ def _svg_walls(v, S, reg: Region, walls) -> str:
     """Deterministic SVG: s horizontal, t = sqrt(t^2) vertical, equal
     scales, 1000px wide; each wall circle stroked and labeled with its
     representative class.  Floats appear only here, at render time."""
-    if reg.s_min >= reg.s_max:
-        raise UsageError("plotting needs s_min < s_max")
     s0, s1 = float(reg.s_min), float(reg.s_max)
     t0, t1 = math.sqrt(float(reg.t2_min)), math.sqrt(float(reg.t2_max))
-    if t1 <= t0:
-        raise UsageError("plotting needs t2_min < t2_max")
     width = 1000.0
     scale = width / (s1 - s0)
     height = (t1 - t0) * scale
@@ -311,6 +307,11 @@ def _cmd_walls(args, S):
     v = _parse_vec(args.v)
     reg = Region(_parse_rat(args.s_min), _parse_rat(args.s_max),
                  _parse_rat(args.t2_min), _parse_rat(args.t2_max))
+    if args.format == "svg":  # the plot box, on exact bounds, before the walk
+        if reg.s_min >= reg.s_max:
+            raise UsageError("plotting needs s_min < s_max")
+        if reg.t2_min >= reg.t2_max:
+            raise UsageError("plotting needs t2_min < t2_max")
     walls = enumerate_walls(v, S, reg, cap=args.cap)
     if args.format == "svg":
         print(_svg_walls(v, S, reg, walls))

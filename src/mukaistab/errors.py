@@ -100,9 +100,5 @@ class NotAligned(MukaiStabError):
     """Input classes are required to be phase-aligned but are not."""
 
 
-class ZeroDenominator(MukaiStabError):
-    """A transform denominator vanished."""
-
-
 class UsageError(MukaiStabError):
     """Malformed command line input (reserved for the CLI layer)."""

@@ -15,6 +15,10 @@ Euler-type entry: e^{gamma} |-> -rho/r1 and rho |-> -r1 * e^{gamma'}.
 It preserves the Mukai pairing:
   h2*(sd_x)(sd_y) - (r1 a_x)(r_y/r1) - (r_x/r1)(r1 a_y)
     = h2 d_x d_y - a_x r_y - r_x a_y.
+With lambda = c - s, the image E' = fm_apply(T, E) lies off the
+slope-zero locus of the induced polarization by
+-|r1| * d(E') * l_divisor(lambda, t^2) * h2 + lambda * rk(E'), which is
+exactly reduced_sigma(E, T.kernel_class(S), p, S).
 """
 
 from fractions import Fraction
@@ -83,21 +87,6 @@ def l_divisor(lam, t2) -> Fraction:
     if val <= 0:
         raise NonPositive("l_divisor needs t^2 > 0")
     return val
-
-
-def slope_defect(E_image: MukaiVector, T: FMTransform, p: StabilityParam,
-                 S: Surface) -> Fraction:
-    """How far the image class is from the slope-zero locus of the
-    induced polarization on the target, with lambda = c - s:
-
-        -|r1| * d'(E_image) * l * h2 + lambda * rk(E_image),
-
-    where d' is the gamma'-twisted degree of the image (= its plain
-    degree entry).  Vanishes exactly when the source charges of the
-    class and the kernel align."""
-    lam = T.c - p.s
-    l = l_divisor(lam, p.t2)
-    return -abs(T.r1) * E_image.d * l * S.h2 + lam * E_image.r
 
 
 class TransformedCharge(Frozen):

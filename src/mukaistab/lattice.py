@@ -316,17 +316,3 @@ def perp_basis(v: MukaiVector, S: Surface):
     u1, u2 = _kernel_basis_of_functional(n0, n1, n2)
     assert not any(n0 * x + n1 * y + n2 * z for x, y, z in (u1, u2))
     return MukaiVector(*u1), MukaiVector(*u2)
-
-
-def primitivity_report(v: MukaiVector, S: Surface = None) -> dict:
-    """Integrality / primitivity flags, plus isotropy when a surface is
-    supplied (isotropy needs h2).  gcd of the zero vector is 0 and flagged
-    non-primitive."""
-    integral = v.is_integral()
-    report = {
-        "integral": integral,
-        "primitive": bool(integral and v.content() == 1),
-    }
-    if S is not None:
-        report["isotropic"] = mukai_square(v, S) == 0
-    return report

@@ -139,25 +139,6 @@ def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
     return Fraction(n0 * r1 + n1 * d1 + n2 * a1, den * X)
 
 
-# z_domain_check verdicts
-UPPER_HALF = "UpperHalf"
-NEGATIVE_REAL = "NegativeReal"
-OUTSIDE = "Outside"
-ZERO = "Zero"
-
-
-def z_domain_check(v: MukaiVector, p: StabilityParam, S: Surface) -> str:
-    """Classify Z(v) against the allowed half-plane H ∪ R_{<0}."""
-    z = central_charge(v, p, S)
-    if z.is_zero():
-        return ZERO
-    if z.im_over_t > 0:
-        return UPPER_HALF
-    if z.im_over_t == 0:
-        return NEGATIVE_REAL if z.re < 0 else OUTSIDE
-    return OUTSIDE
-
-
 @total_ordering
 class PhaseKey(Frozen):
     """Exact order key for the phase phi in (0, 2].

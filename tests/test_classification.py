@@ -12,7 +12,7 @@ import oracles
 from mukaistab import (
     EXC_ISOTROPIC, EXC_RANK_TWO, INCONCLUSIVE, STABLE_PAIR, RHO,
     StableExistenceReport, Surface, a2_pattern, central_charge,
-    classify_decomposition, d_beta, detect_a2, find_isotropic_pairing_one,
+    classify_decomposition, d_beta, find_isotropic_pairing_one,
     find_minus_two_aligned, mukai_pairing, mukai_square, mv, param,
     reduced_sigma, stable_existence,
 )
@@ -586,17 +586,6 @@ def test_a2_pattern_rejects_shape_mismatches():
     assert not a2_pattern([(1, x), (1, y), (1, mv(0, 1, -3))], AB)  # square 2
 
 
-def test_detect_a2_requires_alignment():
-    # a fabricated pattern-like input is rejected before any detection
-    with pytest.raises(NotAligned):
-        detect_a2([(1, mv(1, 0, 0)), (1, mv(-1, 1, -1)), (1, mv(0, 1, 0))],
-                  WALL_P, AB)
-
-
-def test_detect_a2_false_on_aligned_pair():
-    assert detect_a2([(1, mv(1, -1, 1)), (1, mv(0, 1, -3))], WALL_P, AB) is False
-
-
 # ---------------------------------------------------------------------------
 # classify_decomposition
 
@@ -682,9 +671,6 @@ def test_classify_part_validation():
              NotAligned, "rho((1,-1,1), (2,-1,0)) = 1/2 != 0 at s=-3/2, t2=1/4")):
         with pytest.raises(cls) as err:
             classify_decomposition(parts, WALL_P, AB)
-        assert str(err.value) == text
-        with pytest.raises(cls) as err:
-            detect_a2(parts, WALL_P, AB)
         assert str(err.value) == text
 
 

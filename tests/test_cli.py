@@ -277,11 +277,31 @@ def test_malformed_vector_literal_is_usage_error(capsys):
       "--t2-min", "1/100", "--t2-max", "4"), "plotting needs s_min < s_max"),
     (("plot", "--v", "1,0,-2", "--s-min", "-3", "--s-max", "0",
       "--t2-min", "1", "--t2-max", "1"), "plotting needs t2_min < t2_max"),
+    # the plot box is checked before the walk: these exited 2 with
+    # ZeroDegree (d_beta vanishes at s = 0) and 3 with BoundOverflow
+    (("plot", "--v", "1,0,-2", "--s-min", "0", "--s-max", "0",
+      "--t2-min", "1", "--t2-max", "2"), "plotting needs s_min < s_max"),
+    (("walls", "--format", "svg", "--v", "1,0,-10", "--s-min", "-1",
+      "--s-max", "-1", "--t2-min", "1/10000000000", "--t2-max", "2",
+      "--cap", "1"), "plotting needs s_min < s_max"),
 ])
 def test_handler_usage_errors(capsys, argv, detail):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert json.loads(err) == {"detail": detail, "error": "UsageError"}
+
+
+def test_plot_takes_t2_bounds_that_are_one_float(capsys):
+    """t2_max = 1 + 10^-20 lies above t2_min = 1, though both read 1.0
+    as floats: plot draws the box (it exited 1 with a usage error), as
+    walls accepts it."""
+    box = ("--v", "1,0,-2", "--s-min", "-3", "--s-max", "0", "--t2-min", "1",
+           "--t2-max", "100000000000000000001/100000000000000000000")
+    rc, out, err = run(capsys, "walls", *box)
+    assert (rc, err, out) == (0, "", '{"v":"1,0,-2","walls":[]}\n')
+    rc, out, err = run(capsys, "plot", *box)
+    assert (rc, err) == (0, "") and out.startswith("<svg ")
+    assert "<circle" not in out and 'height="0.000000"' in out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -37,7 +37,6 @@ CODES = {
     "Degenerate": "Degenerate",
     "NonPositive": "NonPositive",
     "NotAligned": "NotAligned",
-    "ZeroDenominator": "ZeroDenominator",
     "UsageError": "UsageError",
 }
 
@@ -174,8 +173,6 @@ PUBLIC_CALLS = {
     "d_beta": lambda d: mukaistab.d_beta(d["v"], d["s"], d["S"]),
     "d_beta_min": lambda d: mukaistab.d_beta_min(d["s"], d["S"]),
     "perp_basis": lambda d: mukaistab.perp_basis(d["v"], d["S"]),
-    "primitivity_report": lambda d: mukaistab.primitivity_report(
-        d["v"], d["S"]),
     "MukaiVector.content": lambda d: d["v"].content(),
     "MukaiVector.is_primitive": lambda d: d["v"].is_primitive(),
     "central_charge": lambda d: mukaistab.central_charge(d["v"], d["p"], d["S"]),
@@ -185,8 +182,6 @@ PUBLIC_CALLS = {
         d["w"], d["v"], d["S"]),
     "reduced_sigma": lambda d: mukaistab.reduced_sigma(
         d["w"], d["v"], d["p"], d["S"]),
-    "z_domain_check": lambda d: mukaistab.z_domain_check(
-        d["v"], d["p"], d["S"]),
     "phase_key": lambda d: mukaistab.phase_key(d["v"], d["p"], d["S"]),
     "wall_locus": lambda d: mukaistab.wall_locus(d["w"], d["v"], d["S"]),
     "Wall.acd_key": lambda d: mukaistab.wall_locus(
@@ -207,8 +202,6 @@ PUBLIC_CALLS = {
     "fm_inverse": lambda d: mukaistab.fm_inverse(_transform(d), d["v"], d["S"]),
     "dual": lambda d: mukaistab.dual(d["v"]),
     "l_divisor": lambda d: mukaistab.l_divisor(d["x"], d["t2"]),
-    "slope_defect": lambda d: mukaistab.slope_defect(
-        d["v"], _transform(d), d["p"], d["S"]),
     "transform_central_charge": lambda d: mukaistab.transform_central_charge(
         _transform(d), d["p"], d["S"]),
     "xi_pair": lambda d: mukaistab.xi_pair(d["v"], d["s"], d["S"]),
@@ -224,7 +217,6 @@ PUBLIC_CALLS = {
         d["parts"], d["p"], d["S"]),
     "stable_existence": lambda d: mukaistab.stable_existence(
         d["v"], d["p"], d["S"]),
-    "detect_a2": lambda d: mukaistab.detect_a2(d["parts"], d["p"], d["S"]),
     "a2_pattern": lambda d: mukaistab.a2_pattern(d["parts"], d["S"]),
 }
 

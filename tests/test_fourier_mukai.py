@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mukaistab import (
     RHO, FMTransform, Surface, central_charge, dual, exp_vector, fm_apply,
     fm_inverse, l_divisor, make_transform, mukai_pairing, mv, param,
-    slope_defect, transform_central_charge, twisted_invariants,
+    transform_central_charge, twisted_invariants,
 )
 from mukaistab.errors import NotIntegral, NotPrimitive, OutOfDomain
 
@@ -111,14 +111,6 @@ def test_l_divisor():
     assert l_divisor(F(1), F(1)) == 1
     assert l_divisor(F(1, 2), F(3, 2)) == F(7, 8)
     assert l_divisor(F(0), F(2)) == 1
-
-
-def test_slope_defect_golden_zero():
-    T = make_transform(4, F(-1, 2), AB)
-    p = param(F(-1), F(3, 2))
-    image = fm_apply(T, mv(1, 0, -2), AB)
-    assert image == mv(7, F(1, 2), F(-1, 4))
-    assert slope_defect(image, T, p, AB) == 0
 
 
 def test_transform_central_charge_golden():

@@ -12,9 +12,8 @@ import oracles
 from mukaistab import (
     RHO, FMTransform, StabilityParam, Surface, TwistedInvariants, ample_class,
     central_charge, d_beta, d_beta_min, exp_vector, fm_inverse, mukai_pairing,
-    mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key,
-    primitivity_report, rat, reduced_sigma, retwist, sheaf_vector,
-    sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
+    mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key, rat,
+    reduced_sigma, retwist, sheaf_vector, sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
 )
 from mukaistab.classification import _aligned_normal
 from mukaistab.errors import (Degenerate, NonIntegral, NonPositive,
@@ -90,6 +89,7 @@ def test_pairing_bilinear(x, y, z, k, S):
     assert (mukai_pairing(x + y, z, S)
             == mukai_pairing(x, z, S) + mukai_pairing(y, z, S))
     assert mukai_pairing(k * x, z, S) == k * mukai_pairing(x, z, S)
+    assert mukai_pairing(-x, z, S) == -mukai_pairing(x, z, S)
 
 
 @given(vectors, surfaces)
@@ -252,16 +252,6 @@ def test_perp_basis_errors():
         perp_basis(mv(Fraction(1, 2), 0, 0), AB)
     with pytest.raises(Zero):
         perp_basis(mv(0, 0, 0), AB)
-
-
-def test_primitivity_report():
-    rep = primitivity_report(mv(2, 4, -6), AB)
-    assert rep["integral"] and not rep["primitive"]
-    assert mv(2, 4, -6).content() == 2
-    rep = primitivity_report(mv(2, 3, -6), AB)
-    assert rep["primitive"] and not rep["isotropic"]
-    assert primitivity_report(mv(1, 1, 1), AB)["isotropic"]
-    assert not primitivity_report(mv(Fraction(1, 2), 0, 0), AB)["integral"]
 
 
 @given(vectors, st.integers(2, 7))

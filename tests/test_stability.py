@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mukaistab import (
-    NEGATIVE_REAL, OUTSIDE, RHO, UPPER_HALF, ZERO, Surface, central_charge,
-    mukai_pairing, mv, param, phase_key, reduced_sigma, sigma_coefficients,
-    z_domain_check,
+    RHO, Surface, central_charge, mukai_pairing, mv, param, phase_key,
+    reduced_sigma, sigma_coefficients,
 )
 from mukaistab.errors import OutOfDomain, ZeroCharge
 
@@ -117,15 +116,6 @@ def test_parallel_transitivity():
     for w1 in aligned:
         for w2 in aligned:
             assert reduced_sigma(w1, w2, p, AB) == 0
-
-
-def test_z_domain_check_bands():
-    p = param(Fraction(0), Fraction(1))
-    assert z_domain_check(mv(0, 1, 0), p, AB) == UPPER_HALF
-    assert z_domain_check(RHO, p, AB) == NEGATIVE_REAL
-    assert z_domain_check(-1 * RHO, p, AB) == OUTSIDE      # positive real axis
-    assert z_domain_check(mv(0, -1, 0), p, AB) == OUTSIDE  # lower half-plane
-    assert z_domain_check(mv(0, 0, 0), p, AB) == ZERO
 
 
 def test_phase_key_band_ordering():

@@ -535,6 +535,33 @@ def test_chambers_on_ray_matches_candidate_stream_seeded():
     assert walls > 45 and flagged > 30
 
 
+# the K3 list is not local (ROADMAP item 6(0)): on the degree-6 K3
+# surface, the wall (6, 9, -17) of v = (2, 4, -1), representative
+# (1, 1, 4), crosses the ray s = 1 at t^2 = 163/48 - (7/4)^2 = 1/3
+K3_6, V_LOCAL, RAY_T2 = Surface("k3", 6), mv(2, 4, -1), (F(1, 50), F(20))
+
+
+def test_k3_locality_witness():
+    """The region [-399, 2] x [1/50, 20] lists the wall, and the oracle
+    says its circle meets the ray s = 1 over the same t^2 range."""
+    wide = enumerate_walls(V_LOCAL, K3_6, Region(F(-399), F(2), *RAY_T2))
+    wall, = [w for w in wide if w.acd_key() == (6, 9, -17)]
+    g = wall.geometry
+    assert (g.center_s, g.radius_sq, wall.v1) == (F(-3, 4), F(163, 48),
+                                                   mv(1, 1, 4))
+    assert oracles.circle_meets_region_oracle(
+        g.center_s, g.radius_sq, (2, 4, -1), (F(1), F(1), *RAY_T2), 6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the K3 step-4 box depends on the region, so the "
+                          "ray misses a wall that its circle crosses")
+def test_k3_ray_cuts_the_walls_of_a_wider_region():
+    ray = chambers_on_ray(V_LOCAL, K3_6, F(1), RAY_T2)
+    if F(1, 3) not in ray.cut_points:  # no assert: tier-1 also runs under -O
+        raise AssertionError(f"t^2 = 1/3 is not among {ray.cut_points}")
+
+
 # ---------------------------------------------------------------------------
 # wall_side
 
