@@ -6,8 +6,9 @@ Both searches run on the aligned plane Lambda = {w integral :
 rho(w, v) = 0} at p, the kernel of one primitive integer normal n
 (_aligned_normal).  n = 0 exactly when Z(v) = 0
 (stability._rho_normal); then there is no plane and ZeroCharge is
-raised.  The searches and checks run on the int triples of _over and
-build MukaiVectors only for the classes returned and for error texts.
+raised.  The searches and checks run on the ints that each MukaiVector
+stores (``_q``) and build MukaiVectors from ints only for the classes
+returned and for error texts.
 
 The decisive search — "is there an isotropic w with <v, w> = 1 whose
 charge aligns with v at p?" — is solved analytically, not by box scan.
@@ -25,7 +26,6 @@ fixes a = (h2*d^2 + 2)/(2r), and alignment times 2r becomes a quadratic
 in d, so each rank costs one isqrt (find_minus_two_aligned).
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 from itertools import combinations
 
@@ -33,7 +33,7 @@ from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, UniquenessViolation,
                      ZeroCharge, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface,
-                      _kernel_basis_of_functional, _over, _xgcd, d_beta,
+                      _kernel_basis_of_functional, _xgcd, d_beta,
                       mukai_pairing, mukai_square)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
@@ -47,15 +47,15 @@ def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
     """The primitive integer normal (n0, n1, n2) of rho(w, v) at p as a
     functional of w = (r, d, a); raises ZeroCharge when it vanishes,
     which is exactly when Z(v) = 0."""
-    return _primitive_normal(*_over(v.r, v.d, v.a), p, S)
+    return _primitive_normal(*v._q, p, S)
 
 
 def _primitive_normal(r, d, a, V, p, S):
-    """_aligned_normal of v = (r, d, a)/V as _over reads it."""
+    """_aligned_normal of v = (r, d, a)/V as v._q holds it."""
     n0, n1, n2, _ = _rho_normal(r, d, a, V, p, S)
     g = gcd(n0, n1, n2)
     if g == 0:
-        v = MukaiVector(Fraction(r, V), Fraction(d, V), Fraction(a, V))
+        v = MukaiVector._of(r, d, a, V)
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
     return n0 // g, n1 // g, n2 // g
 
@@ -105,10 +105,10 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
     ``bound``, <v, w1> = 1, aligned with v at p, of positive twisted
     degree.  The line search makes this complete; the box bound only
     truncates the output.  Raises ZeroCharge when Z(v) = 0."""
-    r, d, a, V = _over(v.r, v.d, v.a)
+    r, d, a, V = v._q
     if V != 1:
         raise NonIntegral(f"search needs an integral v, got {v}")
-    return [MukaiVector(*w) for w in _ipo_line_search(r, d, a, p, S)
+    return [MukaiVector._of(*w) for w in _ipo_line_search(r, d, a, p, S)
             if max(map(abs, w)) <= bound]
 
 
@@ -161,7 +161,7 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
             # |a| <= bound bounds d too: h2*d^2 + 2 = 2*r*a <= 2*bound^2
             a, rem = divmod(h2 * d * d + 2, 2 * r)
             if not rem and abs(a) <= bound and d * s_den - r * s_num > 0:
-                out.append(MukaiVector(r, d, a))
+                out.append(MukaiVector._of(r, d, a))
     if len(out) > 1:
         raise UniquenessViolation(
             f"{len(out)} aligned square--2 classes found: {[str(w) for w in out]}")
@@ -193,7 +193,7 @@ def _check_parts(parts, p, S):
     for n, vi in parts:
         if not (isinstance(n, int) and n >= 1):
             raise NonIntegral(f"multiplicity must be a positive integer, got {n!r}")
-        r, d, a, V = _over(vi.r, vi.d, vi.a)
+        r, d, a, V = vi._q
         if V != 1:
             raise NonIntegral(f"part {vi} is not integral")
         g = gcd(r, d, a)
@@ -266,7 +266,7 @@ def classify_decomposition(parts, p: StabilityParam,
         found = _ipo_line_search(r1 + r2, d1 + d2, a1 + a2, p, S)
         if found:
             return DecompositionReport(EXC_ISOTROPIC,
-                                       witnesses=(MukaiVector(*found[0]),))
+                                       witnesses=(MukaiVector._of(*found[0]),))
         return DecompositionReport(STABLE_PAIR)
     # a single class: stability of one object is not a lattice question
     return DecompositionReport(INCONCLUSIVE, certified=False)
@@ -286,7 +286,7 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
     the line search (module docstring) is complete: "Yes" is certified
     by it finding no isotropic pairing-one class aligned at p, and the
     first such class is reported otherwise.  There is no third answer."""
-    r, d, a, V = _over(v.r, v.d, v.a)
+    r, d, a, V = v._q
     if V != 1:
         raise NonIntegral(f"needs an integral v, got {v}")
     square = S.h2 * d * d - 2 * r * a
@@ -297,5 +297,5 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
     found = _ipo_line_search(r, d, a, p, S)
     if found:
         return StableExistenceReport("ExceptionalWitness",
-                                     witness=MukaiVector(*found[0]))
+                                     witness=MukaiVector._of(*found[0]))
     return StableExistenceReport("Yes")

@@ -119,15 +119,33 @@ def _f(x) -> str:
     return f"{float(x):.6f}"
 
 
-def _svg_walls(v, S, reg: Region, walls) -> str:
-    """Deterministic SVG: s horizontal, t = sqrt(t^2) vertical, equal
-    scales, 1000px wide; each wall circle stroked and labeled with its
-    representative class.  Floats appear only here, at render time."""
+def _svg_box(reg: Region):
+    """(s0, t0, t1, scale, height) of the plot of reg: s horizontal,
+    t = sqrt(t^2) vertical, equal scales, 1000px wide.  A box that is
+    empty, or has no float width or height, is a UsageError."""
+    if reg.s_min >= reg.s_max:
+        raise UsageError("plotting needs s_min < s_max")
+    if reg.t2_min >= reg.t2_max:
+        raise UsageError("plotting needs t2_min < t2_max")
     s0, s1 = float(reg.s_min), float(reg.s_max)
     t0, t1 = math.sqrt(float(reg.t2_min)), math.sqrt(float(reg.t2_max))
-    width = 1000.0
-    scale = width / (s1 - s0)
+    if s1 == s0:
+        raise UsageError("plotting needs a box of nonzero float width: "
+                         "s_min and s_max round to one float")
+    scale = 1000.0 / (s1 - s0)
     height = (t1 - t0) * scale
+    if height == 0:
+        raise UsageError("plotting needs a box of nonzero float height: "
+                         "its t range rounds to 0 px at 1000 px wide")
+    return s0, t0, t1, scale, height
+
+
+def _svg_walls(v, reg: Region, walls, box) -> str:
+    """Deterministic SVG of the walls over reg on _svg_box's frame; each
+    wall circle stroked and labeled with its representative class.
+    Floats appear only here, at render time."""
+    s0, t0, t1, scale, height = box
+    width = 1000.0
 
     def X(s):
         return (float(s) - s0) * scale
@@ -307,14 +325,10 @@ def _cmd_walls(args, S):
     v = _parse_vec(args.v)
     reg = Region(_parse_rat(args.s_min), _parse_rat(args.s_max),
                  _parse_rat(args.t2_min), _parse_rat(args.t2_max))
-    if args.format == "svg":  # the plot box, on exact bounds, before the walk
-        if reg.s_min >= reg.s_max:
-            raise UsageError("plotting needs s_min < s_max")
-        if reg.t2_min >= reg.t2_max:
-            raise UsageError("plotting needs t2_min < t2_max")
+    box = _svg_box(reg) if args.format == "svg" else None  # before the walk
     walls = enumerate_walls(v, S, reg, cap=args.cap)
-    if args.format == "svg":
-        print(_svg_walls(v, S, reg, walls))
+    if box:
+        print(_svg_walls(v, reg, walls, box))
         return None
     if args.format == "plain":
         for w in walls:

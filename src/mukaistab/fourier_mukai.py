@@ -24,7 +24,7 @@ exactly reduced_sigma(E, T.kernel_class(S), p, S).
 from fractions import Fraction
 
 from .errors import NonPositive, NotIntegral, NotPrimitive
-from .lattice import Frozen, MukaiVector, Surface, _over, _twist, exp_vector, rat
+from .lattice import Frozen, MukaiVector, Surface, _twist, exp_vector, rat
 from .stability import StabilityParam
 
 
@@ -57,26 +57,26 @@ def fm_apply(T: FMTransform, v: MukaiVector, S: Surface) -> MukaiVector:
     """Image of v, as a plain Mukai vector on the target surface (whose
     distinguished twist gamma' is 0).  Rational entries can occur for
     classes that are not genuine sheaf classes on the source."""
-    r, dn, an, V, sd = _twist(v.r, v.d, v.a, T.c, S)
-    return MukaiVector(Fraction(-T.r1 * an, V * sd * sd),
-                       Fraction(dn if T.r1 > 0 else -dn, V * sd),
-                       Fraction(-r, V * T.r1))
+    r, dn, an, V, sd = _twist(*v._q, T.c, S)
+    # (-r1*an/sd^2, sign(r1)*dn/sd, -r/r1)/V over the one den V*sd^2*r1
+    return MukaiVector._of(-T.r1 * T.r1 * an, abs(T.r1) * dn * sd,
+                           -r * sd * sd, V * sd * sd * T.r1)
 
 
 def fm_inverse(T: FMTransform, w: MukaiVector, S: Surface) -> MukaiVector:
     """Inverse of fm_apply: the coordinate map is an involution, so apply
     it to w (already gamma'-twisted = plain) and untwist at gamma."""
-    r, d, a, W = _over(w.r, w.d, w.a)
-    # the mapped triple times k = r1*W is integral, and twisting is linear
-    k = T.r1 * W
-    rk, dn, an, _, sd = _twist(-T.r1 * T.r1 * a, abs(T.r1) * d, -r, -T.c, S)
-    return MukaiVector(Fraction(rk, k), Fraction(dn, k * sd),
-                       Fraction(an, k * sd * sd))
+    r, d, a, W = w._q
+    # the mapped triple is (-r1^2*a, |r1|*d, -r)/k with k = r1*W
+    rk, dn, an, k, sd = _twist(-T.r1 * T.r1 * a, abs(T.r1) * d, -r, T.r1 * W,
+                               -T.c, S)
+    return MukaiVector._of(rk * sd * sd, dn * sd, an, k * sd * sd)
 
 
 def dual(v: MukaiVector) -> MukaiVector:
     """Derived dual on the lattice: negates the degree entry."""
-    return MukaiVector(v.r, -v.d, v.a)
+    r, d, a, V = v._q
+    return MukaiVector._of(r, -d, a, V)
 
 
 def l_divisor(lam, t2) -> Fraction:

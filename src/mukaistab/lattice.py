@@ -10,11 +10,12 @@ class.  The pairing is
 an even bilinear form of signature (2,1).  There is no floating point
 in the core, by design: every identity downstream is exact and the tests
 run at zero tolerance.  Kernel convention: Fractions at the interface,
-ints inside.  A formula reads each input's numerator and denominator
-once (``_over``), evaluates its polynomial on Python ints and builds one
-Fraction per returned value.  Validation reads the same ints: integral
-is den = 1, primitive is gcd 1, and a sign or phase order is an integer
-comparison.
+ints inside.  A MukaiVector stores its entries as ints over one
+denominator (``_q``, the canonical form of ``_over``); a formula
+evaluates its polynomial on those ints and builds one Fraction per
+returned number, and a vector from ints (``MukaiVector._of``).
+Validation reads the same ints: integral is den = 1, primitive is gcd
+1, and a sign or phase order is an integer comparison.
 
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
@@ -43,14 +44,19 @@ class Frozen:
     that stores its arguments, built with exec from the slot names as
     dataclasses builds its own; a subclass that converts or checks its
     fields writes ``__init__`` and sets them with object.__setattr__.
-    As for a frozen dataclass, repr, == (same class only) and hash follow
-    the field tuple, and assignment or deletion raises AttributeError.
+    As for a frozen dataclass, repr and hash follow the field tuple, ==
+    (same class only) the slots, and assignment or deletion raises
+    AttributeError.  A subclass that stores its fields in a canonical
+    form of its own names them in ``_names``, read through properties.
     Copies and pickles rebuild through ``__init__``."""
 
     __slots__ = ()
+    _names = ()
 
     def __init_subclass__(cls):
         names = cls.__dict__.get("__slots__", ())
+        if names and "_names" not in cls.__dict__:
+            cls._names = names
         if names and "__init__" not in cls.__dict__:
             defaults = cls.__dict__.get("_defaults", {})
             args = "".join([f", {f}=_defaults[{f!r}]" if f in defaults
@@ -62,16 +68,16 @@ class Frozen:
             ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
             cls.__init__ = ns["__init__"]
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
+    def _fields(self, names=None) -> tuple:
+        return tuple([getattr(self, f) for f in names or self._names])
 
     def __repr__(self):
-        inner = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        inner = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._names])
         return f"{self.__class__.__qualname__}({inner})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self.__slots__) == other._fields(self.__slots__)
         return NotImplemented
 
     def __hash__(self):
@@ -106,17 +112,40 @@ class Surface(Frozen):
         return 0 if self.kind == "abelian" else 1
 
 
+def _over(x, y, z):
+    """(x', y', z', den): three rationals as ints over their lcd den, so
+    gcd(x', y', z', den) = 1: the one such form of the triple."""
+    xd, yd, zd = x.denominator, y.denominator, z.denominator
+    den = lcm(xd, yd, zd)
+    return (x.numerator * (den // xd), y.numerator * (den // yd),
+            z.numerator * (den // zd), den)
+
+
 class MukaiVector(Frozen):
     """A rational class r + d*H + a*rho.  Rational entries are allowed on
     purpose (transform images of exponentials are rational); integrality
-    is a queryable property, not a type constraint."""
+    is a queryable property, not a type constraint.  It stores the ints
+    ``_q = (r, d, a, den)`` with den > 0 and gcd(r, d, a, den) = 1."""
 
-    __slots__ = ("r", "d", "a")
+    __slots__ = ("_q",)
+    _names = ("r", "d", "a")
 
     def __init__(self, r, d, a):
-        object.__setattr__(self, "r", rat(r))
-        object.__setattr__(self, "d", rat(d))
-        object.__setattr__(self, "a", rat(a))
+        object.__setattr__(self, "_q", _over(rat(r), rat(d), rat(a)))
+
+    @classmethod
+    def _of(cls, r: int, d: int, a: int, den: int = 1) -> "MukaiVector":
+        """The vector (r, d, a)/den from ints, den != 0."""
+        if den != 1:
+            g = gcd(r, d, a, den) if den > 0 else -gcd(r, d, a, den)
+            r, d, a, den = r // g, d // g, a // g, den // g
+        v = object.__new__(cls)
+        object.__setattr__(v, "_q", (r, d, a, den))
+        return v
+
+    r = property(lambda self: Fraction(self._q[0], self._q[3]))
+    d = property(lambda self: Fraction(self._q[1], self._q[3]))
+    a = property(lambda self: Fraction(self._q[2], self._q[3]))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.d + other.d, self.a + other.a)
@@ -125,7 +154,8 @@ class MukaiVector(Frozen):
         return MukaiVector(self.r - other.r, self.d - other.d, self.a - other.a)
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, -self.d, -self.a)
+        r, d, a, den = self._q
+        return MukaiVector._of(-r, -d, -a, den)
 
     def __rmul__(self, k) -> "MukaiVector":
         k = rat(k)
@@ -135,16 +165,16 @@ class MukaiVector(Frozen):
         return (self.r, self.d, self.a)
 
     def is_zero(self) -> bool:
-        return self.r == 0 and self.d == 0 and self.a == 0
+        return not any(self._q[:3])
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.as_tuple())
+        return self._q[3] == 1
 
     def content(self) -> int:
         """gcd of the entries of an integral vector; 0 for the zero vector."""
         if not self.is_integral():
             raise NonIntegral("content is defined for integral vectors")
-        return gcd(gcd(int(self.r), int(self.d)), int(self.a))
+        return gcd(*self._q[:3])
 
     def is_primitive(self) -> bool:
         return self.is_integral() and self.content() == 1
@@ -161,23 +191,15 @@ def mv(r, d, a) -> MukaiVector:
 RHO = MukaiVector(0, 0, 1)
 
 
-def _over(x, y, z):
-    """(x', y', z', den): three rationals as ints over their lcd den."""
-    xd, yd, zd = x.denominator, y.denominator, z.denominator
-    den = lcm(xd, yd, zd)
-    return (x.numerator * (den // xd), y.numerator * (den // yd),
-            z.numerator * (den // zd), den)
-
-
 def mukai_pairing(x: MukaiVector, y: MukaiVector, S: Surface) -> Fraction:
     """<x, y> = h2*x.d*y.d - x.r*y.a - x.a*y.r."""
-    xr, xd, xa, X = _over(x.r, x.d, x.a)
-    yr, yd, ya, Y = _over(y.r, y.d, y.a)
+    xr, xd, xa, X = x._q
+    yr, yd, ya, Y = y._q
     return Fraction(S.h2 * xd * yd - xr * ya - xa * yr, X * Y)
 
 
 def mukai_square(x: MukaiVector, S: Surface) -> Fraction:
-    r, d, a, X = _over(x.r, x.d, x.a)
+    r, d, a, X = x._q
     return Fraction(S.h2 * d * d - 2 * r * a, X * X)
 
 
@@ -209,11 +231,10 @@ class TwistedInvariants(Frozen):
         return (self.r_b, self.d_b, self.a_b)
 
 
-def _twist(r, d, a, s: Fraction, S: Surface):
-    """(r', dn, an, V, sd): the s-twisted triple of (r, d, a) on ints,
-    (r_b, d_b, a_b) = (r'/V, dn/(V*sd), an/(V*sd^2)), sd the denominator
+def _twist(r, d, a, V, s: Fraction, S: Surface):
+    """(r, dn, an, V, sd): the s-twisted triple of (r, d, a)/V on ints,
+    (r_b, d_b, a_b) = (r/V, dn/(V*sd), an/(V*sd^2)), sd the denominator
     of s.  Twisting at -s undoes twisting at s."""
-    r, d, a, V = _over(r, d, a)
     sn, sd = s.numerator, s.denominator
     an = (a * sd - d * sn * S.h2) * sd + r * sn * sn * (S.h2 // 2)
     return r, d * sd - r * sn, an, V, sd
@@ -225,14 +246,14 @@ def twisted_invariants(v: MukaiVector, s, S: Surface) -> TwistedInvariants:
     Equivalently a_b = -<v, e^{sH}>, which the tests assert; twisting by a
     rational s is an isometry of the rational lattice.
     """
-    _, dn, an, V, sd = _twist(v.r, v.d, v.a, rat(s), S)
+    _, dn, an, V, sd = _twist(*v._q, rat(s), S)
     return TwistedInvariants(v.r, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
 
 
 def untwist(ti: TwistedInvariants, s, S: Surface) -> MukaiVector:
     """Inverse of twisted_invariants at the same s."""
-    _, dn, an, V, sd = _twist(ti.r_b, ti.d_b, ti.a_b, -rat(s), S)
-    return MukaiVector(ti.r_b, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
+    r, dn, an, V, sd = _twist(*_over(*ti.as_tuple()), -rat(s), S)
+    return MukaiVector._of(r * sd * sd, dn * sd, an, V * sd * sd)
 
 
 def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariants:
@@ -246,13 +267,14 @@ def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariant
     Composition consistency with the direct computation is a tested
     invariant.
     """
-    _, dn, an, V, sd = _twist(ti.r_b, ti.d_b, ti.a_b, -rat(s_from) + rat(s_to), S)
+    _, dn, an, V, sd = _twist(*_over(*ti.as_tuple()), -rat(s_from) + rat(s_to), S)
     return TwistedInvariants(ti.r_b, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
 
 
 def d_beta(v: MukaiVector, s, S: Surface) -> Fraction:
     """Twisted degree d - r*s (the only coordinate most wall formulas need)."""
-    return v.d - v.r * rat(s)
+    (r, d, _, V), s = v._q, rat(s)
+    return Fraction(d * s.denominator - r * s.numerator, V * s.denominator)
 
 
 def d_beta_min(s, S: Surface) -> Fraction:
@@ -307,7 +329,7 @@ def perp_basis(v: MukaiVector, S: Surface):
     <x, v> is the integer functional (-v.a)*x_r + (h2*v.d)*x_d + (-v.r)*x_a,
     so this is a 1-functional kernel computation.
     """
-    r, d, a, V = _over(v.r, v.d, v.a)
+    r, d, a, V = v._q
     if V != 1:
         raise NonIntegral(f"perp_basis needs an integral vector, got {v}")
     if not (r or d or a):
@@ -315,4 +337,4 @@ def perp_basis(v: MukaiVector, S: Surface):
     n0, n1, n2 = -a, S.h2 * d, -r
     u1, u2 = _kernel_basis_of_functional(n0, n1, n2)
     assert not any(n0 * x + n1 * y + n2 * z for x, y, z in (u1, u2))
-    return MukaiVector(*u1), MukaiVector(*u2)
+    return MukaiVector._of(*u1), MukaiVector._of(*u2)

@@ -19,24 +19,24 @@ formula (_omega): at which t^2 has v twisted slope matching x?
 from fractions import Fraction
 
 from .errors import Degenerate, NonPositive, OutOfDomain, ZeroDegree, ZeroRank
-from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
+from .lattice import Frozen, MukaiVector, Surface, _twist, rat
 from .stability import StabilityParam, _rho_normal
 
 
 def _xi(r: int, d: int, a: int, s: Fraction, S: Surface):
-    """(xi1, xi2) of v = (r, d, a)/V, r != 0, from _over's ints; V cancels."""
+    """(xi1, xi2) of v = (r, d, a)/V, r != 0, from v._q; V cancels."""
     sn, sd = s.numerator, s.denominator
     # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r
-    return (MukaiVector(0, 1, Fraction(d * S.h2, r)),
-            MukaiVector(-1, -s, Fraction(a * sd - d * sn * S.h2, r * sd)))
+    return (MukaiVector._of(0, r, d * S.h2, r),
+            MukaiVector._of(-r * sd, -r * sn, a * sd - d * sn * S.h2, r * sd))
 
 
 def xi_pair(v: MukaiVector, s, S: Surface):
     """The two building blocks (xi1, xi2) of the ample class of v at the
     twist s; needs r != 0."""
-    if v.r == 0:
+    r, d, a, _ = v._q
+    if r == 0:
         raise ZeroRank(f"xi_pair needs rk != 0, got {v}")
-    r, d, a, _ = _over(v.r, v.d, v.a)
     return _xi(r, d, a, rat(s), S)
 
 
@@ -53,7 +53,7 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
     aligned with v at p; t^2 -> xi_omega is injective since phi is
     strictly increasing in t^2.
     """
-    r, d, a, V = _over(v.r, v.d, v.a)
+    r, d, a, V = v._q
     if r == 0:
         raise ZeroRank(f"ample_class needs rk != 0, got {v}")
     n0, n1, n2, _ = _rho_normal(r, d, a, V, p, S)
@@ -62,13 +62,13 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
     h2, sn, sd = S.h2, p.s.numerator, p.s.denominator
     return AmpleClassReport(Fraction(n1 * sd + h2 * sn * n2, n2 * sd),
                             *_xi(r, d, a, p.s, S),
-                            MukaiVector(-h2, Fraction(n1, n2), Fraction(-h2 * n0, n2)))
+                            MukaiVector._of(-h2 * n2, n1, -h2 * n0, n2))
 
 
 def _omega(v: MukaiVector, s: Fraction, x: Fraction, S: Surface):
     """(N, M, dn, V, sd): t^2 = N/M, N = x (a - d h2 x/2) and M = (h2/2)
     (x r - d) at the twist s, as ints over one positive denominator."""
-    r, dn, an, V, sd = _twist(v.r, v.d, v.a, s, S)
+    r, dn, an, V, sd = _twist(*v._q, s, S)
     xn, xd, half = x.numerator, x.denominator, S.h2 // 2
     return (xn * (an * xd - dn * half * xn * sd),
             half * xd * sd * (xn * r * sd - dn * xd), dn, V, sd)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import OutOfDomain, ZeroCharge
-from .lattice import Frozen, MukaiVector, Surface, _over, _twist, rat
+from .lattice import Frozen, MukaiVector, Surface, _twist, rat
 
 
 class StabilityParam(Frozen):
@@ -76,7 +76,7 @@ class CentralCharge(Frozen):
 
 def _charge(v: MukaiVector, p: StabilityParam, S: Surface):
     """(re, im_over_t, den): Z(v) as two integers over one den > 0."""
-    r, dn, an, V, sd = _twist(v.r, v.d, v.a, p.s, S)
+    r, dn, an, V, sd = _twist(*v._q, p.s, S)
     tn, td = p.t2.numerator, p.t2.denominator
     return (S.h2 // 2 * tn * r * sd * sd - an * td, S.h2 * dn * sd * td,
             V * sd * sd * td)
@@ -90,8 +90,8 @@ def central_charge(v: MukaiVector, p: StabilityParam, S: Surface) -> CentralChar
 
 def _acd(v1: MukaiVector, v: MukaiVector, S: Surface):
     """(A, C, D, den): sigma_coefficients as integers over one den > 0."""
-    r1, d1, a1, X = _over(v1.r, v1.d, v1.a)
-    r, d, a, Y = _over(v.r, v.d, v.a)
+    r1, d1, a1, X = v1._q
+    r, d, a, Y = v._q
     return S.h2 // 2 * (r1 * d - r * d1), a1 * r - r1 * a, a * d1 - a1 * d, X * Y
 
 
@@ -108,7 +108,7 @@ def sigma_coefficients(v1: MukaiVector, v: MukaiVector, S: Surface):
 
 
 def _rho_normal(r, d, a, V, p: StabilityParam, S: Surface):
-    """(n0, n1, n2, den), den > 0, for v = (r, d, a)/V as _over reads it:
+    """(n0, n1, n2, den), den > 0, for v = (r, d, a)/V as v._q holds it:
     rho(w, v) at p is the functional (n0*x + n1*y + n2*z)/den of
     w = (x, y, z).  Read off A*(t^2+s^2) + C*s + D,
     n/den = ((h2/2)*d*q - a*s, a - (h2/2)*r*q, r*s - d)/V with
@@ -134,8 +134,8 @@ def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
     functional _rho_normal of v applied to v1; agreement with the
     determinant definition is an acceptance-tested identity.
     """
-    n0, n1, n2, den = _rho_normal(*_over(v.r, v.d, v.a), p, S)
-    r1, d1, a1, X = _over(v1.r, v1.d, v1.a)
+    n0, n1, n2, den = _rho_normal(*v._q, p, S)
+    r1, d1, a1, X = v1._q
     return Fraction(n0 * r1 + n1 * d1 + n2 * a1, den * X)
 
 

@@ -38,7 +38,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, Zero, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, _over, _xgcd, d_beta,
+from .lattice import (Frozen, MukaiVector, Surface, _xgcd, d_beta,
                       d_beta_min, rat)
 from .stability import StabilityParam, _acd, _band, _nonzero_charge
 
@@ -132,7 +132,7 @@ def _clip_degree_interval(v, lo: Fraction, hi: Fraction):
     """The closure [L/N, H/N] of {s in [lo, hi] : d_beta(v)(s) > 0} as ints
     (L, H, N), N > 0, or None when it is empty.  Its end d/r (r != 0) is
     open; the module docstring says why that never matters."""
-    r, d = int(v.r), int(v.d)
+    r, d, _, _ = v._q
     N = lo.denominator * hi.denominator
     L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     if max(d * N - r * L, d * N - r * H) <= 0:
@@ -197,8 +197,8 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
     if not (v.is_integral() and v1.is_integral()):
         raise NonIntegral(f"criterion needs integral classes, got {v1}, {v}")
     h2 = S.h2
-    r, d, a, _ = _over(v.r, v.d, v.a)
-    r1, d1, a1, _ = _over(v1.r, v1.d, v1.a)
+    r, d, a, _ = v._q
+    r1, d1, a1, _ = v1._q
     q = h2 * d * d - 2 * r * a
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
@@ -228,7 +228,7 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
     # the degrees d_beta over d_beta_min = 1/den(s) are the integers x1, x
     x1, x = d1 * s.denominator - r1 * s.numerator, d * s.denominator - r * s.numerator
     cond_a = 0 < x1 < x
-    cond_b = x != 0 and q1 < Fraction(x1 * q, x) + 2 * x * x1
+    cond_b = x * (q1 * x - x1 * q - 2 * x * x * x1) < 0
     cond_c = q1 >= -2 * x1 * x1
     ok = cond_a and cond_b and cond_c and not proportional
     return WallVectorReport(
@@ -356,7 +356,7 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
                             w[2] * M * M // (2 * w[0]) ** 2, w[3]))
     return [Wall(*map(Fraction, acd),
                  Circle(Fraction(-C, 2 * A), Fraction(disc, 4 * A * A)),
-                 MukaiVector(*y1))
+                 MukaiVector._of(*y1))
             for A, C, disc, _, (_, y1, acd) in won]
 
 
@@ -367,7 +367,7 @@ def _walk(v, S, reg, cap):
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if not v.is_integral():
         raise NonIntegral(f"enumeration needs an integral v, got {v}")
-    r, d, a, h2 = v.r.numerator, v.d.numerator, v.a.numerator, S.h2
+    (r, d, a, _), h2 = v._q, S.h2
     if gcd(r, d, a) != 1:
         raise NotPrimitive(f"enumeration needs a primitive v, got {v}")
     q = h2 * d * d - 2 * r * a
@@ -561,7 +561,7 @@ def category_walls_k3(b, S: Surface, t2_max) -> list:
     num = n * p * p + 1
     if num % q != 0:
         return []
-    u = MukaiVector(q, p, num // q)
+    u = MukaiVector._of(q, p, num // q)
     t2 = Fraction(2, q * q * S.h2)
     if 0 < t2 <= t2_max:
         return [CategoryWall(u, t2)]

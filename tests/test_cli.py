@@ -284,6 +284,17 @@ def test_malformed_vector_literal_is_usage_error(capsys):
     (("walls", "--format", "svg", "--v", "1,0,-10", "--s-min", "-1",
       "--s-max", "-1", "--t2-min", "1/10000000000", "--t2-max", "2",
       "--cap", "1"), "plotting needs s_min < s_max"),
+    # bounds that differ exactly but not as floats: this ended in a
+    # ZeroDivisionError traceback
+    (("plot", "--v", "1,0,-10", "--s-min", "-1", "--s-max",
+      "-99999999999999999999/100000000000000000000", "--t2-min", "1",
+      "--t2-max", "2"), "plotting needs a box of nonzero float width: "
+     "s_min and s_max round to one float"),
+    (("walls", "--format", "svg", "--v", "1,0,-2", "--s-min", "-3",
+      "--s-max", "0", "--t2-min", "4",
+      "--t2-max", "400000000000000000001/100000000000000000000"),
+     "plotting needs a box of nonzero float height: its t range rounds to "
+     "0 px at 1000 px wide"),
 ])
 def test_handler_usage_errors(capsys, argv, detail):
     rc, out, err = run(capsys, *argv)
@@ -291,17 +302,22 @@ def test_handler_usage_errors(capsys, argv, detail):
     assert json.loads(err) == {"detail": detail, "error": "UsageError"}
 
 
-def test_plot_takes_t2_bounds_that_are_one_float(capsys):
+def test_plot_refuses_t2_bounds_that_are_one_float(capsys):
     """t2_max = 1 + 10^-20 lies above t2_min = 1, though both read 1.0
-    as floats: plot draws the box (it exited 1 with a usage error), as
-    walls accepts it."""
+    as floats: walls accepts the region in json and plain output, while
+    plot refuses the box of height 0, before the walk (it drew an SVG of
+    height 0 with its labels at negative y)."""
     box = ("--v", "1,0,-2", "--s-min", "-3", "--s-max", "0", "--t2-min", "1",
            "--t2-max", "100000000000000000001/100000000000000000000")
     rc, out, err = run(capsys, "walls", *box)
     assert (rc, err, out) == (0, "", '{"v":"1,0,-2","walls":[]}\n')
-    rc, out, err = run(capsys, "plot", *box)
-    assert (rc, err) == (0, "") and out.startswith("<svg ")
-    assert "<circle" not in out and 'height="0.000000"' in out
+    assert run(capsys, "walls", "--format", "plain", *box) == (0, "", "")
+    rc, out, err = run(capsys, "plot", *box, "--cap", "0")
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {
+        "detail": "plotting needs a box of nonzero float height: its t "
+                  "range rounds to 0 px at 1000 px wide",
+        "error": "UsageError"}
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

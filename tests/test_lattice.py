@@ -1,8 +1,9 @@
 """Lattice layer: pairing, twisted invariants, orthogonal complements."""
 
+import pickle
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mukaistab import (
-    RHO, FMTransform, StabilityParam, Surface, TwistedInvariants, ample_class,
+    RHO, FMTransform, MukaiVector, StabilityParam, Surface, TwistedInvariants, ample_class,
     central_charge, d_beta, d_beta_min, exp_vector, fm_inverse, mukai_pairing,
     mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key, rat,
     reduced_sigma, retwist, sheaf_vector, sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
@@ -77,6 +78,34 @@ def test_sheaf_vector_epsilon():
     assert sheaf_vector(1, 0, 0, AB) == mv(1, 0, 0)
     assert sheaf_vector(1, 0, 2, K3) == mv(1, 0, 1)
     assert sheaf_vector(2, -1, 3, K3) == mv(2, -1, 1)
+
+
+@given(rationals, rationals, rationals, st.integers(-9, 9).filter(bool))
+def test_vector_from_ints_matches_the_fraction_constructor(r, d, a, k):
+    """MukaiVector._of(k*r', k*d', k*a', k*den) for (r, d, a) = (r', d',
+    a')/den is the vector MukaiVector(r, d, a): the same canonical _q
+    (den > 0, gcd 1), repr, hash (that of the Fraction triple) and ==."""
+    den = lcm(r.denominator, d.denominator, a.denominator)
+    num = [k * x.numerator * (den // x.denominator) for x in (r, d, a)]
+    v, w = MukaiVector._of(*num, k * den), mv(r, d, a)
+    assert v._q == w._q and repr(v) == repr(w) and v == w
+    assert hash(v) == hash(w) == hash((r, d, a))
+    R, D, A, N = v._q
+    assert N > 0 and gcd(R, D, A, N) == 1 and (R, D, A) == (r * N, d * N, a * N)
+    assert v.as_tuple() == (r, d, a) and v.is_integral() == (N == 1)
+
+
+def test_pickles_made_before_the_int_form_load():
+    """Protocol-2 bytes of MukaiVector(1/2, -3, -5/7), as pickled when the
+    class stored three Fractions: they load to an equal vector, and the
+    class still reduces to its Fraction triple."""
+    old = (b"\x80\x02cmukaistab.lattice\nMukaiVector\nq\x00cfractions\n"
+           b"Fraction\nq\x01K\x01K\x02\x86q\x02Rq\x03h\x01J\xfd\xff\xff\xff"
+           b"K\x01\x86q\x04Rq\x05h\x01J\xfb\xff\xff\xffK\x07\x86q\x06Rq"
+           b"\x07\x87q\x08Rq\t.")
+    v = mv("1/2", -3, "-5/7")
+    assert pickle.loads(old) == v and pickle.loads(old)._q == (7, -42, -10, 14)
+    assert v.__reduce__() == (MukaiVector, (Fraction(1, 2), -3, Fraction(-5, 7)))
 
 
 @given(vectors, vectors, surfaces)

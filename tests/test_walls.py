@@ -141,6 +141,33 @@ def test_is_wall_vector_k3_is_flagged_necessary_only():
     assert rep.kind == "k3" and rep.necessary_only
 
 
+def test_is_wall_vector_k3_condition_b_matches_its_fraction_form():
+    """K3 condition (b) is q1 < x1*q/x + 2*x*x1 on the degrees x1, x of v1
+    and v over d_beta_min = 1/den(s), and false at x = 0; the Fraction
+    form is the oracle of the integer test, on seeded inputs with h2 in
+    {2, 4, 6}, x of either sign or 0, and both answers."""
+    rng = random.Random(20261023)
+    seen = set()
+    for i in range(4000):
+        h2 = rng.choice((2, 4, 6))
+        v = (rng.randint(-3, 3), rng.randint(-4, 4), rng.randint(-6, 6))
+        v1 = tuple(rng.randint(-6, 6) for _ in range(3))
+        q = oracles.square(v, h2)
+        if q <= 0:
+            continue
+        s = F(rng.randint(-9, 9), rng.randint(1, 4))
+        if i % 5 == 0 and v[0]:
+            s = F(v[1], v[0])  # x = 0
+        x1 = v1[1] * s.denominator - v1[0] * s.numerator
+        x = v[1] * s.denominator - v[0] * s.numerator
+        q1 = oracles.square(v1, h2)
+        want = x != 0 and q1 < F(x1 * q, x) + 2 * x * x1
+        got = is_wall_vector(mv(*v1), mv(*v), Surface("k3", h2), s=s).details["b"]
+        assert got is want, (h2, v1, v, s)
+        seen.add(((x > 0) - (x < 0), want))
+    assert seen == {(-1, False), (-1, True), (0, False), (1, False), (1, True)}
+
+
 def test_is_wall_vector_matches_point_oracle_on_small_box():
     """Spot version of the exhaustive acceptance check: squares as standing
     hypotheses, point existence decided by independent sampling."""
