@@ -122,13 +122,18 @@ def _f(x) -> str:
 def _svg_box(reg: Region):
     """(s0, t0, t1, scale, height) of the plot of reg: s horizontal,
     t = sqrt(t^2) vertical, equal scales, 1000px wide.  A box that is
-    empty, or has no float width or height, is a UsageError."""
+    empty, has a bound beyond float range, or has no float width or
+    height, is a UsageError."""
     if reg.s_min >= reg.s_max:
         raise UsageError("plotting needs s_min < s_max")
     if reg.t2_min >= reg.t2_max:
         raise UsageError("plotting needs t2_min < t2_max")
-    s0, s1 = float(reg.s_min), float(reg.s_max)
-    t0, t1 = math.sqrt(float(reg.t2_min)), math.sqrt(float(reg.t2_max))
+    try:
+        s0, s1 = float(reg.s_min), float(reg.s_max)
+        t0, t1 = math.sqrt(float(reg.t2_min)), math.sqrt(float(reg.t2_max))
+    except OverflowError:
+        raise UsageError("plotting needs bounds in the float range, of "
+                         f"absolute value at most {sys.float_info.max}") from None
     if s1 == s0:
         raise UsageError("plotting needs a box of nonzero float width: "
                          "s_min and s_max round to one float")

@@ -4,7 +4,8 @@ the induced duality, and how central charges and slopes move.
 A transform is determined by a nonzero integer r1 and a rational c: its
 kernel class is w1 = r1 * e^{cH} = (r1, r1*c, r1*c^2*h2/2), which must
 be an integral primitive (isotropic) class.  On twisted invariants at
-gamma = c the transform acts by the involutive coordinate map
+gamma = c the transform acts by the involutive coordinate map (_fm_map,
+the one place it is written)
 
     (r, d, a)  |->  (-r1*a, sign(r1)*d, -r/r1),
 
@@ -24,7 +25,7 @@ exactly reduced_sigma(E, T.kernel_class(S), p, S).
 from fractions import Fraction
 
 from .errors import NonPositive, NotIntegral, NotPrimitive
-from .lattice import Frozen, MukaiVector, Surface, _twist, exp_vector, rat
+from .lattice import Frozen, MukaiVector, Surface, _twist, rat
 from .stability import StabilityParam
 
 
@@ -38,7 +39,7 @@ class FMTransform(Frozen):
         object.__setattr__(self, "c", rat(c))
 
     def kernel_class(self, S: Surface) -> MukaiVector:
-        return self.r1 * exp_vector(self.c, S)
+        return MukaiVector._of(*_twist(self.r1, 0, 0, 1, -self.c, S))
 
 
 def make_transform(r1, c, S: Surface) -> FMTransform:
@@ -53,24 +54,23 @@ def make_transform(r1, c, S: Surface) -> FMTransform:
     return T
 
 
+def _fm_map(T: FMTransform, r, d, a, W):
+    """The coordinate map (r, d, a) |-> (-r1*a, sign(r1)*d, -r/r1) of the
+    triple (r, d, a)/W on ints, over the one den r1*W (of r1's sign)."""
+    return -T.r1 * T.r1 * a, abs(T.r1) * d, -r, T.r1 * W
+
+
 def fm_apply(T: FMTransform, v: MukaiVector, S: Surface) -> MukaiVector:
     """Image of v, as a plain Mukai vector on the target surface (whose
     distinguished twist gamma' is 0).  Rational entries can occur for
     classes that are not genuine sheaf classes on the source."""
-    r, dn, an, V, sd = _twist(*v._q, T.c, S)
-    # (-r1*an/sd^2, sign(r1)*dn/sd, -r/r1)/V over the one den V*sd^2*r1
-    return MukaiVector._of(-T.r1 * T.r1 * an, abs(T.r1) * dn * sd,
-                           -r * sd * sd, V * sd * sd * T.r1)
+    return MukaiVector._of(*_fm_map(T, *_twist(*v._q, T.c, S)))
 
 
 def fm_inverse(T: FMTransform, w: MukaiVector, S: Surface) -> MukaiVector:
     """Inverse of fm_apply: the coordinate map is an involution, so apply
     it to w (already gamma'-twisted = plain) and untwist at gamma."""
-    r, d, a, W = w._q
-    # the mapped triple is (-r1^2*a, |r1|*d, -r)/k with k = r1*W
-    rk, dn, an, k, sd = _twist(-T.r1 * T.r1 * a, abs(T.r1) * d, -r, T.r1 * W,
-                               -T.c, S)
-    return MukaiVector._of(rk * sd * sd, dn * sd, an, k * sd * sd)
+    return MukaiVector._of(*_twist(*_fm_map(T, *w._q), -T.c, S))
 
 
 def dual(v: MukaiVector) -> MukaiVector:

@@ -11,11 +11,11 @@ an even bilinear form of signature (2,1).  There is no floating point
 in the core, by design: every identity downstream is exact and the tests
 run at zero tolerance.  Kernel convention: Fractions at the interface,
 ints inside.  A MukaiVector stores its entries as ints over one
-denominator (``_q``, the canonical form of ``_over``); a formula
-evaluates its polynomial on those ints and builds one Fraction per
-returned number, and a vector from ints (``MukaiVector._of``).
-Validation reads the same ints: integral is den = 1, primitive is gcd
-1, and a sign or phase order is an integer comparison.
+denominator (``_q``, the canonical form of ``_over``); every kernel
+returns ints over one denominator (``_twist`` in ``_q``'s form), and a
+formula builds one Fraction per number, a vector by ``MukaiVector._of``.
+Validation reads the same ints: integral is den = 1, primitive is gcd 1,
+a sign or phase order an integer comparison.
 
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
@@ -148,18 +148,20 @@ class MukaiVector(Frozen):
     a = property(lambda self: Fraction(self._q[2], self._q[3]))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r + other.r, self.d + other.d, self.a + other.a)
+        (r, d, a, X), (x, y, z, Y) = self._q, other._q
+        return MukaiVector._of(r * Y + x * X, d * Y + y * X, a * Y + z * X, X * Y)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, self.d - other.d, self.a - other.a)
+        return self + -other
 
     def __neg__(self) -> "MukaiVector":
         r, d, a, den = self._q
         return MukaiVector._of(-r, -d, -a, den)
 
     def __rmul__(self, k) -> "MukaiVector":
-        k = rat(k)
-        return MukaiVector(k * self.r, k * self.d, k * self.a)
+        (r, d, a, den), k = self._q, rat(k)
+        n = k.numerator
+        return MukaiVector._of(n * r, n * d, n * a, k.denominator * den)
 
     def as_tuple(self):
         return (self.r, self.d, self.a)
@@ -211,8 +213,7 @@ def sheaf_vector(rank: int, c1_mult: int, chi: int, S: Surface) -> MukaiVector:
 
 def exp_vector(s, S: Surface) -> MukaiVector:
     """e^{sH} = (1, s, s^2*h2/2)."""
-    s = rat(s)
-    return MukaiVector(1, s, s * s * S.h2 / 2)
+    return MukaiVector._of(*_twist(1, 0, 0, 1, -rat(s), S))
 
 
 class TwistedInvariants(Frozen):
@@ -232,12 +233,13 @@ class TwistedInvariants(Frozen):
 
 
 def _twist(r, d, a, V, s: Fraction, S: Surface):
-    """(r, dn, an, V, sd): the s-twisted triple of (r, d, a)/V on ints,
-    (r_b, d_b, a_b) = (r/V, dn/(V*sd), an/(V*sd^2)), sd the denominator
-    of s.  Twisting at -s undoes twisting at s."""
+    """(R, D, A, W): the s-twisted triple of (r, d, a)/V on ints, in the
+    form of ``_q`` unreduced: (r_b, d_b, a_b) = (R, D, A)/W, W = V*sd^2,
+    sd the denominator of s.  Twisting at -s undoes twisting at s, and
+    (1, 0, 0) twisted at -s is e^{sH}."""
     sn, sd = s.numerator, s.denominator
     an = (a * sd - d * sn * S.h2) * sd + r * sn * sn * (S.h2 // 2)
-    return r, d * sd - r * sn, an, V, sd
+    return r * sd * sd, (d * sd - r * sn) * sd, an, V * sd * sd
 
 
 def twisted_invariants(v: MukaiVector, s, S: Surface) -> TwistedInvariants:
@@ -246,14 +248,13 @@ def twisted_invariants(v: MukaiVector, s, S: Surface) -> TwistedInvariants:
     Equivalently a_b = -<v, e^{sH}>, which the tests assert; twisting by a
     rational s is an isometry of the rational lattice.
     """
-    _, dn, an, V, sd = _twist(*v._q, rat(s), S)
-    return TwistedInvariants(v.r, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
+    _, D, A, W = _twist(*v._q, rat(s), S)
+    return TwistedInvariants(v.r, Fraction(D, W), Fraction(A, W))
 
 
 def untwist(ti: TwistedInvariants, s, S: Surface) -> MukaiVector:
     """Inverse of twisted_invariants at the same s."""
-    r, dn, an, V, sd = _twist(*_over(*ti.as_tuple()), -rat(s), S)
-    return MukaiVector._of(r * sd * sd, dn * sd, an, V * sd * sd)
+    return MukaiVector._of(*_twist(*_over(*ti.as_tuple()), -rat(s), S))
 
 
 def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariants:
@@ -267,8 +268,8 @@ def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariant
     Composition consistency with the direct computation is a tested
     invariant.
     """
-    _, dn, an, V, sd = _twist(*_over(*ti.as_tuple()), -rat(s_from) + rat(s_to), S)
-    return TwistedInvariants(ti.r_b, Fraction(dn, V * sd), Fraction(an, V * sd * sd))
+    _, D, A, W = _twist(*_over(*ti.as_tuple()), -rat(s_from) + rat(s_to), S)
+    return TwistedInvariants(ti.r_b, Fraction(D, W), Fraction(A, W))
 
 
 def d_beta(v: MukaiVector, s, S: Surface) -> Fraction:

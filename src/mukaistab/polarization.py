@@ -66,12 +66,11 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
 
 
 def _omega(v: MukaiVector, s: Fraction, x: Fraction, S: Surface):
-    """(N, M, dn, V, sd): t^2 = N/M, N = x (a - d h2 x/2) and M = (h2/2)
-    (x r - d) at the twist s, as ints over one positive denominator."""
-    r, dn, an, V, sd = _twist(*v._q, s, S)
+    """(N, M, D, W): t^2 = N/M, N = x (a - d h2 x/2) and M = (h2/2)
+    (x r - d) at the twist s, and d_beta(v) = D/W, W > 0, all as ints."""
+    R, D, A, W = _twist(*v._q, s, S)
     xn, xd, half = x.numerator, x.denominator, S.h2 // 2
-    return (xn * (an * xd - dn * half * xn * sd),
-            half * xd * sd * (xn * r * sd - dn * xd), dn, V, sd)
+    return xn * (A * xd - D * half * xn), half * xd * (xn * R - D * xd), D, W
 
 
 def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
@@ -87,9 +86,9 @@ def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
     d, x > 0, D is N < 0 and M < 0 in t^2 = N/M (_omega).
     """
     s, x = rat(s), rat(x)
-    N, M, dn, V, sd = _omega(v, s, x, S)
-    if dn <= 0:
-        raise OutOfDomain(f"needs d_beta > 0, got {Fraction(dn, V * sd)} at s = {s}")
+    N, M, D, W = _omega(v, s, x, S)
+    if D <= 0:
+        raise OutOfDomain(f"needs d_beta > 0, got {Fraction(D, W)} at s = {s}")
     if x <= 0 or N >= 0 or M >= 0:
         raise OutOfDomain(f"x = {x} outside the admissible interval")
     return Fraction(N, M)

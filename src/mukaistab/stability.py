@@ -76,10 +76,9 @@ class CentralCharge(Frozen):
 
 def _charge(v: MukaiVector, p: StabilityParam, S: Surface):
     """(re, im_over_t, den): Z(v) as two integers over one den > 0."""
-    r, dn, an, V, sd = _twist(*v._q, p.s, S)
+    R, D, A, W = _twist(*v._q, p.s, S)
     tn, td = p.t2.numerator, p.t2.denominator
-    return (S.h2 // 2 * tn * r * sd * sd - an * td, S.h2 * dn * sd * td,
-            V * sd * sd * td)
+    return S.h2 // 2 * tn * R - A * td, S.h2 * D * td, W * td
 
 
 def central_charge(v: MukaiVector, p: StabilityParam, S: Surface) -> CentralCharge:

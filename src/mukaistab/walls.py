@@ -282,9 +282,10 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     necessary-only, like is_wall_vector.
 
     ``cap`` bounds the work of the walk below: the number of m-lines plus
-    the number of fibers it visits.  Both are lengths of ranges known
-    before the fibers of a line are visited, so the walk stops as soon as
-    their running sum passes ``cap``, after O(cap) work.
+    the number of fibers it visits.  Both are sizes of ranges, counted by
+    arithmetic (however large) before the fibers of a line are visited,
+    so the walk stops as soon as their running sum passes ``cap``, after
+    O(cap) work.
 
     The walk.  The box is not scanned: its candidates are found through
     the pencil of walls (Maciocia, arXiv:1202.4587).
@@ -407,9 +408,11 @@ def _walk(v, S, reg, cap):
         (Kn, Kd), (Un, Ud) = (((y0 * b + y1 * c) ** 2, (2 * X * N * b) ** 2)
                               for c, b in (t2[:2], t2[2:]))
     best = {}  # acd key -> [(|q1|, v1, its (A, C, D)), (A, C, disc)] or False
-    lines = range(g, isqrt(B * td // (h2 * h2 * tn)) + 1, g)
-    budget = cap - len(lines)  # cap bounds the m-lines plus the fibers
-    for m in lines:
+    # cap bounds the m-lines plus the fibers (no len(): a range may be
+    # longer than sys.maxsize)
+    m_max = isqrt(B * td // (h2 * h2 * tn))
+    budget = cap - m_max // g
+    for m in range(g, m_max + 1, g):
         e, A = m * m, h2 // 2 * m
         if r:
             z0, step = m * kappa, r * r // g
@@ -418,11 +421,11 @@ def _walk(v, S, reg, cap):
         else:
             C, step = -a * m // d, 2 * h2 * m
             z0, z_lo, z_hi = C * C, -(-e * Kn // Kd), B
-        fibers = range(z_lo + (z0 - z_lo) % step, z_hi + 1, step)
-        budget -= len(fibers)
+        first = z_lo + (z0 - z_lo) % step
+        budget -= max(0, (z_hi - first) // step + 1)
         if budget < 0:
             break
-        for z in fibers:
+        for z in range(first, z_hi + 1, step):
             if r:
                 C = (z - h2 * d * m) // r
                 D = (-a * m - d * C) // r

@@ -28,6 +28,26 @@ def square(x, h2):
     return pairing(x, x, h2)
 
 
+def add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def scale(k, x):
+    return tuple(k * a for a in x)
+
+
+def exp(s, h2):
+    """e^{sH} = (1, s, s^2 h2/2)."""
+    return (F(1), s, s * s * h2 / 2)
+
+
+def fm_map(t, r1):
+    """The Fourier-Mukai coordinate map (r, d, a) -> (-r1 a, sign(r1) d,
+    -r/r1); fm_apply is this map of the triple twisted at c."""
+    r, d, a = t
+    return (-r1 * a, d if r1 > 0 else -d, -F(r) / r1)
+
+
 def twisted(v, s, h2):
     r, d, a = v
     return (r, d - r * s, a - d * s * h2 + F(r, 2) * s * s * h2)

@@ -263,6 +263,10 @@ def test_malformed_vector_literal_is_usage_error(capsys):
     assert json.loads(err)["error"] == "UsageError"
 
 
+FLOAT_RANGE = ("plotting needs bounds in the float range, of absolute value "
+               "at most 1.7976931348623157e+308")
+
+
 @pytest.mark.parametrize("argv, detail", [
     (("charge", "--v", "1,0,-2", "--s", "-3/2"), "charge needs --t or --t2"),
     (("charge", "--v", "1,0,-2", "--s", "1/0", "--t2", "1"),
@@ -295,6 +299,12 @@ def test_malformed_vector_literal_is_usage_error(capsys):
       "--t2-max", "400000000000000000001/100000000000000000000"),
      "plotting needs a box of nonzero float height: its t range rounds to "
      "0 px at 1000 px wide"),
+    # a bound beyond float range ended in an OverflowError traceback
+    (("plot", "--v", "1,0,-2", "--s-min", "-1" + "0" * 400, "--s-max", "0",
+      "--t2-min", "1", "--t2-max", "2"), FLOAT_RANGE),
+    (("walls", "--format", "svg", "--v", "1,0,-2", "--s-min", "-3",
+      "--s-max", "0", "--t2-min", "1", "--t2-max", "1" + "0" * 400),
+     FLOAT_RANGE),
 ])
 def test_handler_usage_errors(capsys, argv, detail):
     rc, out, err = run(capsys, *argv)
@@ -367,11 +377,20 @@ def test_bound_overflow_exits_3(capsys):
     assert json.loads(err)["error"] == "BoundOverflow"
 
 
+DEEP = ("--t2-min", "1/1" + "0" * 40, "--t2-max", "2",
+        "--surface", '{"kind":"k3","h2":2}')
+
+
 @pytest.mark.parametrize("argv", [
     ("walls", "--v", "1,0,-10", "--s-min", "-8", "--s-max", "0",
      "--t2-min", "1/50", "--t2-max", "20", "--cap", "50"),
     ("chambers", "--v", "1,0,-10", "--s", "-3", "--t2-min", "1/50",
      "--t2-max", "20", "--cap", "10"),
+    # t2_min = 10^-40: about 10^20 m-lines, more than a C ssize_t holds;
+    # each ended in an OverflowError traceback from len()
+    ("walls", "--v", "1,0,-2", "--s-min", "-3", "--s-max", "0", *DEEP),
+    ("plot", "--v", "1,0,-2", "--s-min", "-3", "--s-max", "0", *DEEP),
+    ("chambers", "--v", "1,0,-2", "--s", "-1", *DEEP),
 ])
 def test_small_cap_exits_3(capsys, argv):
     rc, out, err = run(capsys, *argv)

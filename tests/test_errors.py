@@ -119,6 +119,16 @@ def _rat(rng, lo=-4, hi=4):
     return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
 
 
+# more walk steps than len() of a range can count (about 10^20 m-lines at
+# t2_min = 10^-40), and bounds beyond the float range
+EXTREME = (F(1, 10 ** 40), F(10 ** 400), F(-10 ** 400))
+
+
+def _wide(rng, lo=-4, hi=4):
+    """_rat, or one time in eight an extreme value."""
+    return rng.choice(EXTREME) if rng.random() < 0.125 else _rat(rng, lo, hi)
+
+
 def _vector(rng):
     kind = rng.choice(("zero", "integral", "integral", "rational", "multiple"))
     if kind == "zero":
@@ -130,16 +140,17 @@ def _vector(rng):
 
 
 def _inputs(rng):
-    """One draw: a surface, classes, twists, signed t^2 values, a point
-    (always valid, with or without an exact t) and small bounds."""
+    """One draw: a surface, classes, twists, signed t^2 values (the
+    twists and t^2 values sometimes extreme), a point (always valid, with
+    or without an exact t) and small bounds."""
     S = mukaistab.Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
     t = F(rng.randint(1, 6), rng.randint(1, 3))
     p = (mukaistab.param(_rat(rng), t=t) if rng.random() < 0.5
          else mukaistab.param(_rat(rng), t2=t * t))
     parts = [(rng.randint(-1, 2), _vector(rng))
              for _ in range(rng.randint(0, 3))]
-    return dict(S=S, v=_vector(rng), w=_vector(rng), s=_rat(rng),
-                x=_rat(rng), t2=_rat(rng, -1, 6), t2b=_rat(rng, 1, 6), p=p,
+    return dict(S=S, v=_vector(rng), w=_vector(rng), s=_wide(rng),
+                x=_wide(rng), t2=_wide(rng, -1, 6), t2b=_wide(rng, 1, 6), p=p,
                 parts=parts, r1=rng.randint(-3, 3), c=_rat(rng),
                 cap=rng.randint(0, 40), bound=rng.randint(0, 3),
                 flag=rng.random() < 0.5)

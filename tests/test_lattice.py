@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from mukaistab import (
     RHO, FMTransform, MukaiVector, StabilityParam, Surface, TwistedInvariants, ample_class,
-    central_charge, d_beta, d_beta_min, exp_vector, fm_inverse, mukai_pairing,
+    central_charge, d_beta, d_beta_min, exp_vector, fm_apply, fm_inverse, mukai_pairing,
     mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key, rat,
     reduced_sigma, retwist, sheaf_vector, sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
 )
@@ -295,9 +295,11 @@ def test_kernels_exact_on_rational_input():
     on rational classes (denominators up to 60, as fm_apply images have)
     at rational s, t2 and t with large denominators, and every number they
     return is a Fraction; omega_sx also raises Degenerate and NonPositive
-    where its oracle says so."""
+    where its oracle says so.  The vectors built from the twist (e^{sH},
+    kernel classes, fm_apply) and v + w, v - w and k*v are checked too."""
     rng = random.Random(20261018)
     pick = random.Random(20261019)  # omega_sx's draws, apart from the rest
+    more = random.Random(20261020)  # and the vector-building kernels' draws
 
     def q(den, lo=-6, hi=6, rng=rng):
         d = rng.randint(1, den)
@@ -368,3 +370,12 @@ def test_kernels_exact_on_rational_input():
         tc = transform_central_charge(T, pt, S)
         exact((tc.zeta_re, tc.zeta_im, tc.xi_coeff, tc.eta_coeff),
               oracles.transformed_charge(T.r1, T.c, s, pt.t, h2))
+        exact(fm_apply(T, v, S).as_tuple(),
+              oracles.fm_map(oracles.twisted(vt, T.c, h2), T.r1))
+        c, k = q(60, -3, 3, more), q(60, rng=more)
+        exact(exp_vector(c, S).as_tuple(), oracles.exp(c, h2))
+        exact(FMTransform(T.r1, c).kernel_class(S).as_tuple(),
+              oracles.scale(T.r1, oracles.exp(c, h2)))
+        exact((v + w).as_tuple() + (v - w).as_tuple() + (k * v).as_tuple(),
+              oracles.add(vt, wt) + oracles.add(vt, oracles.scale(-1, wt))
+              + oracles.scale(k, vt))

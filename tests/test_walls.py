@@ -405,13 +405,24 @@ def test_enumerate_walls_cap_counts_every_candidate_on_each_branch(S, v, reg,
 def test_enumerate_walls_work_is_bounded_by_cap():
     """The walk's m-lines grow as 1/sqrt(t2_min): the default cap covers
     t2_min = 10^-8 (10^4 lines), and 10^-30 (10^15 lines) overflows at
-    once instead of looping."""
+    once instead of looping.  The steps are counted by arithmetic, not by
+    len(): more than sys.maxsize m-lines (10^-40, about 10^20 lines) or
+    fibers (the m = 1 line of (1, 0, -10^40), about 4*10^39) overflow
+    too, where len() ended in an OverflowError."""
     reg = Region(F(-3), F(0), F(1, 10 ** 8), F(4))
     walls = enumerate_walls(V_GOLD, AB, reg)
     assert walls == enumerate_walls(V_GOLD, AB, reg, cap=10 ** 9)
     assert len(walls) == 5
     with pytest.raises(BoundOverflow):
         enumerate_walls(V_GOLD, AB, Region(F(-3), F(0), F(1, 10 ** 30), F(4)))
+    tiny = F(1, 10 ** 40)
+    with pytest.raises(BoundOverflow):
+        enumerate_walls(V_GOLD, K3, Region(F(-3), F(0), tiny, F(2)))
+    with pytest.raises(BoundOverflow):
+        chambers_on_ray(V_GOLD, K3, F(-1), (tiny, F(2)))
+    with pytest.raises(BoundOverflow, match="more than 5 walk steps"):
+        enumerate_walls(mv(1, 0, -10 ** 40), AB,
+                        Region(F(-3), F(-1), F(10 ** 79), F(10 ** 80)), cap=5)
 
 
 def test_enumerate_walls_errors():
