@@ -122,8 +122,8 @@ def _f(x) -> str:
 def _svg_box(reg: Region):
     """(s0, t0, t1, scale, height) of the plot of reg: s horizontal,
     t = sqrt(t^2) vertical, equal scales, 1000px wide.  A box that is
-    empty, has a bound beyond float range, or has no float width or
-    height, is a UsageError."""
+    empty, has a bound beyond float range, or has no finite nonzero float
+    width or height at that scale, is a UsageError."""
     if reg.s_min >= reg.s_max:
         raise UsageError("plotting needs s_min < s_max")
     if reg.t2_min >= reg.t2_max:
@@ -139,6 +139,9 @@ def _svg_box(reg: Region):
                          "s_min and s_max round to one float")
     scale = 1000.0 / (s1 - s0)
     height = (t1 - t0) * scale
+    if scale == 0 or not math.isfinite(height):
+        raise UsageError("plotting needs a box of finite float size: its "
+                         "width, or its height at 1000 px wide, overflows")
     if height == 0:
         raise UsageError("plotting needs a box of nonzero float height: "
                          "its t range rounds to 0 px at 1000 px wide")

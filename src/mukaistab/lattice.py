@@ -148,11 +148,13 @@ class MukaiVector(Frozen):
     a = property(lambda self: Fraction(self._q[2], self._q[3]))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
+        if not isinstance(other, MukaiVector):
+            return NotImplemented
         (r, d, a, X), (x, y, z, Y) = self._q, other._q
         return MukaiVector._of(r * Y + x * X, d * Y + y * X, a * Y + z * X, X * Y)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return self + -other
+        return self + -other if isinstance(other, MukaiVector) else NotImplemented
 
     def __neg__(self) -> "MukaiVector":
         r, d, a, den = self._q

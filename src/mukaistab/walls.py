@@ -7,14 +7,8 @@ align is rho(v1, v) = A*(t^2 + s^2) + C*s + D = 0: a circle centered on
 the s-axis (A != 0, positive radius^2), a vertical line (A = 0, C != 0),
 empty, or everything.  Every circle asked about here lies in the
 pencil of v (q = <v^2> > 0): with center c and radius^2 R2,
-(d/r - c)^2 - R2 = q/(h2 r^2) > 0 when r != 0, so the height
-T(s) = R2 - (s - c)^2 of the arc is negative at s = d/r, where d_beta(v)
-vanishes.  So the arc lies on one side of s = d/r, the side of its
-center, and an open end d/r of a degree-clipped s-interval never decides
-whether the arc meets a region.  T being concave, the arc reaches
-t^2 in [t2_min, t2_max] over a closed [lo, hi] iff T is >= t2_min at the
-point of [lo, hi] nearest c and <= t2_max at the end farther from c,
-an exact test on integers (no square root is ever taken).
+(d/r - c)^2 - R2 = q/(h2 r^2) > 0 when r != 0, so the arc lies on one
+side of s = d/r, where d_beta(v) vanishes: the side of its center.
 
 enumerate_walls walks the pencil of walls instead of scanning classes.
 (A, C, D) is linear in v1 with kernel Zv, so the walls of v form one
@@ -22,14 +16,16 @@ coaxial pencil and each wall is cut by a whole fiber v1 + Zv.  Along a
 fiber disc = C^2 - 4AD = <v1, v>^2 - <v^2><v1^2> is invariant; a
 numerically valid class has disc = p12^2 - q1*q2 <= <v^2>^2/4 (abelian)
 or <v^2>(<v^2> + 8)/4 (K3), the convex maximum at q1 = q2 = 0 resp. -2,
-and a wall reaching t^2 >= t2_min has disc >= (h2*m)^2 t2_min.  Those
-bounds, and on a ray the exact height window, give each line of fibers
-of one m an integer window (one isqrt); within a fiber, p12 >= 1 is a
+and a wall reaching t^2 >= t2_min has disc >= (h2*m)^2 t2_min.  The
+circles of the pencil are the level sets of one function of (s, t^2),
+so those meeting the region form the exact window of that function's
+values over it: each line of fibers of one m gets an integer window
+(one isqrt), inside the disc bounds; within a fiber, p12 >= 1 is a
 quadratic window in <v1, v> that leaves at most three members to test
 exactly.  The members must also lie in the bounded (r1, d1) box of the
 bound chain: on K3 that box is part of what the list is.  ``cap``
-bounds the lines plus fibers walked.  The walk, its region test and the
-order of the walls run on Python ints; Fraction enters only in what a
+bounds the lines plus fibers walked.  The walk and the order of the
+walls run on Python ints; Fraction enters only in what a
 caller receives: the returned Walls and a ray's cut heights.
 """
 
@@ -126,12 +122,12 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
 
 
 # ---------------------------------------------------------------------------
-# the region test
+# the degree-clipped interval
 
 def _clip_degree_interval(v, lo: Fraction, hi: Fraction):
     """The closure [L/N, H/N] of {s in [lo, hi] : d_beta(v)(s) > 0} as ints
     (L, H, N), N > 0, or None when it is empty.  Its end d/r (r != 0) is
-    open; the module docstring says why that never matters."""
+    open, and the walk's window is open there too."""
     r, d, _, _ = v._q
     N = lo.denominator * hi.denominator
     L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
@@ -142,20 +138,6 @@ def _clip_degree_interval(v, lo: Fraction, hi: Fraction):
     if r < 0 and r * L > d * N:  # lo < d/r
         return -d * N, -H * r, -N * r
     return L, H, N
-
-
-def _circle_meets_region(A, C, disc, J, t2) -> bool:
-    """Does the arc of A*(s^2 + t^2) + C*s + D = 0 (A > 0, disc = C^2 - 4AD,
-    a circle of the pencil of v) reach t^2 in [tn/td, Tn/Td] over the
-    degree-clipped J = [L/N, H/N]?  In s' = 2AN*s the center is c' = -C*N
-    and (2AN)^2 times the concave height is disc*N^2 - (s' - c')^2, which
-    peaks at the point of J nearest c' and bottoms out at the farther end."""
-    (L, H, N), (tn, td, Tn, Td) = J, t2
-    c, lo, hi = -C * N, 2 * A * L, 2 * A * H
-    R2, E = disc * N * N, (2 * A * N) ** 2
-    near = min(max(c, lo), hi)
-    return (td * (R2 - (near - c) ** 2) >= tn * E and
-            Td * (R2 - max((lo - c) ** 2, (hi - c) ** 2)) <= Tn * E)
 
 
 # ---------------------------------------------------------------------------
@@ -308,43 +290,40 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         p12 = 1 and disc = 1 - sq_lo*(q - 2 - sq_lo) <= B for q >= 2.
         A wall's disc is at least h2^2 m^2 t2_min > 0, as
         radius^2 >= t0^2.  So m^2 <= B/(h2^2 t2_min), inside step 2.
-      * Fiber coordinate z, in which the height T(s) of the circle over s
-        is increasing.  r != 0: z = Y = r*C + h2*d*m, the fibers of one m
-        are Y = m*kappa mod r^2/g, r^2 disc = Y^2 - h2*q*m^2 and, with
-        x = d_beta(v)(s), T(s) = (2xY - m(q + h2 x^2))/(r^2 h2 m).  The
-        center d/r - Y/(r h2 m) lies farther than the radius from
-        s = d/r, so a circle meets d_beta(v) > 0 only if Y > 0, and the
-        disc bounds read m^2 K <= Y^2 <= r^2 B + h2 q m^2 with
-        K = h2 q + h2^2 r^2 t2_min.  r = 0: C = -a*m/d is fixed, the
-        circles are concentric about a/(h2 d), and z = disc runs over
-        C^2 mod 2*h2*m, with T(s) = disc/(h2 m)^2 - (s - a/(h2 d))^2.
-      * Region window.  On a ray J = {s0} with r != 0 the region test is
-        exactly t2_min <= T(s0) <= t2_max, that is
-        m*y(t2_min) <= Y <= m*y(t2_max) with x = d_beta(v)(s0) and
-        y(t) = (q + h2(x^2 + r^2 t))/(2x); so y(t2_min)^2 and y(t2_max)^2
-        replace K and the open upper default U = r^2 B + B + h2 q
-        (y(t2_min)^2 >= K by AM-GM: this contains the radius bound).
-        Elsewhere only the disc bounds cut z.  On a box the top would cut
-        too (T is concave in s, so T <= t2_max somewhere on J iff at an
-        endpoint), but on wide boxes it removes too few fibers to pay for
-        itself; rays with r = 0 are rare enough to leave to the disc
-        bounds.
+      * Fiber coordinate z.  r != 0: z = Y = r*C + h2*d*m, the fibers of
+        one m are Y = m*kappa mod r^2/g and r^2 disc = Y^2 - h2*q*m^2.
+        The circle of Y passes through (s, t^2) with x = d_beta(v)(s) > 0
+        iff Y = m*y(x, t^2), y = (q + h2(x^2 + r^2 t^2))/(2x).  r = 0:
+        C = -a*m/d is fixed, z = disc runs over C^2 mod 2*h2*m, and the
+        circles, concentric about a/(h2 d), pass through (s, t^2) iff
+        z = (h2 m)^2 (t^2 + (s - a/(h2 d))^2).
+      * Region window.  The region J x [t2_min, t2_max] (x > 0) is
+        connected, so the circles meeting it are those with
+        m^2 K <= Y^2, resp. z, <= m^2 U for K and U the least and the
+        greatest value over it of y^2, resp. z/m^2.  Both grow with t^2.
+        y is convex in x, least (h2*x0, so K >= h2 q + h2^2 r^2 t2_min:
+        the radius bound) at x0^2 = q/h2 + r^2 t^2.  So K is at t2_min
+        and the point of x(J) nearest x0, and U at t2_max and an end of
+        x(J), or unbounded when x(J) is open at 0 (J ends at d/r): then
+        U = r^2 B + B + h2 q cuts nothing beyond the disc bound
+        Y^2 <= r^2 B + h2 q m^2.  For r = 0, K is at t2_min and the point
+        of J nearest a/(h2 d), U at t2_max and the end of J farther off.
       * Members.  Along a fiber P = <v1 + kv, v> = p + kq,
         q1 = (P^2 - disc)/q, q2 = ((q - P)^2 - disc)/q and p12 = P - q1,
         so p12 >= 1 iff (2P - q)^2 <= q^2 - 4q + 4*disc: at most three k.
         Each is tested exactly (q1, q2 >= sq_lo, q1 + q2 < q), and then it
         and its complement against the step 2-4 box.  On abelian surfaces
-        that filter removes no class whose circle passes the region test,
+        that filter removes no class whose circle meets the region,
         since steps 2-4 were derived from such a wall point (and dropping
         it changed no abelian output in a seeded differential).  On K3
         the squares >= -2 policy admits classes outside steps 3-4, so the
         K3 list depends on the box.
 
-    The walk runs on ints (its windows K and U as numerator, denominator
-    pairs), and so do the region test, once per distinct (A:C:D) on its
-    fiber's A, C and disc (all its classes cut that circle), and the order
-    of the winners: center -C/(2A), radius^2 disc/(2A)^2 over the lcm of
-    their 2A, then key.  Fraction appears only in the walls returned: each
+    The walk runs on ints (K and U as numerator, denominator pairs), and
+    so does the order of the winners: center -C/(2A), then radius^2
+    disc/(2A)^2, over the lcm of their 2A.  No two walls tie on both: when
+    r != 0 the center fixes the circle of the pencil, and when r = 0 all
+    share one center.  Fraction appears only in the walls returned: each
     winner's Circle and fiber triple (h2*m/2, C, D), negated for a complement.
 
     Raises BoundOverflow when the walk would take more than ``cap``
@@ -354,16 +333,16 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     won = _walk(v, S, reg, cap)
     M = lcm(*(2 * A for A, *_ in won))  # center*M, radius^2*M^2 are ints
     won.sort(key=lambda w: (-w[1] * M // (2 * w[0]),
-                            w[2] * M * M // (2 * w[0]) ** 2, w[3]))
+                            w[2] * M * M // (2 * w[0]) ** 2))
     return [Wall(*map(Fraction, acd),
                  Circle(Fraction(-C, 2 * A), Fraction(disc, 4 * A * A)),
                  MukaiVector._of(*y1))
-            for A, C, disc, _, (_, y1, acd) in won]
+            for A, C, disc, (_, y1, acd) in won]
 
 
 def _walk(v, S, reg, cap):
-    """enumerate_walls' validation and walk: (A, C, disc, key, selected)
-    for each circle that passes the region test, in no order."""
+    """enumerate_walls' validation and walk: (A, C, disc, selected) for
+    each circle that meets the region, in no order."""
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if not v.is_integral():
@@ -380,7 +359,7 @@ def _walk(v, S, reg, cap):
                          f"[{reg.s_min}, {reg.s_max}]")
     L, H, N = J
     tn, td = reg.t2_min.numerator, reg.t2_min.denominator
-    t2 = (tn, td, reg.t2_max.numerator, reg.t2_max.denominator)
+    Tn, Td = reg.t2_max.numerator, reg.t2_max.denominator
     if S.kind == "abelian":
         sq_lo, B, r1_sq = 0, q * q // 4, 2 * (q - 1)
     else:
@@ -398,16 +377,30 @@ def _walk(v, S, reg, cap):
     al, be = _xgcd(g, a)
     u0, u1, u2 = al * ur, al * ud, be  # u . v = 1
     kappa = h2 * d - r // g * ud * a
-    # fiber windows: m^2 K <= Y^2 <= min(r^2 B + h2 q m^2, m^2 U) if r != 0,
-    # m^2 K <= disc <= B if r = 0, with K = Kn/Kd and U = Un/Ud
-    Kn, Kd = h2 * q * td + (h2 * r) ** 2 * tn if r else h2 * h2 * tn, td
-    Un, Ud = r * r * B + B + h2 * q, 1  # no cut beyond the disc bound
-    if r and L == H:  # a ray: t2_min <= T(s0) <= t2_max, y(t) at x = X/N
-        X = d * N - r * L
-        y0, y1 = q * N * N + h2 * X * X, h2 * r * r * N * N
-        (Kn, Kd), (Un, Ud) = (((y0 * b + y1 * c) ** 2, (2 * X * N * b) ** 2)
-                              for c, b in (t2[:2], t2[2:]))
-    best = {}  # acd key -> [(|q1|, v1, its (A, C, D)), (A, C, disc)] or False
+    # the region window: m^2 K <= Y^2 <= min(r^2 B + h2 q m^2, m^2 U) if
+    # r != 0, m^2 K <= disc <= min(B, m^2 U) if r = 0, K = Kn/Kd, U = Un/Ud
+    if r:
+        qN, rN = q * N * N, h2 * r * r * N * N
+        P0, P1 = qN * td + rN * tn, qN * Td + rN * Tn  # h2*b*(N*x0)^2
+
+        def y2(X, P, b):  # y^2 at x = X/N and t^2 = c/b, P = qN*b + rN*c
+            return (P + h2 * b * X * X) ** 2, (2 * X * N * b) ** 2
+        lo, hi = sorted((d * N - r * L, d * N - r * H))  # N*x at J's ends
+        if h2 * td * lo * lo > P0:
+            Kn, Kd = y2(lo, P0, td)
+        elif h2 * td * hi * hi < P0:
+            Kn, Kd = y2(hi, P0, td)
+        else:
+            Kn, Kd = h2 * P0, td * N * N
+        # y(lo) >= y(hi) iff h2*(lo/N)*(hi/N) <= q + h2 r^2 t2_max
+        Un, Ud = (y2(hi if h2 * Td * lo * hi > P1 else lo, P1, Td) if lo
+                  else (r * r * B + B + h2 * q, 1))
+    else:  # PL, PH = (s - a/(h2 d))*sqrt(W) at J's ends
+        PL, PH, W = h2 * d * L - a * N, h2 * d * H - a * N, (h2 * d * N) ** 2
+        near, far = max(PL, -PH, 0), max(-PL, PH)
+        Kn, Kd = h2 * h2 * (tn * W + td * near * near), td * W
+        Un, Ud = h2 * h2 * (Tn * W + Td * far * far), Td * W
+    best = {}  # acd key -> (A, C, disc, its least (|q1|, v1, (A, C, D)))
     # cap bounds the m-lines plus the fibers (no len(): a range may be
     # longer than sys.maxsize)
     m_max = isqrt(B * td // (h2 * h2 * tn))
@@ -420,7 +413,8 @@ def _walk(v, S, reg, cap):
             z_hi = isqrt(min(r * r * B + h2 * q * e, e * Un // Ud))
         else:
             C, step = -a * m // d, 2 * h2 * m
-            z0, z_lo, z_hi = C * C, -(-e * Kn // Kd), B
+            z0, z_lo = C * C, -(-e * Kn // Kd)
+            z_hi = min(B, e * Un // Ud)
         first = z_lo + (z0 - z_lo) % step
         budget -= max(0, (z_hi - first) // step + 1)
         if budget < 0:
@@ -448,15 +442,12 @@ def _walk(v, S, reg, cap):
                         continue
                     key = _normalize_acd(A, C, D)
                     sel = (abs(q_y), y1, (sg * A, sg * C, sg * D))
-                    if key not in best:  # one region test per circle
-                        best[key] = (_circle_meets_region(A, C, disc, J, t2)
-                                     and [sel, (A, C, disc)])
-                    elif best[key] and sel < best[key][0]:
-                        best[key][0] = sel
+                    if key not in best or sel < best[key][3]:
+                        best[key] = (A, C, disc, sel)
     if budget < 0:
         raise BoundOverflow(f"more than {cap} walk steps (m-lines and "
                             f"fibers) for v={v} over the requested region")
-    return [(*w[1], key, w[0]) for key, w in best.items() if w]
+    return list(best.values())
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +482,10 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
                          "the ray lies outside the positive-degree region")
     # before the walk, so an abelian surface raises NotK3 whatever cap is
     category = category_walls_k3(s, S, t2_hi) if cut_category_walls else []
-    # J = [s, s]: the region test keeps heights at s in [t2_lo, t2_hi]
+    # J = [s, s]: the window keeps heights at s in [t2_lo, t2_hi]
     p, n = s.numerator, s.denominator
     cuts = {Fraction(disc * n * n - (2 * A * p + C * n) ** 2, (2 * A * n) ** 2)
-            for A, C, disc, *_ in _walk(v, S, Region(s, s, t2_lo, t2_hi), cap)}
+            for A, C, disc, _ in _walk(v, S, Region(s, s, t2_lo, t2_hi), cap)}
     cuts.update(cw.t2 for cw in category if t2_lo <= cw.t2 <= t2_hi)
     cut_points = tuple(sorted(cuts))
     bounds = [t2_lo] + list(cut_points) + [t2_hi]

@@ -534,14 +534,12 @@ def walk_steps_oracle(v, h2, kind, reg):
     A line is an m >= 1 with (h2 m)^2 t2min <= B (B = <v^2>^2/4 on
     abelian surfaces, <v^2>(<v^2> + 8)/4 on K3) for which
     a*m + d*C + r*D = 0 has an integer solution.  Its fibers are the
-    integer (C, D) on it with disc = C^2 - 2 h2 m D <= B and, with
-    Y = r*C + h2*d*m: on a ray with r != 0 the height window
-    m*y(t2min) <= Y <= m*y(t2max), y(t) = (<v^2> + h2 (x^2 + r^2 t))/(2x),
-    x = d_beta(v) at the ray; otherwise disc >= h2^2 m^2 t2min, and Y > 0
-    when r != 0.  reg = (smin, smax, t2min, t2max) as for
+    integer (C, D) on it with disc = C^2 - 2 h2 m D <= B whose circle
+    A*(s^2 + t^2) + C*s + D = 0, A = h2 m/2, meets the region by
+    circle_meets_region_oracle.  reg = (smin, smax, t2min, t2max) as for
     wall_stream_oracle."""
     r, d, a = v
-    smin, smax, t2min, t2max = (F(x) for x in reg)
+    t2min = F(reg[2])
     q = square(v, h2)
     B = F(q * q, 4) if kind == "abelian" else F(q * (q + 8), 4)
     steps, m = 0, 0
@@ -568,16 +566,11 @@ def walk_steps_oracle(v, h2, kind, reg):
             points = [(C, -(a * m + d * C) // r) for C in Cs
                       if (a * m + d * C) % r == 0]
         steps += 1
-        # disc <= B and Y > 0 hold by construction of the points
-        if r != 0 and smin == smax:
-            x = d - r * smin
-            y_lo = (q + h2 * (x * x + r * r * t2min)) / (2 * x)
-            y_hi = (q + h2 * (x * x + r * r * t2max)) / (2 * x)
-            steps += sum(m * y_lo <= r * C + h2 * d * m <= m * y_hi
-                         for C, _ in points)
-        else:
-            steps += sum(C * C - 2 * h2 * m * D >= (h2 * m) ** 2 * t2min
-                         for C, D in points)
+        # disc <= B (and Y > 0) hold by construction of the points
+        A = F(h2 * m, 2)
+        steps += sum(C * C - 4 * A * D > 0 and circle_meets_region_oracle(
+            -C / (2 * A), (C * C - 4 * A * D) / (4 * A * A), v, reg, h2)
+            for C, D in points)
     return steps
 
 

@@ -265,6 +265,8 @@ def test_malformed_vector_literal_is_usage_error(capsys):
 
 FLOAT_RANGE = ("plotting needs bounds in the float range, of absolute value "
                "at most 1.7976931348623157e+308")
+FINITE_SIZE = ("plotting needs a box of finite float size: its width, or its "
+               "height at 1000 px wide, overflows")
 
 
 @pytest.mark.parametrize("argv, detail", [
@@ -305,6 +307,14 @@ FLOAT_RANGE = ("plotting needs bounds in the float range, of absolute value "
     (("walls", "--format", "svg", "--v", "1,0,-2", "--s-min", "-3",
       "--s-max", "0", "--t2-min", "1", "--t2-max", "1" + "0" * 400),
      FLOAT_RANGE),
+    # a box of non-finite float size: its width overflows (this named
+    # the height as the cause), and its height at 1000 px wide overflows
+    # (this exited 0 with an SVG of height inf)
+    (("plot", "--v", "1,0,-2", "--s-min", "-1" + "0" * 308, "--s-max",
+      "1" + "0" * 308, "--t2-min", "1", "--t2-max", "2"), FINITE_SIZE),
+    (("plot", "--v", "1,0,-2", "--s-min", "-1/1" + "0" * 300, "--s-max", "0",
+      "--t2-min", "1", "--t2-max", "1" + "0" * 300, "--cap", "10"),
+     FINITE_SIZE),
 ])
 def test_handler_usage_errors(capsys, argv, detail):
     rc, out, err = run(capsys, *argv)

@@ -246,8 +246,38 @@ def _from_value_class(exc):
             or isinstance(frame.f_locals.get("self"), Frozen))
 
 
+# vector arithmetic with an operand of the wrong type: x is no vector, k
+# no rational
+OPERATOR_CALLS = {
+    "v + x": lambda v, x, k: v + x,
+    "v - x": lambda v, x, k: v - x,
+    "k * v": lambda v, x, k: k * v,
+}
+
+
+def _operand_type_error(exc):
+    """True for the TypeError Python raises for an operand that the
+    operator does not take (its methods return NotImplemented), or for
+    one raised under the coercion rat, which __rmul__ applies to k."""
+    if not isinstance(exc, TypeError):
+        return False
+    if str(exc).startswith("unsupported operand type(s)"):
+        return True
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_name == "rat" and code.co_filename.startswith(
+                str(ROOT / "src")):
+            return True
+        tb = tb.tb_next
+    return False
+
+
 def test_public_api_fails_only_with_typed_errors():
-    rng = random.Random(20261019)
+    """Every public call on the seeded draws, and v + x, v - x and k * v
+    with x drawn from non-vectors and k from non-rationals, which must
+    raise TypeError."""
+    rng, operands = random.Random(20261019), random.Random(20261020)
     untyped = {}
     for _ in range(400):
         d = _inputs(rng)
@@ -261,4 +291,12 @@ def test_public_api_fails_only_with_typed_errors():
                     untyped.setdefault(name, repr(e))
             except Exception as e:  # noqa: BLE001 - any other class fails
                 untyped.setdefault(name, repr(e))
+        x = operands.choice((operands.randint(-3, 3), "x", None, (1, 2)))
+        k = operands.choice((None, (1, 2)))
+        for name, call in OPERATOR_CALLS.items():
+            try:
+                untyped.setdefault(name, f"returned {call(d['v'], x, k)!r}")
+            except Exception as e:  # noqa: BLE001 - checked below
+                if not _operand_type_error(e):
+                    untyped.setdefault(name, repr(e))
     assert untyped == {}

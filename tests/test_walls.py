@@ -21,8 +21,7 @@ from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotK3, NotPrimitive,
     ZeroCharge, ZeroDegree,
 )
-from mukaistab.stability import _acd
-from mukaistab.walls import _circle_meets_region, _clip_degree_interval
+from mukaistab.walls import _clip_degree_interval
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -264,27 +263,33 @@ def test_enumerate_walls_wider_region_against_oracle():
     assert got == want
 
 
-def test_region_test_matches_oracle_on_pencil_circles():
-    """The closed-interval region test against the independent oracle,
-    which tracks the open end s = d/r: circles of the pencil of seeded v
-    of positive, negative and zero rank on abelian and K3 surfaces with
-    h2 in {2, 4, 6}; boxes and rays with an s-end exactly at d/r; t2
-    windows whose ends are the height at an end of J or at its peak."""
+def test_walk_window_matches_oracle_on_pencil_circles():
+    """The walk's region window at its edges, against the independent
+    oracle, which tracks the open end s = d/r: circles of the pencil of
+    seeded primitive v of positive, negative and zero rank on abelian and
+    K3 surfaces with h2 in {2, 4, 6}, cut by a class v1 with both squares
+    >= 0 and cross pairing > 0, so that the walk lists the circle exactly
+    when its window holds the circle's fiber; boxes and rays with an
+    s-end exactly at d/r; t2 windows whose ends are the height at an end
+    of J or at its peak, or a millionth of it off, so that circles both
+    meet and miss the region at an edge of the window."""
     rng = random.Random(20261019)
-    seen = {True: 0, False: 0}
-    edges = 0
-    while sum(seen.values()) < 3000:
+    seen, edges = {True: 0, False: 0}, {True: 0, False: 0}
+    while sum(seen.values()) < 240:
         S = Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
         r = (1, -1, 0)[sum(seen.values()) % 3] * rng.randint(1, 4)
         v = (r, rng.randint(-5, 5), rng.randint(-5, 5))
         q = S.h2 * v[1] ** 2 - 2 * r * v[2]
-        v1 = mv(*(rng.randint(-5, 5) for _ in range(3)))
-        if q <= 0 or v1.is_zero():
+        v1 = tuple(rng.randint(-5, 5) for _ in range(3))
+        v2 = tuple(x - y for x, y in zip(v, v1))
+        q1, q2 = oracles.square(v1, S.h2), oracles.square(v2, S.h2)
+        if (q <= 0 or gcd(*v) != 1 or min(q1, q2) < 0
+                or oracles.pairing(v1, v2, S.h2) <= 0):
             continue
-        circle = wall_locus(v1, mv(*v), S).geometry
-        if not isinstance(circle, Circle):
+        wall = wall_locus(mv(*v1), mv(*v), S)
+        if not isinstance(wall.geometry, Circle):
             continue
-        c, R2 = circle.center_s, circle.radius_sq
+        c, R2 = wall.geometry.center_s, wall.geometry.radius_sq
         if r:
             assert (F(v[1], r) - c) ** 2 - R2 == F(q, S.h2 * r * r)
         end = F(v[1], r) if r else c + F(rng.randint(-8, 8), 4)
@@ -298,21 +303,19 @@ def test_region_test_matches_oracle_on_pencil_circles():
             continue
         L, H, N = J
         lo, hi = F(L, N), F(H, N)
-        marks = [R2 - (x - c) ** 2 for x in (lo, hi, min(max(c, lo), hi))]
-        pool = [x for x in marks if x > 0] + [
-            F(rng.randint(1, 40), rng.randint(1, 10))]
+        heights = (R2 - (x - c) ** 2 for x in (lo, hi, min(max(c, lo), hi)))
+        # the heights, and a millionth of one above and below them
+        marks = {x * (1 + e) for x in heights if x > 0
+                 for e in (0, F(1, 10 ** 6), F(-1, 10 ** 6))}
+        pool = sorted(marks) + [F(rng.randint(1, 40), rng.randint(1, 10))]
         t2_min, t2_max = sorted((rng.choice(pool), rng.choice(pool)))
         reg = (s_min, s_max, t2_min, t2_max)
-        # the circle's (A, C, D) up to a nonzero factor, taken with A > 0
-        A, C, D, _ = _acd(v1, mv(*v), S)
-        A, C, D = (A, C, D) if A > 0 else (-A, -C, -D)
-        got = _circle_meets_region(A, C, C * C - 4 * A * D, J, (
-            t2_min.numerator, t2_min.denominator,
-            t2_max.numerator, t2_max.denominator))
+        got = wall.acd_key() in {
+            w.acd_key() for w in enumerate_walls(mv(*v), S, Region(*reg))}
         assert got == oracles.circle_meets_region_oracle(c, R2, v, reg, S.h2)
         seen[got] += 1
-        edges += t2_min in marks or t2_max in marks
-    assert min(seen.values()) > 500 and edges > 1000
+        edges[got] += t2_min in marks or t2_max in marks
+    assert min(seen.values()) > 60 and min(edges.values()) > 15
 
 
 @pytest.mark.parametrize("S, v, reg", [
@@ -384,19 +387,31 @@ def test_enumerate_walls_cap_counts_every_candidate(S, v, n):
     (K3, (-2, 1, 3), (F(-1, 4), F(2), F(1, 20), F(10)), 688),   # r < 0
     (K3, (1, 0, -10), (F(-3), F(-3), F(1, 50), F(20)), 226),    # K3 ray
     (K3, (2, 1, -4), (F(-1, 2), F(-1, 2), F(1, 20), F(8)), 131),
+    # r != 0: the least y^2 at the near end of x(J) (41 steps), at its
+    # far end with x(J) open at 0 (41), and at x0 with a greatest y^2 (66)
+    (AB, (1, 0, -10), (F(-8), F(-5), F(1, 50), F(20)), 1066),
+    (AB, (1, 0, -10), (F(-2), F(0), F(1, 50), F(20)), 1640),
+    (AB, (1, 0, -10), (F(-8), F(-1), F(1, 50), F(20)), 3171),
+    # r = 0 with the center a/(h2 d) = 1/6 outside J (8 steps), and a ray (4)
+    (AB, (0, 3, 1), (F(1), F(4), F(1, 10), F(10)), 542),
+    (AB, (0, 3, 1), (F(2), F(2), F(1, 10), F(10)), 98),
 ])
 def test_enumerate_walls_cap_counts_every_candidate_on_each_branch(S, v, reg,
                                                                    n):
     # cap = steps, the exact number of m-lines plus fibers the walk
-    # visits on each branch of its fiber window (r = 0, r < 0, rays),
-    # walks to the end and returns the walls of the default cap;
+    # visits on each branch of its fiber window (r = 0, r < 0, rays, and
+    # each end of the region window), walks to the end and returns the
+    # walls and representatives of the class-by-class scan;
     # cap = steps - 1 overflows.  n is the size of the candidate stream
-    # cap counted before, as the class-by-class scan counts it.
+    # cap counted before, as that scan counts it.
+    best, size = oracles.wall_stream_oracle(v, S.h2, S.kind, reg)
     steps = oracles.walk_steps_oracle(v, S.h2, S.kind, reg)
-    assert oracles.wall_stream_oracle(v, S.h2, S.kind, reg)[1] == n
+    assert size == n
     assert 0 < steps < n
     reg = Region(*reg)
     walls = enumerate_walls(mv(*v), S, reg)
+    assert {w.acd_key(): w.v1.as_tuple() for w in walls} == {
+        key: v1 for key, (_, v1) in best.items()}
     assert enumerate_walls(mv(*v), S, reg, cap=steps) == walls
     with pytest.raises(BoundOverflow):
         enumerate_walls(mv(*v), S, reg, cap=steps - 1)
@@ -407,8 +422,9 @@ def test_enumerate_walls_work_is_bounded_by_cap():
     t2_min = 10^-8 (10^4 lines), and 10^-30 (10^15 lines) overflows at
     once instead of looping.  The steps are counted by arithmetic, not by
     len(): more than sys.maxsize m-lines (10^-40, about 10^20 lines) or
-    fibers (the m = 1 line of (1, 0, -10^40), about 4*10^39) overflow
-    too, where len() ended in an OverflowError."""
+    fibers (the m = 1 line of (1, 0, -10^40) over [-2*10^39, -1], about
+    8*10^39 fibers whose circles meet the region) overflow too, where
+    len() ended in an OverflowError."""
     reg = Region(F(-3), F(0), F(1, 10 ** 8), F(4))
     walls = enumerate_walls(V_GOLD, AB, reg)
     assert walls == enumerate_walls(V_GOLD, AB, reg, cap=10 ** 9)
@@ -422,7 +438,8 @@ def test_enumerate_walls_work_is_bounded_by_cap():
         chambers_on_ray(V_GOLD, K3, F(-1), (tiny, F(2)))
     with pytest.raises(BoundOverflow, match="more than 5 walk steps"):
         enumerate_walls(mv(1, 0, -10 ** 40), AB,
-                        Region(F(-3), F(-1), F(10 ** 79), F(10 ** 80)), cap=5)
+                        Region(F(-2 * 10 ** 39), F(-1), F(10 ** 78),
+                               F(10 ** 80)), cap=5)
 
 
 def test_enumerate_walls_errors():
