@@ -13,7 +13,7 @@ from mukaistab import (
     RHO, Surface, central_charge, dual, exp_vector, fm_apply, fm_inverse,
     make_transform, mukai_pairing, mv, param, transform_central_charge,
 )
-from mukaistab.errors import NotIntegral, NotPrimitive
+from mukaistab.errors import NonIntegral, NotPrimitive
 
 AB = Surface("abelian", 2)
 
@@ -40,7 +40,7 @@ for r1, c in [(2, F(1, 2)), (2, F(0)), (0, F(1))]:
     try:
         make_transform(r1, c, AB)
         print(f"(r1, c) = ({r1}, {c}) ok")
-    except (NotIntegral, NotPrimitive) as e:
+    except (NonIntegral, NotPrimitive) as e:
         print(f"(r1, c) = ({r1}, {c}) rejected: {e}")
 
 # charge transport: at (s, t) = (0, 1) this transform has zeta = 2i and

@@ -9,9 +9,9 @@ All arithmetic is exact: ints and Fractions; nothing is ever rounded.
 
 from .errors import (MukaiStabError, NonIntegral, Zero, ZeroCharge,
                      NonPositiveSquare, BoundOverflow, NotK3,
-                     UniquenessViolation, NotIntegral, NotPrimitive,
-                     ZeroRank, ZeroDegree, OutOfDomain, Degenerate,
-                     NonPositive, NotAligned, UsageError)
+                     UniquenessViolation, NotPrimitive, ZeroRank,
+                     ZeroDegree, OutOfDomain, Degenerate, NonPositive,
+                     NotAligned, UsageError)
 from .lattice import (Surface, MukaiVector, mv, RHO, rat, mukai_pairing,
                       mukai_square, sheaf_vector, exp_vector,
                       TwistedInvariants, twisted_invariants, untwist,

@@ -47,23 +47,17 @@ def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
     """The primitive integer normal (n0, n1, n2) of rho(w, v) at p as a
     functional of w = (r, d, a); raises ZeroCharge when it vanishes,
     which is exactly when Z(v) = 0."""
-    return _primitive_normal(*v._q, p, S)
-
-
-def _primitive_normal(r, d, a, V, p, S):
-    """_aligned_normal of v = (r, d, a)/V as v._q holds it."""
-    n0, n1, n2, _ = _rho_normal(r, d, a, V, p, S)
+    n0, n1, n2, _ = _rho_normal(*v._q, p, S)
     g = gcd(n0, n1, n2)
     if g == 0:
-        v = MukaiVector._of(r, d, a, V)
         raise ZeroCharge(f"Z({v}) = 0 at s={p.s}, t2={p.t2}")
     return n0 // g, n1 // g, n2 // g
 
 
-def _ipo_line_search(r, d, a, p, S):
+def _ipo_line_search(v: MukaiVector, p: StabilityParam, S: Surface):
     """All integral primitive isotropic w with <v, w> = 1, aligned with
-    v = (r, d, a) (ints) at p and d_beta(w) > 0, as int triples in
-    (r, d, a) order; raises ZeroCharge when Z(v) = 0.
+    the integral v at p and d_beta(w) > 0, as int triples in (r, d, a)
+    order; raises ZeroCharge when Z(v) = 0.
 
     On an integral basis (b1, b2) of the aligned plane Lambda, <v, ·> is
     (p1, p2).  It takes the value 1 on Lambda exactly when gcd(p1, p2) = 1,
@@ -72,9 +66,9 @@ def _ipo_line_search(r, d, a, p, S):
     A·k^2 + B·k + C in k is not identically zero (module docstring), so
     its integer roots are every candidate: the search is complete, with
     no bound."""
-    h2 = S.h2
+    (r, d, a, _), h2 = v._q, S.h2
     (r1, d1, a1), (r2, d2, a2) = _kernel_basis_of_functional(
-        *_primitive_normal(r, d, a, 1, p, S))
+        *_aligned_normal(v, p, S))
     p1 = h2 * d * d1 - r * a1 - a * r1
     p2 = h2 * d * d2 - r * a2 - a * r2
     if gcd(p1, p2) != 1:
@@ -105,10 +99,9 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
     ``bound``, <v, w1> = 1, aligned with v at p, of positive twisted
     degree.  The line search makes this complete; the box bound only
     truncates the output.  Raises ZeroCharge when Z(v) = 0."""
-    r, d, a, V = v._q
-    if V != 1:
+    if not v.is_integral():
         raise NonIntegral(f"search needs an integral v, got {v}")
-    return [MukaiVector._of(*w) for w in _ipo_line_search(r, d, a, p, S)
+    return [MukaiVector._of(*w) for w in _ipo_line_search(v, p, S)
             if max(map(abs, w)) <= bound]
 
 
@@ -263,7 +256,8 @@ def classify_decomposition(parts, p: StabilityParam,
                 and h2 * d1 * d2 - r1 * a2 - a1 * r2 == 1):
             return DecompositionReport(EXC_RANK_TWO,
                                        witnesses=tuple(vi for _, vi in parts))
-        found = _ipo_line_search(r1 + r2, d1 + d2, a1 + a2, p, S)
+        found = _ipo_line_search(
+            MukaiVector._of(r1 + r2, d1 + d2, a1 + a2), p, S)
         if found:
             return DecompositionReport(EXC_ISOTROPIC,
                                        witnesses=(MukaiVector._of(*found[0]),))
@@ -294,7 +288,7 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
         raise NonPositiveSquare(f"<v^2> = {square} <= 0 for {v}")
     if d * p.s.denominator - r * p.s.numerator <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, p.s, S)} <= 0 at s = {p.s}")
-    found = _ipo_line_search(r, d, a, p, S)
+    found = _ipo_line_search(v, p, S)
     if found:
         return StableExistenceReport("ExceptionalWitness",
                                      witness=MukaiVector._of(*found[0]))

@@ -5,7 +5,9 @@ Every numeric value in JSON output is a lowest-terms rational string
 a deterministic order, so repeated runs are byte-identical.  `--approx`
 adds a parallel "approx" object with floating-point renderings for
 human reading.  Errors go to stderr as {"error": code, "detail": ...}
-with exit codes 1 (usage), 2 (domain/precondition), 3 (bound exhausted).
+with the exit code of the error's class (errors.py): 1 (usage, and the
+ValueError of a value that ``rat`` or a value class refuses), 2
+(domain/precondition), 3 (bound exhausted).
 
 All configuration comes from flags or a single JSON file given with
 `--config` (flat object keyed by flag name with underscores; a switch
@@ -21,8 +23,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import BoundOverflow, MukaiStabError, UsageError
-from .lattice import (MukaiVector, Surface, d_beta_min, mukai_pairing,
+from .errors import MukaiStabError, UsageError
+from .lattice import (MukaiVector, Surface, d_beta_min, mukai_pairing, rat,
                       twisted_invariants, retwist)
 from .stability import central_charge, param, reduced_sigma
 from .walls import (Region, category_walls_k3, chambers_on_ray,
@@ -32,8 +34,6 @@ from .fourier_mukai import (fm_apply, make_transform,
 from .polarization import ample_class, omega_sx, omega_x
 from .classification import classify_decomposition
 
-EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_BOUND = 0, 1, 2, 3
-
 DEFAULT_SURFACE = '{"kind":"abelian","h2":2}'
 DEFAULT_SURFACE_K3 = '{"kind":"k3","h2":2}'
 
@@ -41,18 +41,11 @@ DEFAULT_SURFACE_K3 = '{"kind":"k3","h2":2}'
 # ---------------------------------------------------------------------------
 # parsing and rendering
 
-def _parse_rat(text) -> Fraction:
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"cannot parse rational {text!r}: {e}")
-
-
 def _parse_vec(text) -> MukaiVector:
     parts = str(text).split(",")
     if len(parts) != 3:
         raise UsageError(f"vector literal must be 'r,d,a', got {text!r}")
-    return MukaiVector(*(_parse_rat(x) for x in parts))
+    return MukaiVector(*parts)
 
 
 def _parse_surface(text) -> Surface:
@@ -304,12 +297,12 @@ def _cmd_pair(args, S):
 
 
 def _cmd_twist(args, S):
-    v, s = _parse_vec(args.v), _parse_rat(args.s)
+    v, s = _parse_vec(args.v), rat(args.s)
     ti = twisted_invariants(v, s, S)
     payload = {"r_beta": ti.r_b, "d_beta": ti.d_b, "a_beta": ti.a_b,
                "d_beta_min": d_beta_min(s, S)}
     if args.to is not None:
-        to = _parse_rat(args.to)
+        to = rat(args.to)
         rt = retwist(ti, s, to, S)
         payload["retwisted"] = {"s": to, "r_beta": rt.r_b, "d_beta": rt.d_b,
                                 "a_beta": rt.a_b}
@@ -317,13 +310,13 @@ def _cmd_twist(args, S):
 
 
 def _cmd_charge(args, S):
-    v, s = _parse_vec(args.v), _parse_rat(args.s)
+    v, s = _parse_vec(args.v), rat(args.s)
     if args.t is not None:
-        p = param(s, t=_parse_rat(args.t))
+        p = param(s, t=args.t)
         z = central_charge(v, p, S)
         return {"re": z.re, "im": z.im_at(p.t)}
     if args.t2 is not None:
-        p = param(s, t2=_parse_rat(args.t2))
+        p = param(s, t2=args.t2)
         z = central_charge(v, p, S)
         return {"re": z.re, "im_over_t": z.im_over_t}
     raise UsageError("charge needs --t or --t2")
@@ -331,8 +324,7 @@ def _cmd_charge(args, S):
 
 def _cmd_walls(args, S):
     v = _parse_vec(args.v)
-    reg = Region(_parse_rat(args.s_min), _parse_rat(args.s_max),
-                 _parse_rat(args.t2_min), _parse_rat(args.t2_max))
+    reg = Region(args.s_min, args.s_max, args.t2_min, args.t2_max)
     box = _svg_box(reg) if args.format == "svg" else None  # before the walk
     walls = enumerate_walls(v, S, reg, cap=args.cap)
     if box:
@@ -348,8 +340,8 @@ def _cmd_walls(args, S):
 
 
 def _cmd_chambers(args, S):
-    ray = chambers_on_ray(_parse_vec(args.v), S, _parse_rat(args.s),
-                          (_parse_rat(args.t2_min), _parse_rat(args.t2_max)),
+    ray = chambers_on_ray(_parse_vec(args.v), S, rat(args.s),
+                          (rat(args.t2_min), rat(args.t2_max)),
                           cut_category_walls=args.cut_category_walls,
                           cap=args.cap)
     return {"s": ray.s, "cut_points": list(ray.cut_points),
@@ -358,7 +350,7 @@ def _cmd_chambers(args, S):
 
 def _cmd_side(args, S):
     v, w1 = _parse_vec(args.v), _parse_vec(args.w1)
-    p = param(_parse_rat(args.s), t2=_parse_rat(args.t2))
+    p = param(args.s, t2=args.t2)
     return {"side": wall_side(v, w1, p, S),
             "rho": reduced_sigma(w1, v, p, S)}
 
@@ -371,42 +363,40 @@ def _parse_r1(args):
 
 
 def _cmd_fm(args, S):
-    T = make_transform(_parse_r1(args), _parse_rat(args.c), S)
+    T = make_transform(_parse_r1(args), rat(args.c), S)
     v = _parse_vec(args.v)
     return {"kernel": T.kernel_class(S), "image": fm_apply(T, v, S)}
 
 
 def _cmd_fm_charge(args, S):
-    T = make_transform(_parse_r1(args), _parse_rat(args.c), S)
-    p = param(_parse_rat(args.s), t=_parse_rat(args.t))
+    T = make_transform(_parse_r1(args), rat(args.c), S)
+    p = param(args.s, t=args.t)
     tc = transform_central_charge(T, p, S)
     return {"zeta_re": tc.zeta_re, "zeta_im": tc.zeta_im,
             "xi": tc.xi_coeff, "eta": tc.eta_coeff}
 
 
 def _cmd_ample(args, S):
-    rep = ample_class(_parse_vec(args.v),
-                      param(_parse_rat(args.s), t2=_parse_rat(args.t2)), S)
+    rep = ample_class(_parse_vec(args.v), param(args.s, t2=args.t2), S)
     return {"phi": rep.phi, "xi1": rep.xi1, "xi2": rep.xi2,
             "xi_omega": rep.xi_omega}
 
 
 def _cmd_omega_x(args, S):
-    v, s, x = _parse_vec(args.v), _parse_rat(args.s), _parse_rat(args.x)
+    v, s, x = _parse_vec(args.v), rat(args.s), rat(args.x)
     t2 = omega_sx(v, s, x, S) if args.absolute else omega_x(v, s, x, S)
     return {"t2": t2}
 
 
 def _cmd_classify(args, S):
     rep = classify_decomposition(_parse_parts(args.parts),
-                                 param(_parse_rat(args.s),
-                                       t2=_parse_rat(args.t2)), S)
+                                 param(args.s, t2=args.t2), S)
     return {"verdict": rep.verdict, "certified": rep.certified,
             "witnesses": list(rep.witnesses)}
 
 
 def _cmd_k3_category_walls(args, S):
-    walls = category_walls_k3(_parse_rat(args.b), S, _parse_rat(args.t2_max))
+    walls = category_walls_k3(rat(args.b), S, rat(args.t2_max))
     return {"walls": [{"u": cw.u, "t2": cw.t2} for cw in walls]}
 
 
@@ -471,15 +461,11 @@ def main(argv=None) -> int:
         payload = handler(args, S)
         if payload is not None:
             _emit_json(payload, args.approx)
-        return EXIT_OK
-    except UsageError as e:
-        return _fail(e.code, e.detail or str(e), EXIT_USAGE)
-    except BoundOverflow as e:
-        return _fail(e.code, e.detail, EXIT_BOUND)
+        return 0
     except MukaiStabError as e:
-        return _fail(e.code, e.detail, EXIT_DOMAIN)
-    except ValueError as e:
-        return _fail("UsageError", str(e), EXIT_USAGE)
+        return _fail(e.code, e.detail, e.exit_code)
+    except ValueError as e:  # rat's and the value classes' bad values
+        return _fail("UsageError", str(e), UsageError.exit_code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Error taxonomy: the package's one failure contract.
 
 A class's ``code`` is its name; the command line front end serializes it
-verbatim as ``{"error": code}``, so the class names here are part of the
-external contract.  Every public precondition raises a class from this
-module in every interpreter mode, ``python -O`` included.
+verbatim as ``{"error": code}`` and exits with the class's
+``exit_code``: 1 for a UsageError, 3 for a BoundOverflow, 2 for every
+other class.  Both are part of the external contract.  Every public
+precondition raises a class from this module in every interpreter mode,
+``python -O`` included.
 """
 
 
@@ -11,6 +13,7 @@ class MukaiStabError(Exception):
     """Base class for all domain errors raised by this package."""
 
     code = "Error"
+    exit_code = 2
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -22,9 +25,11 @@ class MukaiStabError(Exception):
 
 
 class NonIntegral(MukaiStabError):
-    """A caller-supplied class or multiplicity that must be integral is
-    not: a vector argument with a non-integer entry, or a decomposition
-    multiplicity that is not a positive integer.  Compare NotIntegral."""
+    """A class or multiplicity that must be integral is not: a vector
+    argument with a non-integer entry, a decomposition multiplicity that
+    is not a positive integer, or a Fourier-Mukai transform whose ``r1``
+    is not a nonzero integer (``FMTransform``) or whose kernel class is
+    not integral (``make_transform``)."""
 
 
 class Zero(MukaiStabError):
@@ -45,6 +50,8 @@ class BoundOverflow(MukaiStabError):
     ``find_minus_two_aligned`` refuses a bound of 1118 or more, whose box
     spans over 5*10^6 (r, d) pairs."""
 
+    exit_code = 3
+
 
 class NotK3(MukaiStabError):
     """Operation defined only on K3 surfaces was called on an abelian one."""
@@ -61,15 +68,6 @@ class UniquenessViolation(MukaiStabError):
     the Mukai form can be indefinite, so they can form infinite
     Pell-type orbits.  The error reports a box holding two or more of
     them, not an implementation bug."""
-
-
-class NotIntegral(MukaiStabError):
-    """A Fourier-Mukai transform that must be integral is not.
-
-    Raised by ``FMTransform`` for an ``r1`` that is not a nonzero
-    integer and by ``make_transform`` for a non-integral kernel class.  It
-    differs from NonIntegral, which rejects the caller's own classes;
-    both codes are part of the external contract, so they stay apart."""
 
 
 class NotPrimitive(MukaiStabError):
@@ -102,3 +100,5 @@ class NotAligned(MukaiStabError):
 
 class UsageError(MukaiStabError):
     """Malformed command line input (reserved for the CLI layer)."""
+
+    exit_code = 1

@@ -24,7 +24,7 @@ exactly reduced_sigma(E, T.kernel_class(S), p, S).
 
 from fractions import Fraction
 
-from .errors import NonPositive, NotIntegral, NotPrimitive
+from .errors import NonIntegral, NonPositive, NotPrimitive
 from .lattice import Frozen, MukaiVector, Surface, _twist, rat
 from .stability import StabilityParam
 
@@ -34,7 +34,7 @@ class FMTransform(Frozen):
 
     def __init__(self, r1: int, c):
         if not isinstance(r1, int) or r1 == 0:
-            raise NotIntegral(f"r1 must be a nonzero integer, got {r1!r}")
+            raise NonIntegral(f"r1 must be a nonzero integer, got {r1!r}")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "c", rat(c))
 
@@ -48,7 +48,7 @@ def make_transform(r1, c, S: Surface) -> FMTransform:
     T = FMTransform(r1, c)
     w1 = T.kernel_class(S)
     if not w1.is_integral():
-        raise NotIntegral(f"kernel class {w1} is not integral")
+        raise NonIntegral(f"kernel class {w1} is not integral")
     if not w1.is_primitive():
         raise NotPrimitive(f"kernel class {w1} has content {w1.content()}")
     return T

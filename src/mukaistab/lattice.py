@@ -29,12 +29,20 @@ from .errors import NonIntegral, Zero
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction: the one
+    reader of rationals, the command line's included.  Text that is no
+    rational ('abc', '1/0') is a ValueError and any other non-rational
+    (a float, None) a TypeError; both messages name the value."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}: core arithmetic is exact")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"cannot parse rational {x!r}: {e}") from None
+    except TypeError as e:
+        raise TypeError(f"cannot read {x!r} as a rational: {e}") from None
 
 
 class Frozen:

@@ -27,7 +27,7 @@ from mukaistab import (
     retwist, transform_central_charge, twisted_invariants, wall_locus,
     category_walls_k3, find_isotropic_pairing_one, a2_pattern,
 )
-from mukaistab.errors import NotIntegral, NotPrimitive, ZeroCharge
+from mukaistab.errors import NonIntegral, NotPrimitive, ZeroCharge
 
 F = Fraction
 AB = Surface("abelian", 2)
@@ -57,7 +57,7 @@ for _r1 in [x for x in range(-6, 7) if x]:
         for _num in range(-8, 9):
             try:
                 TRANSFORMS.append(make_transform(_r1, F(_num, _den), AB))
-            except (NotIntegral, NotPrimitive):
+            except (NonIntegral, NotPrimitive):
                 pass
 TRANSFORMS = sorted(set(TRANSFORMS), key=lambda T: (T.r1, T.c))
 

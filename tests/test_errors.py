@@ -29,7 +29,6 @@ CODES = {
     "BoundOverflow": "BoundOverflow",
     "NotK3": "NotK3",
     "UniquenessViolation": "UniquenessViolation",
-    "NotIntegral": "NotIntegral",
     "NotPrimitive": "NotPrimitive",
     "ZeroRank": "ZeroRank",
     "ZeroDegree": "ZeroDegree",
@@ -235,15 +234,32 @@ PUBLIC_CALLS = {
 def _from_value_class(exc):
     """True when exc was raised inside one of the package's value classes
     (a Frozen method such as a constructor that checks its fields) or by
-    the coercion rat: their ValueError/TypeError is documented."""
+    the coercion rat, whose message must name the value it refused:
+    their ValueError/TypeError is documented."""
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
     frame = tb.tb_frame
     if not frame.f_code.co_filename.startswith(str(ROOT / "src")):
         return False
-    return (frame.f_code.co_name == "rat"
-            or isinstance(frame.f_locals.get("self"), Frozen))
+    if frame.f_code.co_name == "rat":
+        return repr(frame.f_locals["x"]) in str(exc)
+    return isinstance(frame.f_locals.get("self"), Frozen)
+
+
+# text that is no rational and values of no rational type, each given to
+# the value classes in place of one of their rational arguments
+BAD_VALUES = ("1/0", "abc", "", None, (1, 2))
+
+VALUE_CALLS = {
+    "mv": (mukaistab.mv, lambda d: [d["s"], d["x"], d["c"]]),
+    "param": (lambda s, t2: mukaistab.param(s, t2=t2),
+              lambda d: [d["p"].s, d["p"].t2]),
+    "Region": (mukaistab.Region,
+               lambda d: [*sorted((d["s"], d["x"])), *_t2_range(d)]),
+    "FMTransform": (lambda c: mukaistab.FMTransform(1, c),
+                    lambda d: [d["c"]]),
+}
 
 
 # vector arithmetic with an operand of the wrong type: x is no vector, k
@@ -274,10 +290,12 @@ def _operand_type_error(exc):
 
 
 def test_public_api_fails_only_with_typed_errors():
-    """Every public call on the seeded draws, and v + x, v - x and k * v
+    """Every public call on the seeded draws; v + x, v - x and k * v
     with x drawn from non-vectors and k from non-rationals, which must
-    raise TypeError."""
+    raise TypeError; and mv, param, Region and FMTransform with one
+    argument drawn from BAD_VALUES, which must raise."""
     rng, operands = random.Random(20261019), random.Random(20261020)
+    values = random.Random(20261021)
     untyped = {}
     for _ in range(400):
         d = _inputs(rng)
@@ -299,4 +317,31 @@ def test_public_api_fails_only_with_typed_errors():
             except Exception as e:  # noqa: BLE001 - checked below
                 if not _operand_type_error(e):
                     untyped.setdefault(name, repr(e))
+        for cls, (make, rationals) in VALUE_CALLS.items():
+            args, bad = rationals(d), values.choice(BAD_VALUES)
+            args[values.randrange(len(args))] = bad
+            name = f"{cls} given {bad!r}"
+            try:
+                untyped.setdefault(name, f"returned {make(*args)!r}")
+            except (ValueError, TypeError) as e:
+                if not _from_value_class(e):
+                    untyped.setdefault(name, repr(e))
+            except Exception as e:  # noqa: BLE001 - any other class fails
+                untyped.setdefault(name, repr(e))
     assert untyped == {}
+
+
+def test_rat_names_the_value_it_refuses():
+    """rat is the one reader of rationals, the command line's included:
+    text that is no rational is a ValueError with the CLI's usage text
+    and any other non-rational a TypeError, each naming the value."""
+    detail = "cannot parse rational '1/0': Fraction(1, 0)"
+    for call in (lambda: mukaistab.mv("1/0", 0, 0),
+                 lambda: mukaistab.param("1/0", t2=1)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == detail
+    for call in (lambda: mukaistab.mv(None, 0, 0),
+                 lambda: None * mukaistab.mv(1, 0, 0)):
+        with pytest.raises(TypeError, match="None"):
+            call()

@@ -11,7 +11,7 @@ from mukaistab import (
     fm_inverse, l_divisor, make_transform, mukai_pairing, mv, param,
     transform_central_charge, twisted_invariants,
 )
-from mukaistab.errors import NotIntegral, NotPrimitive, OutOfDomain
+from mukaistab.errors import NonIntegral, NotPrimitive, OutOfDomain
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -25,7 +25,7 @@ for _r1 in [x for x in range(-6, 7) if x]:
         for _num in range(-8, 9):
             try:
                 TRANSFORMS.append(make_transform(_r1, F(_num, _den), AB))
-            except (NotIntegral, NotPrimitive):
+            except (NonIntegral, NotPrimitive):
                 pass
 TRANSFORMS = sorted(set(TRANSFORMS), key=lambda T: (T.r1, T.c))
 
@@ -43,11 +43,11 @@ def test_make_transform_golden_kernels():
 
 
 def test_make_transform_errors():
-    with pytest.raises(NotIntegral):
+    with pytest.raises(NonIntegral):
         make_transform(0, F(0), AB)
-    with pytest.raises(NotIntegral):
+    with pytest.raises(NonIntegral):
         make_transform(F(1, 2), F(0), AB)
-    with pytest.raises(NotIntegral):
+    with pytest.raises(NonIntegral):
         make_transform(2, F(1, 2), AB)   # kernel (2,1,1/2)
     with pytest.raises(NotPrimitive):
         make_transform(2, F(0), AB)      # kernel (2,0,0)
@@ -56,7 +56,7 @@ def test_make_transform_errors():
 @pytest.mark.parametrize("r1", [0, 1.0])
 def test_fm_transform_rejects_r1_that_is_not_a_nonzero_int(r1):
     # checked on construction, so fm_apply and fm_inverse never divide by 0
-    with pytest.raises(NotIntegral,
+    with pytest.raises(NonIntegral,
                        match=f"^r1 must be a nonzero integer, got {r1!r}$"):
         FMTransform(r1, 0)
 
