@@ -14,8 +14,8 @@ from .errors import (MukaiStabError, NonIntegral, Zero, ZeroCharge,
                      NotAligned, UsageError)
 from .lattice import (Surface, MukaiVector, mv, RHO, rat, mukai_pairing,
                       mukai_square, sheaf_vector, exp_vector,
-                      TwistedInvariants, twisted_invariants, untwist,
-                      retwist, d_beta, d_beta_min, perp_basis)
+                      twisted_invariants, untwist, retwist, d_beta,
+                      d_beta_min, perp_basis)
 from .stability import (StabilityParam, param, CentralCharge, central_charge,
                         sigma_coefficients, reduced_sigma, PhaseKey,
                         phase_key)

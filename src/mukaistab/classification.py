@@ -99,6 +99,8 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
     ``bound``, <v, w1> = 1, aligned with v at p, of positive twisted
     degree.  The line search makes this complete; the box bound only
     truncates the output.  Raises ZeroCharge when Z(v) = 0."""
+    if not isinstance(bound, int):
+        raise NonIntegral(f"bound must be an integer, got {bound!r}")
     if not v.is_integral():
         raise NonIntegral(f"search needs an integral v, got {v}")
     return [MukaiVector._of(*w) for w in _ipo_line_search(v, p, S)
@@ -109,8 +111,10 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
                            reference: MukaiVector) -> list:
     """All integral w = (r, d, a) with entries bounded by ``bound``,
     <w^2> = -2, d_beta(w) > 0, aligned with the reference class at p, in
-    (r, d, a) order.  K3 only: a sheaf class on an abelian surface never
-    has square -2.
+    (r, d, a) order.  K3 only: an abelian surface carries no spherical
+    objects, since a simple sheaf E there has ext^1(E, E) >= 2 and so
+    <v(E)^2> = ext^1(E, E) - 2 >= 0 (recalled, not quoted), though the
+    lattice has square -2 classes ((1, 0, 1) for every h2).
 
     <w^2> = h2*d^2 - 2*r*a = -2 rules out r = 0 and fixes
     a = (h2*d^2 + 2)/(2*r).  Alignment is n·w = 0 for the normal n of the
@@ -128,6 +132,8 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     Pell-type orbits (at s = -3/2, t2 = 1, h2 = 2 the reference
     (1,0,-2) aligns (-1,2,-5) and (25,-18,13)).  The search raises
     UniquenessViolation when the box holds two or more of them."""
+    if not isinstance(bound, int):
+        raise NonIntegral(f"bound must be an integer, got {bound!r}")
     if S.kind != "k3":
         raise NotK3("square -2 classes need a K3 surface")
     n0, n1, n2 = _aligned_normal(reference, p, S)

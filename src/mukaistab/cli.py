@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import MukaiStabError, UsageError
 from .lattice import (MukaiVector, Surface, d_beta_min, mukai_pairing, rat,
-                      twisted_invariants, retwist)
+                      twisted_invariants)
 from .stability import central_charge, param, reduced_sigma
 from .walls import (Region, category_walls_k3, chambers_on_ray,
                     enumerate_walls, wall_side)
@@ -298,14 +298,14 @@ def _cmd_pair(args, S):
 
 def _cmd_twist(args, S):
     v, s = _parse_vec(args.v), rat(args.s)
-    ti = twisted_invariants(v, s, S)
-    payload = {"r_beta": ti.r_b, "d_beta": ti.d_b, "a_beta": ti.a_b,
+    w = twisted_invariants(v, s, S)
+    payload = {"r_beta": w.r, "d_beta": w.d, "a_beta": w.a,
                "d_beta_min": d_beta_min(s, S)}
     if args.to is not None:
         to = rat(args.to)
-        rt = retwist(ti, s, to, S)
-        payload["retwisted"] = {"s": to, "r_beta": rt.r_b, "d_beta": rt.d_b,
-                                "a_beta": rt.a_b}
+        w = twisted_invariants(v, to, S)
+        payload["retwisted"] = {"s": to, "r_beta": w.r, "d_beta": w.d,
+                                "a_beta": w.a}
     return payload
 
 

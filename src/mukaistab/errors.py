@@ -27,9 +27,12 @@ class MukaiStabError(Exception):
 class NonIntegral(MukaiStabError):
     """A class or multiplicity that must be integral is not: a vector
     argument with a non-integer entry, a decomposition multiplicity that
-    is not a positive integer, or a Fourier-Mukai transform whose ``r1``
+    is not a positive integer, a Fourier-Mukai transform whose ``r1``
     is not a nonzero integer (``FMTransform``) or whose kernel class is
-    not integral (``make_transform``)."""
+    not integral (``make_transform``), or a walk ``cap`` or search
+    ``bound`` that is not an int (``enumerate_walls``,
+    ``chambers_on_ray``, ``find_isotropic_pairing_one``,
+    ``find_minus_two_aligned``)."""
 
 
 class Zero(MukaiStabError):

@@ -11,7 +11,7 @@ an even bilinear form of signature (2,1).  There is no floating point
 in the core, by design: every identity downstream is exact and the tests
 run at zero tolerance.  Kernel convention: Fractions at the interface,
 ints inside.  A MukaiVector stores its entries as ints over one
-denominator (``_q``, the canonical form of ``_over``); every kernel
+denominator (``_q``, reduced to gcd 1 with den > 0); every kernel
 returns ints over one denominator (``_twist`` in ``_q``'s form), and a
 formula builds one Fraction per number, a vector by ``MukaiVector._of``.
 Validation reads the same ints: integral is den = 1, primitive is gcd 1,
@@ -19,7 +19,9 @@ a sign or phase order an integer comparison.
 
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
-all the stability formulas consume.
+all the stability formulas consume.  It is itself a MukaiVector, v*e^{-sH}
+(twisting is an isometry of the rational lattice), so twisted_invariants,
+untwist and retwist take and return vectors.
 """
 
 from fractions import Fraction
@@ -120,15 +122,6 @@ class Surface(Frozen):
         return 0 if self.kind == "abelian" else 1
 
 
-def _over(x, y, z):
-    """(x', y', z', den): three rationals as ints over their lcd den, so
-    gcd(x', y', z', den) = 1: the one such form of the triple."""
-    xd, yd, zd = x.denominator, y.denominator, z.denominator
-    den = lcm(xd, yd, zd)
-    return (x.numerator * (den // xd), y.numerator * (den // yd),
-            z.numerator * (den // zd), den)
-
-
 class MukaiVector(Frozen):
     """A rational class r + d*H + a*rho.  Rational entries are allowed on
     purpose (transform images of exponentials are rational); integrality
@@ -139,7 +132,12 @@ class MukaiVector(Frozen):
     _names = ("r", "d", "a")
 
     def __init__(self, r, d, a):
-        object.__setattr__(self, "_q", _over(rat(r), rat(d), rat(a)))
+        x, y, z = rat(r), rat(d), rat(a)
+        xd, yd, zd = x.denominator, y.denominator, z.denominator
+        den = lcm(xd, yd, zd)  # gcd(r, d, a, den) = 1 as each is reduced
+        object.__setattr__(self, "_q", (x.numerator * (den // xd),
+                                        y.numerator * (den // yd),
+                                        z.numerator * (den // zd), den))
 
     @classmethod
     def _of(cls, r: int, d: int, a: int, den: int = 1) -> "MukaiVector":
@@ -218,28 +216,12 @@ def mukai_square(x: MukaiVector, S: Surface) -> Fraction:
 def sheaf_vector(rank: int, c1_mult: int, chi: int, S: Surface) -> MukaiVector:
     """Mukai vector of a sheaf with the given rank, c_1 = c1_mult*H and
     Euler characteristic: (rank, c1_mult, chi - epsilon*rank)."""
-    return MukaiVector(rank, c1_mult, chi - S.epsilon * rank)
+    return MukaiVector(rank, c1_mult, rat(chi) - S.epsilon * rat(rank))
 
 
 def exp_vector(s, S: Surface) -> MukaiVector:
     """e^{sH} = (1, s, s^2*h2/2)."""
     return MukaiVector._of(*_twist(1, 0, 0, 1, -rat(s), S))
-
-
-class TwistedInvariants(Frozen):
-    """The beta-twisted triple of a vector at beta = s*H.  The rank is
-    twist-independent; d_b and a_b are the H-degree and rho-coefficient in
-    the e^{sH}-adapted basis."""
-
-    __slots__ = ("r_b", "d_b", "a_b")
-
-    def __init__(self, r_b, d_b, a_b):
-        object.__setattr__(self, "r_b", rat(r_b))
-        object.__setattr__(self, "d_b", rat(d_b))
-        object.__setattr__(self, "a_b", rat(a_b))
-
-    def as_tuple(self):
-        return (self.r_b, self.d_b, self.a_b)
 
 
 def _twist(r, d, a, V, s: Fraction, S: Surface):
@@ -252,22 +234,22 @@ def _twist(r, d, a, V, s: Fraction, S: Surface):
     return r * sd * sd, (d * sd - r * sn) * sd, an, V * sd * sd
 
 
-def twisted_invariants(v: MukaiVector, s, S: Surface) -> TwistedInvariants:
-    """(r, d - r*s, a - d*s*h2 + (r/2)*s^2*h2).
+def twisted_invariants(v: MukaiVector, s, S: Surface) -> MukaiVector:
+    """v*e^{-sH} = (r, d - r*s, a - d*s*h2 + (r/2)*s^2*h2), the twisted
+    triple (r_b, d_b, a_b) as a vector.
 
     Equivalently a_b = -<v, e^{sH}>, which the tests assert; twisting by a
     rational s is an isometry of the rational lattice.
     """
-    _, D, A, W = _twist(*v._q, rat(s), S)
-    return TwistedInvariants(v.r, Fraction(D, W), Fraction(A, W))
+    return MukaiVector._of(*_twist(*v._q, rat(s), S))
 
 
-def untwist(ti: TwistedInvariants, s, S: Surface) -> MukaiVector:
+def untwist(w: MukaiVector, s, S: Surface) -> MukaiVector:
     """Inverse of twisted_invariants at the same s."""
-    return MukaiVector._of(*_twist(*_over(*ti.as_tuple()), -rat(s), S))
+    return MukaiVector._of(*_twist(*w._q, -rat(s), S))
 
 
-def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariants:
+def retwist(w: MukaiVector, s_from, s_to, S: Surface) -> MukaiVector:
     """Pass from the s_from-twisted basis to the s_to-twisted basis
     directly, without returning to untwisted coordinates:
 
@@ -278,8 +260,7 @@ def retwist(ti: TwistedInvariants, s_from, s_to, S: Surface) -> TwistedInvariant
     Composition consistency with the direct computation is a tested
     invariant.
     """
-    _, D, A, W = _twist(*_over(*ti.as_tuple()), -rat(s_from) + rat(s_to), S)
-    return TwistedInvariants(ti.r_b, Fraction(D, W), Fraction(A, W))
+    return MukaiVector._of(*_twist(*w._q, rat(s_to) - rat(s_from), S))
 
 
 def d_beta(v: MukaiVector, s, S: Surface) -> Fraction:

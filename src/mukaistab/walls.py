@@ -327,8 +327,9 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     winner's Circle and fiber triple (h2*m/2, C, D), negated for a complement.
 
     Raises BoundOverflow when the walk would take more than ``cap``
-    steps, before it visits the fibers past that budget, and ValueError
-    for a negative ``cap`` before any walk.
+    steps, before it visits the fibers past that budget, and NonIntegral
+    for a ``cap`` that is no int and ValueError for a negative one before
+    any walk.
     """
     won = _walk(v, S, reg, cap)
     M = lcm(*(2 * A for A, *_ in won))  # center*M, radius^2*M^2 are ints
@@ -343,6 +344,8 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
 def _walk(v, S, reg, cap):
     """enumerate_walls' validation and walk: (A, C, disc, selected) for
     each circle that meets the region, in no order."""
+    if not isinstance(cap, int):
+        raise NonIntegral(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if not v.is_integral():
@@ -543,8 +546,11 @@ def category_walls_k3(b, S: Surface, t2_max) -> list:
     a_u = (n p^2 + 1)/q, which is integral iff q divides n p^2 + 1.  In
     that case a_b(u) = 1/q and the wall equation rk(u)*(t^2 h2) =
     -2<e^{bH}, u> puts the single wall (up to sign of u) at
-    t^2 = 2/(q^2 h2).  An abelian surface has no spherical classes at
-    all (<u^2> is even and the relevant solvability fails), hence NotK3.
+    t^2 = 2/(q^2 h2).  An abelian surface has no category walls, hence
+    NotK3: it carries no spherical objects, since a simple sheaf E there
+    has ext^1(E, E) >= 2 and so <v(E)^2> = ext^1(E, E) - 2 >= 0 (recalled,
+    not quoted).  The lattice alone does not rule them out: (1, 0, 1) has
+    square -2 for every h2.
     """
     if S.kind != "k3":
         raise NotK3("category walls exist only on K3 surfaces")

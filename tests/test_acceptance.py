@@ -76,7 +76,7 @@ def test_criterion_01_pairing_and_twist_identities():
         assert (mukai_pairing(x + k * y, z, S)
                 == mukai_pairing(x, z, S) + k * mukai_pairing(y, z, S))
         ti = twisted_invariants(x, s1, S)
-        assert ti.a_b == -mukai_pairing(x, exp_vector(s1, S), S)
+        assert ti.a == -mukai_pairing(x, exp_vector(s1, S), S)
         # moving the base twist in one step or via a fresh twist agree
         assert retwist(ti, s1, s2, S) == twisted_invariants(x, s2, S)
 

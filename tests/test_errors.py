@@ -138,10 +138,15 @@ def _vector(rng):
     return rng.randint(2, 3) * v if kind == "multiple" else v
 
 
-def _inputs(rng):
+# a walk cap or search bound that is no int
+NOT_INT = (None, "5", 1.5, F(7, 2))
+
+
+def _inputs(rng, odd):
     """One draw: a surface, classes, twists, signed t^2 values (the
     twists and t^2 values sometimes extreme), a point (always valid, with
-    or without an exact t) and small bounds."""
+    or without an exact t) and small caps and bounds, each one time in
+    eight replaced by a NOT_INT value drawn from odd."""
     S = mukaistab.Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
     t = F(rng.randint(1, 6), rng.randint(1, 3))
     p = (mukaistab.param(_rat(rng), t=t) if rng.random() < 0.5
@@ -151,8 +156,13 @@ def _inputs(rng):
     return dict(S=S, v=_vector(rng), w=_vector(rng), s=_wide(rng),
                 x=_wide(rng), t2=_wide(rng, -1, 6), t2b=_wide(rng, 1, 6), p=p,
                 parts=parts, r1=rng.randint(-3, 3), c=_rat(rng),
-                cap=rng.randint(0, 40), bound=rng.randint(0, 3),
+                cap=_not_int(odd, rng.randint(0, 40)),
+                bound=_not_int(odd, rng.randint(0, 3)),
                 flag=rng.random() < 0.5)
+
+
+def _not_int(odd, n):
+    return odd.choice(NOT_INT) if odd.random() < 0.125 else n
 
 
 def _t2_range(d):
@@ -295,10 +305,10 @@ def test_public_api_fails_only_with_typed_errors():
     raise TypeError; and mv, param, Region and FMTransform with one
     argument drawn from BAD_VALUES, which must raise."""
     rng, operands = random.Random(20261019), random.Random(20261020)
-    values = random.Random(20261021)
+    values, odd = random.Random(20261021), random.Random(20261022)
     untyped = {}
     for _ in range(400):
-        d = _inputs(rng)
+        d = _inputs(rng, odd)
         for name, call in PUBLIC_CALLS.items():
             try:
                 call(d)
@@ -345,3 +355,27 @@ def test_rat_names_the_value_it_refuses():
                  lambda: None * mukaistab.mv(1, 0, 0)):
         with pytest.raises(TypeError, match="None"):
             call()
+
+
+def test_a_cap_or_bound_that_is_no_int_is_non_integral():
+    """cap counts walk steps and bound the entries of a box: a value that
+    is no int is refused with NonIntegral naming it, before any work,
+    not compared as a number or let through to a raw TypeError."""
+    S, v = mukaistab.Surface("k3", 2), mukaistab.mv(1, 0, -2)
+    p = mukaistab.param(F(-3, 2), t2=1)
+    reg = mukaistab.Region(-3, 0, F(1, 10), 4)
+    calls = {
+        "enumerate_walls": lambda n: mukaistab.enumerate_walls(
+            v, S, reg, cap=n),
+        "chambers_on_ray": lambda n: mukaistab.chambers_on_ray(
+            v, S, F(-3, 2), (F(1, 10), 4), cap=n),
+        "find_isotropic_pairing_one": lambda n: (
+            mukaistab.find_isotropic_pairing_one(v, p, S, n)),
+        "find_minus_two_aligned": lambda n: mukaistab.find_minus_two_aligned(
+            p, S, n, v),
+    }
+    for name, call in calls.items():
+        for n in NOT_INT:
+            with pytest.raises(errors.NonIntegral) as info:
+                call(n)
+            assert repr(n) in info.value.detail, name

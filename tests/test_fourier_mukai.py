@@ -174,6 +174,6 @@ def test_fm_respects_the_twisted_coordinates(T, v):
     ti = twisted_invariants(v, T.c, AB)
     image = fm_apply(T, v, AB)
     sgn = 1 if T.r1 > 0 else -1
-    assert image.r == -T.r1 * ti.a_b
-    assert image.d == sgn * ti.d_b
-    assert image.a == F(-1, T.r1) * ti.r_b
+    assert image.r == -T.r1 * ti.a
+    assert image.d == sgn * ti.d
+    assert image.a == F(-1, T.r1) * ti.r

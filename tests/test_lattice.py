@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mukaistab import (
-    RHO, FMTransform, MukaiVector, StabilityParam, Surface, TwistedInvariants, ample_class,
+    RHO, FMTransform, MukaiVector, StabilityParam, Surface, ample_class,
     central_charge, d_beta, d_beta_min, exp_vector, fm_apply, fm_inverse, mukai_pairing,
     mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key, rat,
     reduced_sigma, retwist, sheaf_vector, sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
@@ -46,19 +46,19 @@ def test_rat_refuses_floats():
 
 
 def test_value_constructors_refuse_floats():
-    """TwistedInvariants and FMTransform coerce their rational fields as
-    MukaiVector does: a float is refused at construction with rat's
-    TypeError, not deep inside the integer kernels, and ints and 'p/q'
-    strings become Fractions."""
+    """A twisted class (a MukaiVector) and FMTransform coerce their
+    rational fields through rat: a float is refused at construction with
+    rat's TypeError, not deep inside the integer kernels, and ints and
+    'p/q' strings become Fractions."""
     with pytest.raises(TypeError, match="refusing float"):
-        retwist(TwistedInvariants(0.5, 1, 2), 0, 1, AB)
+        retwist(mv(0.5, 1, 2), 0, 1, AB)
     with pytest.raises(TypeError, match="refusing float"):
         transform_central_charge(FMTransform(1, 0.5),
                                  StabilityParam(0, None, 1), AB)
     for fields in ((1, 0.5, 2), (1, 1, 0.5)):
         with pytest.raises(TypeError, match="refusing float"):
-            TwistedInvariants(*fields)
-    ti, T = TwistedInvariants(1, "3/2", -2), FMTransform(2, "1/2")
+            mv(*fields)
+    ti, T = mv(1, "3/2", -2), FMTransform(2, "1/2")
     assert ti.as_tuple() == (1, Fraction(3, 2), -2) and T.c == Fraction(1, 2)
     assert all(type(x) is Fraction for x in ti.as_tuple() + (T.c,))
 
@@ -134,9 +134,9 @@ def test_exp_is_isotropic(s, S):
 @given(vectors, rationals, surfaces)
 def test_a_beta_is_minus_pairing_with_exp(v, s, S):
     ti = twisted_invariants(v, s, S)
-    assert ti.a_b == -mukai_pairing(v, exp_vector(s, S), S)
-    assert ti.r_b == v.r
-    assert ti.d_b == d_beta(v, s, S)
+    assert ti.a == -mukai_pairing(v, exp_vector(s, S), S)
+    assert ti.r == v.r
+    assert ti.d == d_beta(v, s, S)
 
 
 @given(vectors, rationals, surfaces)
@@ -152,8 +152,8 @@ def test_retwist_matches_fresh_twist(v, s1, s2, S):
 
 @given(vectors, vectors, rationals, surfaces)
 def test_twisting_is_an_isometry(x, y, s, S):
-    tx = mv(*twisted_invariants(x, s, S).as_tuple())
-    ty = mv(*twisted_invariants(y, s, S).as_tuple())
+    tx = twisted_invariants(x, s, S)
+    ty = twisted_invariants(y, s, S)
     assert mukai_pairing(tx, ty, S) == mukai_pairing(x, y, S)
 
 
@@ -320,10 +320,10 @@ def test_kernels_exact_on_rational_input():
               (oracles.pairing(vt, wt, h2), oracles.square(vt, h2)))
         exact(twisted_invariants(v, s, S).as_tuple(), oracles.twisted(vt, s, h2))
         s2 = q(10 ** 6, -5, 5)
-        exact(retwist(TwistedInvariants(*oracles.twisted(vt, s2, h2)), s2, s, S)
+        exact(retwist(mv(*oracles.twisted(vt, s2, h2)), s2, s, S)
               .as_tuple(), oracles.twisted(vt, s, h2))
         exact(untwist(twisted_invariants(w, s, S), s, S).as_tuple(), wt)
-        exact(untwist(TwistedInvariants(*vt), s, S).as_tuple(),
+        exact(untwist(mv(*vt), s, S).as_tuple(),
               oracles.untwist(vt, s, h2))
         re, im = oracles.charge(vt, s, t2, h2)
         z = central_charge(v, p, S)

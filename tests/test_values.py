@@ -1,4 +1,4 @@
-"""The value-class contract: the 20 immutable result and parameter classes
+"""The value-class contract: the 19 immutable result and parameter classes
 behave as frozen dataclasses do (field-order repr, equality only within a
 class, hash of the field tuple, no assignment, copy and pickle round
 trips, tuple order for PhaseKey), and importing the CLI loads neither
@@ -23,7 +23,6 @@ from mukaistab import (
     ample_class, category_walls_k3, central_charge, chambers_on_ray,
     classify_decomposition, enumerate_walls, is_wall_vector, make_transform,
     mv, param, phase_key, stable_existence, transform_central_charge,
-    twisted_invariants,
 )
 
 AB = Surface("abelian", 2)
@@ -39,10 +38,6 @@ MV = "MukaiVector(r=Fraction({}, 1), d=Fraction({}, 1), a=Fraction({}, 1))"
 CASES = {
     "Surface": (AB, ("kind", "h2"), "Surface(kind='abelian', h2=2)"),
     "MukaiVector": (V, ("r", "d", "a"), MV.format(1, 0, -2)),
-    "TwistedInvariants": (
-        twisted_invariants(V, F(-3, 2), AB), ("r_b", "d_b", "a_b"),
-        "TwistedInvariants(r_b=Fraction(1, 1), d_b=Fraction(3, 2), "
-        "a_b=Fraction(1, 4))"),
     "StabilityParam": (
         T_P, ("s", "t2", "t"),
         "StabilityParam(s=Fraction(1, 2), t2=Fraction(1, 9), "
@@ -117,7 +112,7 @@ def fields(x, names):
 
 
 def test_every_value_class_is_covered():
-    assert len(CASES) == 20
+    assert len(CASES) == 19
     for name, (x, _, _) in CASES.items():
         assert type(x).__name__ == name and type(x) is getattr(mukaistab, name)
 
@@ -218,17 +213,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
-# the classes whose constructor only stores its arguments; the other six
+# the classes whose constructor only stores its arguments; the other five
 # convert or check their fields in an __init__ of their own
 STORE_ONLY = [
     "AmpleClassReport", "CategoryWall", "ChamberRay", "CentralCharge",
     "Circle", "DecompositionReport", "PhaseKey", "StableExistenceReport",
     "TransformedCharge", "VerticalLine", "Wall", "WallVectorReport"]
 OWN_INIT = ["FMTransform", "MukaiVector", "Region", "StabilityParam",
-            "Surface", "TwistedInvariants"]
+            "Surface"]
 
 
-def test_exactly_six_value_classes_write_their_own_init():
+def test_exactly_five_value_classes_write_their_own_init():
     """A new result type declares its fields (and _defaults) only; an
     __init__ in src/ belongs to a class that converts or checks them."""
     src = os.path.dirname(mukaistab.__file__)
