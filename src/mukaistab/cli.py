@@ -14,6 +14,11 @@ All configuration comes from flags or a single JSON file given with
 takes true or false).  Config values pass through the same parser as
 typed flags, and explicit flags win.  No environment variables are
 consulted.
+
+Only `errors` and `lattice` load with this module, since every handler
+reads vectors; each handler imports the rest of what it calls, and a
+call builds the parser of its own subcommand only, so a process compiles
+and builds no more than its subcommand runs.
 """
 
 import argparse
@@ -26,13 +31,6 @@ from fractions import Fraction
 from .errors import MukaiStabError, UsageError
 from .lattice import (MukaiVector, Surface, d_beta_min, mukai_pairing, rat,
                       twisted_invariants)
-from .stability import central_charge, param, reduced_sigma
-from .walls import (Region, category_walls_k3, chambers_on_ray,
-                    enumerate_walls, wall_side)
-from .fourier_mukai import (fm_apply, make_transform,
-                            transform_central_charge)
-from .polarization import ample_class, omega_sx, omega_x
-from .classification import classify_decomposition
 
 DEFAULT_SURFACE = '{"kind":"abelian","h2":2}'
 DEFAULT_SURFACE_K3 = '{"kind":"k3","h2":2}'
@@ -112,7 +110,7 @@ def _f(x) -> str:
     return f"{float(x):.6f}"
 
 
-def _svg_box(reg: Region):
+def _svg_box(reg):
     """(s0, t0, t1, scale, height) of the plot of reg: s horizontal,
     t = sqrt(t^2) vertical, equal scales, 1000px wide.  A box that is
     empty, has a bound beyond float range, or has no finite nonzero float
@@ -141,7 +139,7 @@ def _svg_box(reg: Region):
     return s0, t0, t1, scale, height
 
 
-def _svg_walls(v, reg: Region, walls, box) -> str:
+def _svg_walls(v, reg, walls, box) -> str:
     """Deterministic SVG of the walls over reg on _svg_box's frame; each
     wall circle stroked and labeled with its representative class.
     Floats appear only here, at render time."""
@@ -223,12 +221,15 @@ _FLAGS = {
 }
 
 
-def _build_parser():
+def _build_parser(only=None):
+    """The top-level parser and its subparsers by name: every subcommand,
+    or only the one named ``only``, built as the full parser builds it."""
     ap = _Parser(prog="mukaistab",
                  description="exact wall-and-chamber computations on the "
                              "rank-3 Mukai lattice")
     sub = ap.add_subparsers(dest="command", metavar="command")
-    for name, (help_text, required, optional, _) in _COMMANDS.items():
+    for name in _COMMANDS if only is None else [only]:
+        help_text, required, optional, _ = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         for flag in required + optional:
             sp.add_argument("--" + flag, **_FLAGS.get(flag, {}))
@@ -243,14 +244,14 @@ def _build_parser():
     return ap, sub.choices
 
 
-def _config_tokens(path, command, commands):
+def _config_tokens(path, parser):
     """The flags of a --config file as '--flag=value' tokens for the
-    parser of ``command`` (``commands`` maps each subcommand to its
-    parser), so they get the same type checks as typed flags.  Keys are
-    flag names with underscores or dashes.  A key that is a flag of no
-    subcommand is a UsageError that names it, as a typed unknown flag
-    is; keys of other subcommands, and null values, are skipped, so one
-    file can serve several subcommands.  A switch takes true or false."""
+    subcommand ``parser``, so they get the same type checks as typed
+    flags.  Keys are flag names with underscores or dashes.  A key that
+    is a flag of no subcommand (not in _CONFIG_KEYS) is a UsageError
+    that names it, as a typed unknown flag is; keys of other
+    subcommands, and null values, are skipped, so one file can serve
+    several subcommands.  A switch takes true or false."""
     try:
         with open(path) as fh:
             conf = json.load(fh)
@@ -258,13 +259,12 @@ def _config_tokens(path, command, commands):
         raise UsageError(f"cannot read config {path!r}: {e}")
     if not isinstance(conf, dict):
         raise UsageError("config must be a JSON object")
-    known = {a.dest for sp in commands.values() for a in sp._actions}
-    flags = {a.dest: a for a in commands[command]._actions
+    flags = {a.dest: a for a in parser._actions
              if a.option_strings and a.dest not in ("config", "help")}
     tokens = []
     for key, value in conf.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in _CONFIG_KEYS:
             raise UsageError(f"config key {key!r} is not a flag of any "
                              "command")
         action = flags.get(dest)
@@ -310,19 +310,19 @@ def _cmd_twist(args, S):
 
 
 def _cmd_charge(args, S):
+    from .stability import central_charge, param
     v, s = _parse_vec(args.v), rat(args.s)
-    if args.t is not None:
-        p = param(s, t=args.t)
-        z = central_charge(v, p, S)
+    if args.t is None and args.t2 is None:
+        raise UsageError("charge needs --t or --t2")
+    p = param(s, t2=args.t2, t=args.t)  # refuses t^2 != t2
+    z = central_charge(v, p, S)
+    if p.t is not None:
         return {"re": z.re, "im": z.im_at(p.t)}
-    if args.t2 is not None:
-        p = param(s, t2=args.t2)
-        z = central_charge(v, p, S)
-        return {"re": z.re, "im_over_t": z.im_over_t}
-    raise UsageError("charge needs --t or --t2")
+    return {"re": z.re, "im_over_t": z.im_over_t}
 
 
 def _cmd_walls(args, S):
+    from .walls import Region, enumerate_walls
     v = _parse_vec(args.v)
     reg = Region(args.s_min, args.s_max, args.t2_min, args.t2_max)
     box = _svg_box(reg) if args.format == "svg" else None  # before the walk
@@ -340,6 +340,7 @@ def _cmd_walls(args, S):
 
 
 def _cmd_chambers(args, S):
+    from .walls import chambers_on_ray
     ray = chambers_on_ray(_parse_vec(args.v), S, rat(args.s),
                           (rat(args.t2_min), rat(args.t2_max)),
                           cut_category_walls=args.cut_category_walls,
@@ -349,6 +350,8 @@ def _cmd_chambers(args, S):
 
 
 def _cmd_side(args, S):
+    from .stability import param, reduced_sigma
+    from .walls import wall_side
     v, w1 = _parse_vec(args.v), _parse_vec(args.w1)
     p = param(args.s, t2=args.t2)
     return {"side": wall_side(v, w1, p, S),
@@ -363,12 +366,15 @@ def _parse_r1(args):
 
 
 def _cmd_fm(args, S):
+    from .fourier_mukai import fm_apply, make_transform
     T = make_transform(_parse_r1(args), rat(args.c), S)
     v = _parse_vec(args.v)
     return {"kernel": T.kernel_class(S), "image": fm_apply(T, v, S)}
 
 
 def _cmd_fm_charge(args, S):
+    from .fourier_mukai import make_transform, transform_central_charge
+    from .stability import param
     T = make_transform(_parse_r1(args), rat(args.c), S)
     p = param(args.s, t=args.t)
     tc = transform_central_charge(T, p, S)
@@ -377,18 +383,23 @@ def _cmd_fm_charge(args, S):
 
 
 def _cmd_ample(args, S):
+    from .polarization import ample_class
+    from .stability import param
     rep = ample_class(_parse_vec(args.v), param(args.s, t2=args.t2), S)
     return {"phi": rep.phi, "xi1": rep.xi1, "xi2": rep.xi2,
             "xi_omega": rep.xi_omega}
 
 
 def _cmd_omega_x(args, S):
+    from .polarization import omega_sx, omega_x
     v, s, x = _parse_vec(args.v), rat(args.s), rat(args.x)
     t2 = omega_sx(v, s, x, S) if args.absolute else omega_x(v, s, x, S)
     return {"t2": t2}
 
 
 def _cmd_classify(args, S):
+    from .classification import classify_decomposition
+    from .stability import param
     rep = classify_decomposition(_parse_parts(args.parts),
                                  param(args.s, t2=args.t2), S)
     return {"verdict": rep.verdict, "certified": rep.certified,
@@ -396,6 +407,7 @@ def _cmd_classify(args, S):
 
 
 def _cmd_k3_category_walls(args, S):
+    from .walls import category_walls_k3
     walls = category_walls_k3(rat(args.b), S, rat(args.t2_max))
     return {"walls": [{"u": cw.u, "t2": cw.t2} for cw in walls]}
 
@@ -435,6 +447,12 @@ _COMMANDS = {
     "plot": ("SVG wall diagram over a region", _REGION, ["cap"], _cmd_plot),
 }
 
+# the dest of every flag of every subcommand: its own flags, the common
+# ones _build_parser adds, and argparse's -h
+_CONFIG_KEYS = {"surface", "config", "approx", "help"} | {
+    flag.replace("-", "_") for _, required, optional, _ in _COMMANDS.values()
+    for flag in required + optional}
+
 
 def _fail(code: str, detail: str, exit_code: int) -> int:
     print(json.dumps({"error": code, "detail": detail},
@@ -445,7 +463,10 @@ def _fail(code: str, detail: str, exit_code: int) -> int:
 def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        parser, commands = _build_parser()
+        # a named command needs its own parser only; --help, no command
+        # and an unknown one need every name and help line
+        parser, commands = _build_parser(
+            argv[0] if argv and argv[0] in _COMMANDS else None)
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("no command given (see --help)")
@@ -453,7 +474,7 @@ def main(argv=None) -> int:
             # config flags go right after the command: explicit flags,
             # parsed later, win
             i = argv.index(args.command) + 1
-            argv[i:i] = _config_tokens(args.config, args.command, commands)
+            argv[i:i] = _config_tokens(args.config, commands[args.command])
             args = parser.parse_args(argv)
         S = _parse_surface(args.surface)
         _, required, _, handler = _COMMANDS[args.command]

@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from mukaistab.cli import _build_parser, main
+from mukaistab.cli import _COMMANDS, _CONFIG_KEYS, _build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,18 +39,20 @@ def run_proc(*argv):
                           capture_output=True, text=True, env=env)
 
 
-def parser_structure():
-    """Every parser's actions as plain data (option strings, dest,
-    default, type, choices, nargs, help) and the subcommands' help
-    lines: what --help prints, without argparse's layout, which differs
-    between Python versions."""
-    ap, commands = _build_parser()
+def actions(parser):
+    """A parser's actions as plain data (option strings, dest, default,
+    type, choices, nargs, help)."""
+    return [[a.option_strings, a.dest, a.default,
+             getattr(a.type, "__name__", a.type),
+             None if a.choices is None else list(a.choices),
+             a.nargs, a.help] for a in parser._actions]
 
-    def actions(parser):
-        return [[a.option_strings, a.dest, a.default,
-                 getattr(a.type, "__name__", a.type),
-                 None if a.choices is None else list(a.choices),
-                 a.nargs, a.help] for a in parser._actions]
+
+def parser_structure():
+    """Every parser's actions and the subcommands' help lines: what
+    --help prints, without argparse's layout, which differs between
+    Python versions."""
+    ap, commands = _build_parser()
     sub = next(a for a in ap._actions if a.dest == "command")
     return {"mukaistab": actions(ap),
             "commands": [[c.dest, c.help] for c in sub._choices_actions],
@@ -87,9 +89,12 @@ def test_charge_golden(capsys):
 
 
 def test_charge_with_t_golden(capsys):
-    rc, out, err = run(capsys, "charge", "--v", "1,0,-2",
-                       "--s", "-3/2", "--t", "1/2")
-    assert (rc, out, err) == (0, '{"im":"3/2","re":"0"}\n', "")
+    # a --t2 that agrees with --t changes nothing; one that disagrees is
+    # a usage error (test_handler_usage_errors)
+    for t2 in [(), ("--t2", "1/4")]:
+        rc, out, err = run(capsys, "charge", "--v", "1,0,-2",
+                           "--s", "-3/2", "--t", "1/2", *t2)
+        assert (rc, out, err) == (0, '{"im":"3/2","re":"0"}\n', "")
 
 
 def test_walls_golden_json(capsys):
@@ -257,6 +262,26 @@ def test_parsers_match_their_golden():
     assert parser_structure() == golden
 
 
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_subparser_is_the_full_builds(command):
+    """main builds only the parser of the command it is given: that
+    parser has the golden actions and the full build's help text."""
+    golden = json.loads((ROOT / "tests" / "cli_parsers.json").read_text())
+    _, commands = _build_parser(command)
+    assert list(commands) == [command]
+    assert actions(commands[command]) == golden[command]
+    full = _build_parser()[1][command]
+    assert commands[command].format_help() == full.format_help()
+
+
+def test_config_keys_are_the_full_builds_flags():
+    """--config checks its keys against a set read from _COMMANDS: the
+    dests of every flag of every parser of the full build."""
+    _, commands = _build_parser()
+    assert _CONFIG_KEYS == {a.dest for sp in commands.values()
+                            for a in sp._actions}
+
+
 def test_malformed_vector_literal_is_usage_error(capsys):
     rc, out, err = run(capsys, "pair", "--x", "1,0", "--y", "1,0,-2")
     assert rc == 1 and out == ""
@@ -315,6 +340,9 @@ FINITE_SIZE = ("plotting needs a box of finite float size: its width, or its "
     (("plot", "--v", "1,0,-2", "--s-min", "-1/1" + "0" * 300, "--s-max", "0",
       "--t2-min", "1", "--t2-max", "1" + "0" * 300, "--cap", "10"),
      FINITE_SIZE),
+    # --t2 was dropped when --t was given: this printed the charge at t = 1
+    (("charge", "--v", "1,0,-2", "--s", "0", "--t", "1", "--t2", "4"),
+     "inconsistent t=1, t2=4"),
 ])
 def test_handler_usage_errors(capsys, argv, detail):
     rc, out, err = run(capsys, *argv)
@@ -556,6 +584,61 @@ def test_explicit_cap_overrides_config(tmp_path, capsys):
 def test_module_entry_point():
     p = run_proc("pair", "--x", "1,0,-2", "--y", "1,0,-2")
     assert p.returncode == 0 and p.stdout == '{"pairing":"4"}\n'
+
+
+# `python -m mukaistab.cli argv...`, then the mukaistab modules it loaded
+LOADED = """
+import json, runpy, sys
+sys.argv[0] = "mukaistab"
+try:
+    runpy.run_module("mukaistab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(m[10:] for m in sys.modules
+                               if m.startswith("mukaistab."))]))
+"""
+BASE = ["errors", "lattice"]
+WALLS = BASE + ["stability", "walls"]
+MODULES = [
+    (("pair", "--x", "1,0,-2", "--y", "1,0,-2"), 0, BASE),
+    (("twist", "--v", "1,0,-2", "--s", "-3/2", "--to", "0"), 0, BASE),
+    (("charge", "--v", "1,0,-2", "--s", "-3/2", "--t2", "1/4"), 0,
+     BASE + ["stability"]),
+    (("walls", *WALLS_REGION), 0, WALLS),
+    (("plot", *WALLS_REGION), 0, WALLS),
+    (("chambers", "--v", "1,0,-2", "--s", "-3/2", "--t2-min", "1/100",
+      "--t2-max", "4"), 0, WALLS),
+    (("side", "--v", "1,0,-2", "--w1", "1,-1,1", "--s", "-3/2", "--t2", "1"),
+     0, WALLS),
+    (("k3-category-walls", "--b", "0", "--t2-max", "4"), 0, WALLS),
+    (("fm", "--r1", "1", "--c", "1", "--v", "1,0,-2"), 0,
+     ["errors", "fourier_mukai", "lattice", "stability"]),
+    (("fm-charge", "--r1", "1", "--c", "1", "--s", "0", "--t", "1"), 0,
+     ["errors", "fourier_mukai", "lattice", "stability"]),
+    (("ample", "--v", "1,0,-2", "--s", "-1", "--t2", "1"), 0,
+     BASE + ["polarization", "stability"]),
+    (("omega-x", "--v", "1,0,-2", "--s", "-1", "--x", "1/2"), 0,
+     BASE + ["polarization", "stability"]),
+    (("classify", *CLASSIFY_GOLDEN), 0,
+     ["classification", "errors", "lattice", "stability"]),
+    (("frobnicate",), 1, BASE),
+]
+
+
+def test_modules_cover_every_subcommand():
+    assert {argv[0] for argv, _, _ in MODULES} == set(_COMMANDS) | {
+        "frobnicate"}
+
+
+@pytest.mark.parametrize("argv, code, modules", MODULES,
+                         ids=[argv[0] for argv, _, _ in MODULES])
+def test_a_call_loads_only_the_modules_its_subcommand_uses(argv, code,
+                                                           modules):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    p = subprocess.run([sys.executable, "-c", LOADED, *argv],
+                       capture_output=True, text=True, env=env)
+    assert (p.returncode, p.stderr == "") == (0, code == 0)
+    assert json.loads(p.stdout.splitlines()[-1]) == [code, modules]
 
 
 @pytest.mark.parametrize("fmt", ["json", "svg"])
