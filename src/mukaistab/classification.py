@@ -90,7 +90,8 @@ def _ipo_line_search(v: MukaiVector, p: StabilityParam, S: Surface):
             ks = [(e - B) // (2 * A) for e in {root, -root}
                   if (e - B) % (2 * A) == 0]
     ws = [(wr + k * ur, wd + k * ud, wa + k * ua) for k in ks]
-    return sorted(w for w in ws if w[1] * p.s.denominator > w[0] * p.s.numerator)
+    sn, _, sd = p._q
+    return sorted(w for w in ws if w[1] * sd > w[0] * sn)
 
 
 def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
@@ -143,7 +144,7 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
                             f"the {_BOX_CAP} this search accepts")
     if n2 == 0:
         return []
-    s_num, s_den = p.s.numerator, p.s.denominator
+    s_num, _, s_den = p._q
     h2 = S.h2
     alpha = n2 * (h2 // 2)
     out = []
@@ -292,7 +293,8 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
     square = S.h2 * d * d - 2 * r * a
     if square <= 0:
         raise NonPositiveSquare(f"<v^2> = {square} <= 0 for {v}")
-    if d * p.s.denominator - r * p.s.numerator <= 0:
+    sn, _, sd = p._q
+    if d * sd - r * sn <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, p.s, S)} <= 0 at s = {p.s}")
     found = _ipo_line_search(v, p, S)
     if found:

@@ -25,21 +25,23 @@ exactly reduced_sigma(E, T.kernel_class(S), p, S).
 from fractions import Fraction
 
 from .errors import NonIntegral, NonPositive, NotPrimitive
-from .lattice import Frozen, MukaiVector, Surface, _twist, rat
+from .lattice import Frozen, MukaiVector, Surface, _ints, _twist, rat
 from .stability import StabilityParam
 
 
 class FMTransform(Frozen):
-    __slots__ = ("r1", "c")
+    __slots__ = ("r1", "_q")  # _q = (c*cd, cd)
+    _names = ("r1", "c")
 
     def __init__(self, r1: int, c):
         if not isinstance(r1, int) or r1 == 0:
             raise NonIntegral(f"r1 must be a nonzero integer, got {r1!r}")
         object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "c", rat(c))
+        object.__setattr__(self, "_q", _ints(c))
 
     def kernel_class(self, S: Surface) -> MukaiVector:
-        return MukaiVector._of(*_twist(self.r1, 0, 0, 1, -self.c, S))
+        cn, cd = self._q
+        return MukaiVector._of(*_twist(self.r1, 0, 0, 1, -cn, cd, S))
 
 
 def make_transform(r1, c, S: Surface) -> FMTransform:
@@ -64,13 +66,14 @@ def fm_apply(T: FMTransform, v: MukaiVector, S: Surface) -> MukaiVector:
     """Image of v, as a plain Mukai vector on the target surface (whose
     distinguished twist gamma' is 0).  Rational entries can occur for
     classes that are not genuine sheaf classes on the source."""
-    return MukaiVector._of(*_fm_map(T, *_twist(*v._q, T.c, S)))
+    return MukaiVector._of(*_fm_map(T, *_twist(*v._q, *T._q, S)))
 
 
 def fm_inverse(T: FMTransform, w: MukaiVector, S: Surface) -> MukaiVector:
     """Inverse of fm_apply: the coordinate map is an involution, so apply
     it to w (already gamma'-twisted = plain) and untwist at gamma."""
-    return MukaiVector._of(*_twist(*_fm_map(T, *w._q), -T.c, S))
+    cn, cd = T._q
+    return MukaiVector._of(*_twist(*_fm_map(T, *w._q), -cn, cd, S))
 
 
 def dual(v: MukaiVector) -> MukaiVector:
@@ -94,7 +97,8 @@ class TransformedCharge(Frozen):
     zeta and the target parameters s' = xi_coeff, t' = eta_coeff, chosen
     so that  Z_{(xi, eta)}(fm_apply(T, v)) = zeta^{-1} * Z_{(s,t)}(v)."""
 
-    __slots__ = ("zeta_re", "zeta_im", "xi_coeff", "eta_coeff")
+    __slots__ = ("_q",)
+    _names = ("zeta_re", "zeta_im", "xi_coeff", "eta_coeff")
 
 
 def transform_central_charge(T: FMTransform, p: StabilityParam,
@@ -109,14 +113,15 @@ def transform_central_charge(T: FMTransform, p: StabilityParam,
         eta =      t * h2 * (lambda^2 + t^2) / (2 |r1| Delta).
     Since Delta = h2^2 (lambda^2 + t^2)^2 / 4 one gets the cross-check
     identity |r1| * l_divisor(lambda, t^2) * xi * h2 = lambda."""
-    t, c, s = p.require_t(), T.c, p.s
-    ln = c.numerator * s.denominator - s.numerator * c.denominator
-    ld, tn, td = c.denominator * s.denominator, t.numerator, t.denominator
+    t = p.require_t()
+    (cn, cd), (sn, _, E) = T._q, p._q
+    ln, ld, tn, td = cn * E - sn * cd, cd * E, t.numerator, t.denominator
     # lambda = ln/ld, t = tn/td; with M = (ld*td)^2, Delta = (half*(L2+T2)/M)^2
-    # and xi, eta share the factor h2*(lambda^2+t^2)/(2|r1|*Delta) = M/k
-    L2, T2, half = (ln * td) ** 2, (tn * ld) ** 2, S.h2 // 2
+    # and xi, eta share the factor h2*(lambda^2+t^2)/(2|r1|*Delta) = M/k;
+    # zeta_re has the den M, zeta_im ld*td, so all four are over M*k
+    L2, T2, half, M = (ln * td) ** 2, (tn * ld) ** 2, S.h2 // 2, (ld * td) ** 2
     k = abs(T.r1) * half * (L2 + T2)
-    return TransformedCharge(zeta_re=Fraction(-T.r1 * half * (L2 - T2), (ld * td) ** 2),
-                             zeta_im=Fraction(T.r1 * S.h2 * ln * tn, ld * td),
-                             xi_coeff=Fraction(ln * ld * td * td, k),
-                             eta_coeff=Fraction(tn * td * ld * ld, k))
+    return TransformedCharge._of(-T.r1 * half * (L2 - T2) * k,
+                                 T.r1 * S.h2 * ln * tn * ld * td * k,
+                                 ln * ld * td * td * M, tn * td * ld * ld * M,
+                                 M * k)

@@ -10,12 +10,15 @@ class.  The pairing is
 an even bilinear form of signature (2,1).  There is no floating point
 in the core, by design: every identity downstream is exact and the tests
 run at zero tolerance.  Kernel convention: Fractions at the interface,
-ints inside.  A MukaiVector stores its entries as ints over one
-denominator (``_q``, reduced to gcd 1 with den > 0); every kernel
-returns ints over one denominator (``_twist`` in ``_q``'s form), and a
-formula builds one Fraction per number, a vector by ``MukaiVector._of``.
-Validation reads the same ints: integral is den = 1, primitive is gcd 1,
-a sign or phase order an integer comparison.
+ints inside.  The value classes store their rational fields as ints
+over one denominator (``_q``, reduced to gcd 1 with den > 0; see
+Frozen), and a kernel reads those ints, never a Fraction field.  Every
+kernel returns ints over one denominator (``_twist`` in ``_q``'s form)
+and builds its result from them with the class's ``_of``; a returned
+number is one Fraction.  So Fraction appears only in the numbers a call
+returns and in the fields a value is read for.  Validation reads the
+same ints: integral is den = 1, primitive is gcd 1, a sign or phase
+order an integer comparison.
 
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
@@ -47,36 +50,95 @@ def rat(x) -> Fraction:
         raise TypeError(f"cannot read {x!r} as a rational: {e}") from None
 
 
+def _ints(*xs) -> tuple:
+    """(n_1, ..., n_k, den): the rationals xs, each read by rat, as ints
+    over their least common denominator, so den > 0 and gcd 1."""
+    xs = [rat(x) for x in xs]
+    den = lcm(*[x.denominator for x in xs])
+    return (*[x.numerator * (den // x.denominator) for x in xs], den)
+
+
+def _rational(i: int) -> property:
+    """The property of the i-th rational field held in ``_q``: its
+    Fraction, built when the field is read."""
+    return property(lambda self: Fraction(self._q[i], self._q[-1]))
+
+
+def _method(cls, name: str, code: str, **ns):
+    """The method ``name`` of cls that ``code`` defines, compiled with
+    exec as dataclasses builds its own."""
+    ns.update(_set=object.__setattr__, __name__=cls.__module__)
+    exec(code, ns)
+    ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return ns[name]
+
+
 class Frozen:
     """Immutable value base: a subclass lists its fields in order as
     ``__slots__`` and the defaults of trailing fields in a ``_defaults``
-    dict.  A subclass with fields and no ``__init__`` of its own gets one
-    that stores its arguments, built with exec from the slot names as
-    dataclasses builds its own; a subclass that converts or checks its
-    fields writes ``__init__`` and sets them with object.__setattr__.
-    As for a frozen dataclass, repr and hash follow the field tuple, ==
-    (same class only) the slots, and assignment or deletion raises
-    AttributeError.  A subclass that stores its fields in a canonical
-    form of its own names them in ``_names``, read through properties.
-    Copies and pickles rebuild through ``__init__``."""
+    dict.  As for a frozen dataclass, repr and hash follow the field
+    tuple, == (same class only) the slots, and assignment or deletion
+    raises AttributeError.  Copies and pickles rebuild through
+    ``__init__`` from the field tuple.
+
+    A subclass with rational fields lists every field in order in
+    ``_names`` and, in ``__slots__``, ``_q`` in place of the rational
+    ones: ``_q`` holds them as ints over one denominator, (n_1, ..., n_k,
+    den) with den > 0 and gcd 1, so == on the ints is rational equality.
+    For each of them Frozen makes a property that builds its Fraction
+    when the field is read, and kernels that hold ints build a value
+    with ``_of``.
+
+    A subclass with no ``__init__`` of its own gets one that reads each
+    rational field with rat and stores every field; a subclass that
+    checks its fields writes ``__init__`` and sets them with
+    object.__setattr__ (``_q`` from ``_ints``)."""
 
     __slots__ = ()
     _names = ()
 
     def __init_subclass__(cls):
-        names = cls.__dict__.get("__slots__", ())
-        if names and "_names" not in cls.__dict__:
-            cls._names = names
-        if names and "__init__" not in cls.__dict__:
+        slots = cls.__dict__.get("__slots__", ())
+        if not slots:
+            return
+        names = cls._names = cls.__dict__.get("_names", slots)
+        held = [f for f in names if f not in slots]  # stored in _q
+        for i, f in enumerate(held):
+            setattr(cls, f, _rational(i))
+        if "__init__" not in cls.__dict__:
             defaults = cls.__dict__.get("_defaults", {})
             args = "".join([f", {f}=_defaults[{f!r}]" if f in defaults
                             else f", {f}" for f in names])
-            body = "".join([f"\n    _set(self, {f!r}, {f})" for f in names])
-            ns = {"_set": object.__setattr__, "_defaults": defaults,
-                  "__name__": cls.__module__}
-            exec(f"def __init__(self{args}):{body}", ns)
-            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-            cls.__init__ = ns["__init__"]
+            body = "".join([f"\n    _set(self, {f!r}, {f})" for f in slots
+                            if f != "_q"])
+            if held:
+                body += f"\n    _set(self, '_q', _ints({', '.join(held)}))"
+            cls.__init__ = _method(cls, "__init__",
+                                   f"def __init__(self{args}):{body}",
+                                   _defaults=defaults, _ints=_ints)
+
+    @classmethod
+    def _of(cls, *args):
+        """The value of the fields in order, a rational one given as its
+        numerator, over the den that follows them (default 1, any nonzero
+        int).  The first call for a class compiles the class's own _of,
+        which takes the place of this one, so a process compiles only the
+        _of methods its kernels call."""
+        names = cls._names
+        held = [f for f in names if f not in cls.__slots__]
+        n, cut = ", ".join(held), "".join([f"{f} // g, " for f in held])
+        sets = "".join([f"\n    _set(self, {f!r}, {f})" for f in cls.__slots__
+                        if f != "_q"])
+        cls._of = classmethod(_method(
+            cls, "_of",
+            f"def _of(cls, {', '.join(names)}, den=1):\n"
+            f"    if den != 1:\n"
+            f"        g = _gcd({n}, den) if den > 0 else -_gcd({n}, den)\n"
+            f"        {n}, den = {cut}den // g\n"
+            f"    self = _new(cls){sets}\n"
+            f"    _set(self, '_q', ({n}, den))\n"
+            f"    return self", _gcd=gcd, _new=object.__new__))
+        return cls._of(*args)
 
     def _fields(self, names=None) -> tuple:
         return tuple([getattr(self, f) for f in names or self._names])
@@ -130,28 +192,6 @@ class MukaiVector(Frozen):
 
     __slots__ = ("_q",)
     _names = ("r", "d", "a")
-
-    def __init__(self, r, d, a):
-        x, y, z = rat(r), rat(d), rat(a)
-        xd, yd, zd = x.denominator, y.denominator, z.denominator
-        den = lcm(xd, yd, zd)  # gcd(r, d, a, den) = 1 as each is reduced
-        object.__setattr__(self, "_q", (x.numerator * (den // xd),
-                                        y.numerator * (den // yd),
-                                        z.numerator * (den // zd), den))
-
-    @classmethod
-    def _of(cls, r: int, d: int, a: int, den: int = 1) -> "MukaiVector":
-        """The vector (r, d, a)/den from ints, den != 0."""
-        if den != 1:
-            g = gcd(r, d, a, den) if den > 0 else -gcd(r, d, a, den)
-            r, d, a, den = r // g, d // g, a // g, den // g
-        v = object.__new__(cls)
-        object.__setattr__(v, "_q", (r, d, a, den))
-        return v
-
-    r = property(lambda self: Fraction(self._q[0], self._q[3]))
-    d = property(lambda self: Fraction(self._q[1], self._q[3]))
-    a = property(lambda self: Fraction(self._q[2], self._q[3]))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         if not isinstance(other, MukaiVector):
@@ -221,15 +261,15 @@ def sheaf_vector(rank: int, c1_mult: int, chi: int, S: Surface) -> MukaiVector:
 
 def exp_vector(s, S: Surface) -> MukaiVector:
     """e^{sH} = (1, s, s^2*h2/2)."""
-    return MukaiVector._of(*_twist(1, 0, 0, 1, -rat(s), S))
+    s = rat(s)
+    return MukaiVector._of(*_twist(1, 0, 0, 1, -s.numerator, s.denominator, S))
 
 
-def _twist(r, d, a, V, s: Fraction, S: Surface):
-    """(R, D, A, W): the s-twisted triple of (r, d, a)/V on ints, in the
-    form of ``_q`` unreduced: (r_b, d_b, a_b) = (R, D, A)/W, W = V*sd^2,
-    sd the denominator of s.  Twisting at -s undoes twisting at s, and
+def _twist(r, d, a, V, sn: int, sd: int, S: Surface):
+    """(R, D, A, W): the twisted triple of (r, d, a)/V at s = sn/sd,
+    sd > 0, on ints, in the form of ``_q`` unreduced: (r_b, d_b, a_b) =
+    (R, D, A)/W, W = V*sd^2.  Twisting at -s undoes twisting at s, and
     (1, 0, 0) twisted at -s is e^{sH}."""
-    sn, sd = s.numerator, s.denominator
     an = (a * sd - d * sn * S.h2) * sd + r * sn * sn * (S.h2 // 2)
     return r * sd * sd, (d * sd - r * sn) * sd, an, V * sd * sd
 
@@ -241,12 +281,14 @@ def twisted_invariants(v: MukaiVector, s, S: Surface) -> MukaiVector:
     Equivalently a_b = -<v, e^{sH}>, which the tests assert; twisting by a
     rational s is an isometry of the rational lattice.
     """
-    return MukaiVector._of(*_twist(*v._q, rat(s), S))
+    s = rat(s)
+    return MukaiVector._of(*_twist(*v._q, s.numerator, s.denominator, S))
 
 
 def untwist(w: MukaiVector, s, S: Surface) -> MukaiVector:
     """Inverse of twisted_invariants at the same s."""
-    return MukaiVector._of(*_twist(*w._q, -rat(s), S))
+    s = rat(s)
+    return MukaiVector._of(*_twist(*w._q, -s.numerator, s.denominator, S))
 
 
 def retwist(w: MukaiVector, s_from, s_to, S: Surface) -> MukaiVector:
@@ -260,7 +302,8 @@ def retwist(w: MukaiVector, s_from, s_to, S: Surface) -> MukaiVector:
     Composition consistency with the direct computation is a tested
     invariant.
     """
-    return MukaiVector._of(*_twist(*w._q, rat(s_to) - rat(s_from), S))
+    s = rat(s_to) - rat(s_from)
+    return MukaiVector._of(*_twist(*w._q, s.numerator, s.denominator, S))
 
 
 def d_beta(v: MukaiVector, s, S: Surface) -> Fraction:

@@ -23,9 +23,9 @@ from .lattice import Frozen, MukaiVector, Surface, _twist, rat
 from .stability import StabilityParam, _rho_normal
 
 
-def _xi(r: int, d: int, a: int, s: Fraction, S: Surface):
-    """(xi1, xi2) of v = (r, d, a)/V, r != 0, from v._q; V cancels."""
-    sn, sd = s.numerator, s.denominator
+def _xi(r: int, d: int, a: int, sn: int, sd: int, S: Surface):
+    """(xi1, xi2) of v = (r, d, a)/V, r != 0, from v._q, at s = sn/sd,
+    sd > 0; V cancels."""
     # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r
     return (MukaiVector._of(0, r, d * S.h2, r),
             MukaiVector._of(-r * sd, -r * sn, a * sd - d * sn * S.h2, r * sd))
@@ -37,11 +37,13 @@ def xi_pair(v: MukaiVector, s, S: Surface):
     r, d, a, _ = v._q
     if r == 0:
         raise ZeroRank(f"xi_pair needs rk != 0, got {v}")
-    return _xi(r, d, a, rat(s), S)
+    s = rat(s)
+    return _xi(r, d, a, s.numerator, s.denominator, S)
 
 
 class AmpleClassReport(Frozen):
-    __slots__ = ("phi", "xi1", "xi2", "xi_omega")
+    __slots__ = ("_q", "xi1", "xi2", "xi_omega")
+    _names = ("phi", "xi1", "xi2", "xi_omega")
 
 
 def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassReport:
@@ -59,16 +61,16 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
     n0, n1, n2, _ = _rho_normal(r, d, a, V, p, S)
     if n2 == 0:
         raise ZeroDegree(f"d_beta({v}) = 0 at s = {p.s}")
-    h2, sn, sd = S.h2, p.s.numerator, p.s.denominator
-    return AmpleClassReport(Fraction(n1 * sd + h2 * sn * n2, n2 * sd),
-                            *_xi(r, d, a, p.s, S),
-                            MukaiVector._of(-h2 * n2, n1, -h2 * n0, n2))
+    h2, (sn, _, sd) = S.h2, p._q
+    return AmpleClassReport._of(n1 * sd + h2 * sn * n2, *_xi(r, d, a, sn, sd, S),
+                                MukaiVector._of(-h2 * n2, n1, -h2 * n0, n2),
+                                n2 * sd)
 
 
 def _omega(v: MukaiVector, s: Fraction, x: Fraction, S: Surface):
     """(N, M, D, W): t^2 = N/M, N = x (a - d h2 x/2) and M = (h2/2)
     (x r - d) at the twist s, and d_beta(v) = D/W, W > 0, all as ints."""
-    R, D, A, W = _twist(*v._q, s, S)
+    R, D, A, W = _twist(*v._q, s.numerator, s.denominator, S)
     xn, xd, half = x.numerator, x.denominator, S.h2 // 2
     return xn * (A * xd - D * half * xn), half * xd * (xn * R - D * xd), D, W
 
@@ -89,7 +91,7 @@ def omega_x(v: MukaiVector, s, x, S: Surface) -> Fraction:
     N, M, D, W = _omega(v, s, x, S)
     if D <= 0:
         raise OutOfDomain(f"needs d_beta > 0, got {Fraction(D, W)} at s = {s}")
-    if x <= 0 or N >= 0 or M >= 0:
+    if x.numerator <= 0 or N >= 0 or M >= 0:
         raise OutOfDomain(f"x = {x} outside the admissible interval")
     return Fraction(N, M)
 
@@ -105,6 +107,6 @@ def omega_sx(v: MukaiVector, s, x, S: Surface) -> Fraction:
     if M == 0:
         raise Degenerate(f"pole at x = {x} (x rk = degree)")
     t2 = Fraction(N, M)
-    if t2 <= 0:
+    if N * M <= 0:
         raise NonPositive(f"t^2 = {t2} <= 0 at x = {x}")
     return t2

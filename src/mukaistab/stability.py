@@ -23,30 +23,33 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import OutOfDomain, ZeroCharge
-from .lattice import Frozen, MukaiVector, Surface, _twist, rat
+from .lattice import Frozen, MukaiVector, Surface, _ints, _twist, rat
 
 
 class StabilityParam(Frozen):
     """A point (beta, omega) = (s*H, t*H) with t > 0.  t2 = t^2 is the
     authoritative field; t itself is optional and only required by the
-    few formulas that are genuinely linear in t."""
+    few formulas that are genuinely linear in t.  s and t2 are held over
+    one denominator, ``_q = (s*E, t2*E, E)``."""
 
-    __slots__ = ("s", "t2", "t")
+    __slots__ = ("_q", "t")
+    _names = ("s", "t2", "t")
 
     def __init__(self, s, t2, t=None):
-        object.__setattr__(self, "s", rat(s))
+        s = rat(s)
         if t is not None:
             t = rat(t)
-            if t <= 0:
+            if t.numerator <= 0:
                 raise ValueError(f"t must be positive, got {t}")
             if t2 is None:
                 t2 = t * t
         t2 = rat(t2)
-        if t2 <= 0:
+        if t2.numerator <= 0:
             raise ValueError(f"t2 must be positive, got {t2}")
-        if t is not None and t * t != t2:
+        if t is not None and (t.numerator ** 2 * t2.denominator
+                              != t2.numerator * t.denominator ** 2):
             raise ValueError(f"inconsistent t={t}, t2={t2}")
-        object.__setattr__(self, "t2", t2)
+        object.__setattr__(self, "_q", _ints(s, t2))
         object.__setattr__(self, "t", t)
 
     def require_t(self) -> Fraction:
@@ -65,10 +68,11 @@ class CentralCharge(Frozen):
     always rational (= d_b*h2), so this pair is an exact representation
     even when t is irrational."""
 
-    __slots__ = ("re", "im_over_t")
+    __slots__ = ("_q",)
+    _names = ("re", "im_over_t")
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im_over_t == 0
+        return self._q[:2] == (0, 0)
 
     def im_at(self, t) -> Fraction:
         return self.im_over_t * rat(t)
@@ -76,15 +80,14 @@ class CentralCharge(Frozen):
 
 def _charge(v: MukaiVector, p: StabilityParam, S: Surface):
     """(re, im_over_t, den): Z(v) as two integers over one den > 0."""
-    R, D, A, W = _twist(*v._q, p.s, S)
-    tn, td = p.t2.numerator, p.t2.denominator
-    return S.h2 // 2 * tn * R - A * td, S.h2 * D * td, W * td
+    sn, tn, E = p._q  # s = sn/E, t2 = tn/E
+    R, D, A, W = _twist(*v._q, sn, E, S)
+    return S.h2 // 2 * tn * R - A * E, S.h2 * D * E, W * E
 
 
 def central_charge(v: MukaiVector, p: StabilityParam, S: Surface) -> CentralCharge:
     """re = -a_b + (h2*t2/2)*r_b ; im_over_t = d_b*h2."""
-    re, im, den = _charge(v, p, S)
-    return CentralCharge(Fraction(re, den), Fraction(im, den))
+    return CentralCharge._of(*_charge(v, p, S))
 
 
 def _acd(v1: MukaiVector, v: MukaiVector, S: Surface):
@@ -111,16 +114,16 @@ def _rho_normal(r, d, a, V, p: StabilityParam, S: Surface):
     rho(w, v) at p is the functional (n0*x + n1*y + n2*z)/den of
     w = (x, y, z).  Read off A*(t^2+s^2) + C*s + D,
     n/den = ((h2/2)*d*q - a*s, a - (h2/2)*r*q, r*s - d)/V with
-    q = t^2 + s^2, so n2 = 0 exactly when d_beta(v) = 0.  It is the
-    pairing with d_beta(v)*Re Omega - (Re Z(v)/(h2*t))*Im Omega, where
+    q = t^2 + s^2, times E^2 for p._q = (s*E, t^2*E, E), so n2 = 0
+    exactly when d_beta(v) = 0.  It is the pairing with
+    d_beta(v)*Re Omega - (Re Z(v)/(h2*t))*Im Omega, where
     Z(w) = <Omega, w> for Omega = e^{(s+it)H}; Re Omega and Im Omega are
     independent, so n = 0 exactly when d_beta(v) = Re Z(v) = 0, that is
     when Z(v) = 0 (Im Z(v) = h2*t*d_beta(v))."""
-    half = S.h2 // 2
-    sn, sd, tn, td = p.s.numerator, p.s.denominator, p.t2.numerator, p.t2.denominator
-    q, e = tn * sd * sd + sn * sn * td, sd * td  # t2 + s^2 = q/(sd*e)
-    return (half * d * q - a * sn * e, a * sd * e - half * r * q,
-            (r * sn - d * sd) * e, V * sd * e)
+    half, (sn, tn, E) = S.h2 // 2, p._q
+    q = tn * E + sn * sn  # t2 + s^2 = q/E^2
+    return (half * d * q - a * sn * E, a * E * E - half * r * q,
+            (r * sn - d * E) * E, V * E * E)
 
 
 def reduced_sigma(v1: MukaiVector, v: MukaiVector, p: StabilityParam,
@@ -147,14 +150,17 @@ class PhaseKey(Frozen):
     to the positive factor t (we divide by im_over_t, not im), which
     cancels in every comparison at a fixed parameter; it increases
     strictly with phi inside bands 0 and 2 and is 0 on the axes.
-    Lexicographic (band, slope) order therefore agrees with phi.
+    Lexicographic (band, slope) order therefore agrees with phi; it is
+    compared on the ints of ``_q``.
     """
 
-    __slots__ = ("band", "slope")
+    __slots__ = ("band", "_q")
+    _names = ("band", "slope")
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return (self.band, self.slope) < (other.band, other.slope)
+            (x, X), (y, Y) = self._q, other._q
+            return (self.band, x * Y) < (other.band, y * X)
         return NotImplemented
 
     @property
@@ -177,4 +183,4 @@ def _band(re: int, im: int) -> int:
 
 def phase_key(v: MukaiVector, p: StabilityParam, S: Surface) -> PhaseKey:
     re, im = _nonzero_charge(v, p, S)  # slope -re/im is free of the den
-    return PhaseKey(_band(re, im), Fraction(-re, im) if im else Fraction(0))
+    return PhaseKey._of(_band(re, im), -re if im else 0, im or 1)

@@ -25,8 +25,9 @@ quadratic window in <v1, v> that leaves at most three members to test
 exactly.  The members must also lie in the bounded (r1, d1) box of the
 bound chain: on K3 that box is part of what the list is.  ``cap``
 bounds the lines plus fibers walked.  The walk and the order of the
-walls run on Python ints; Fraction enters only in what a
-caller receives: the returned Walls and a ray's cut heights.
+walls run on Python ints, and so do the Walls returned (Frozen's
+``_q``): Fraction enters only in a field a caller reads and in a ray's
+cut heights, one per distinct cut.
 """
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, Zero, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, _xgcd, d_beta,
+from .lattice import (Frozen, MukaiVector, Surface, _ints, _xgcd, d_beta,
                       d_beta_min, rat)
 from .stability import StabilityParam, _acd, _band, _nonzero_charge
 
@@ -43,7 +44,8 @@ from .stability import StabilityParam, _acd, _band, _nonzero_charge
 # geometry types
 
 class Circle(Frozen):
-    __slots__ = ("center_s", "radius_sq")
+    __slots__ = ("_q",)
+    _names = ("center_s", "radius_sq")
 
 
 class VerticalLine(Frozen):
@@ -63,15 +65,16 @@ class Region(Frozen):
     The large-volume boundary t^2 = 0 is excluded by construction, which
     is what makes wall enumeration finite."""
 
-    __slots__ = ("s_min", "s_max", "t2_min", "t2_max")
+    __slots__ = ("_q",)
+    _names = ("s_min", "s_max", "t2_min", "t2_max")
 
     def __init__(self, s_min, s_max, t2_min, t2_max):
-        for f, x in zip(self.__slots__, (s_min, s_max, t2_min, t2_max)):
-            object.__setattr__(self, f, rat(x))
-        if self.s_min > self.s_max:
+        q = _ints(s_min, s_max, t2_min, t2_max)
+        if q[0] > q[1]:
             raise ValueError("s_min > s_max")
-        if not (0 < self.t2_min <= self.t2_max):
+        if not (0 < q[2] <= q[3]):
             raise ValueError("need 0 < t2_min <= t2_max")
+        object.__setattr__(self, "_q", q)
 
 
 class Wall(Frozen):
@@ -80,13 +83,15 @@ class Wall(Frozen):
     many v1 cut the same locus, so walls are deduplicated by the
     normalized coefficient triple."""
 
-    __slots__ = ("A", "C", "D", "geometry", "v1")
+    __slots__ = ("_q", "geometry", "v1")
+    _names = ("A", "C", "D", "geometry", "v1")
     _defaults = {"v1": None}
 
     def acd_key(self):
-        if not all(x.denominator == 1 for x in (self.A, self.C, self.D)):
+        A, C, D, den = self._q
+        if den != 1:
             raise NonIntegral("wall coefficients of integral classes are integers")
-        return _normalize_acd(int(self.A), int(self.C), int(self.D))
+        return _normalize_acd(A, C, D)
 
 
 def _normalize_acd(A: int, C: int, D: int):
@@ -111,26 +116,24 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
     if v.is_zero() or v1.is_zero():
         raise Zero("wall_locus needs nonzero classes")
     A, C, D, den = _acd(v1, v, S)  # the common den cancels in the geometry
-    if A != 0:
-        radius_sq = Fraction(C * C - 4 * A * D, 4 * A * A)
-        geom = Circle(Fraction(-C, 2 * A), radius_sq) if radius_sq > 0 else Empty()
+    if A != 0:  # center -C/(2A), radius^2 (C^2 - 4AD)/(2A)^2
+        disc = C * C - 4 * A * D
+        geom = Circle._of(-2 * A * C, disc, 4 * A * A) if disc > 0 else Empty()
     elif C != 0:
         geom = VerticalLine(Fraction(-D, C))
     else:
         geom = Empty() if D != 0 else Everywhere()
-    return Wall(Fraction(A, den), Fraction(C, den), Fraction(D, den), geom, v1)
+    return Wall._of(A, C, D, geom, v1, den)
 
 
 # ---------------------------------------------------------------------------
 # the degree-clipped interval
 
-def _clip_degree_interval(v, lo: Fraction, hi: Fraction):
-    """The closure [L/N, H/N] of {s in [lo, hi] : d_beta(v)(s) > 0} as ints
-    (L, H, N), N > 0, or None when it is empty.  Its end d/r (r != 0) is
-    open, and the walk's window is open there too."""
+def _clip_degree_interval(v, L: int, H: int, N: int):
+    """The closure of {s in [L/N, H/N] : d_beta(v)(s) > 0}, N > 0, as
+    ints (L, H, N) of the same form, or None when it is empty.  Its end
+    d/r (r != 0) is open, and the walk's window is open there too."""
     r, d, _, _ = v._q
-    N = lo.denominator * hi.denominator
-    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     if max(d * N - r * L, d * N - r * H) <= 0:
         return None
     if r > 0 and r * H > d * N:  # hi > d/r
@@ -311,20 +314,28 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
       * Members.  Along a fiber P = <v1 + kv, v> = p + kq,
         q1 = (P^2 - disc)/q, q2 = ((q - P)^2 - disc)/q and p12 = P - q1,
         so p12 >= 1 iff (2P - q)^2 <= q^2 - 4q + 4*disc: at most three k.
-        Each is tested exactly (q1, q2 >= sq_lo, q1 + q2 < q), and then it
-        and its complement against the step 2-4 box.  On abelian surfaces
-        that filter removes no class whose circle meets the region,
-        since steps 2-4 were derived from such a wall point (and dropping
-        it changed no abelian output in a seeded differential).  On K3
-        the squares >= -2 policy admits classes outside steps 3-4, so the
-        K3 list depends on the box.
+        Each is tested exactly (q1, q2 >= sq_lo, q1 + q2 < q), and on K3
+        then it and its complement against the step 2-4 box.  On abelian
+        surfaces that box removes no member, so it is not evaluated: the
+        circle meets the region at a point with d_beta(v) > 0, where
+        Z(v1) = lam*Z(v) for a real lam.  v1 - lam*v then pairs to zero
+        with Re and Im of e^{(s+it)H}, which span a positive plane, so its
+        square q1 - 2*lam*p + lam^2*q is < 0 (v1 is not proportional to
+        v).  With q1 >= 0 and p = <v1, v> = q1 + p12 > 0 that forces
+        lam > 0, and the same for v - v1 (q2 >= 0, <v - v1, v> > 0)
+        forces 1 - lam > 0.  So 0 < lam < 1: both twisted degrees
+        lam*d_beta(v) and (1 - lam)*d_beta(v) are positive at the wall
+        point, which is what steps 3-4 were derived from.  On K3 the
+        squares >= -2 policy admits classes outside steps 3-4, so the K3
+        list depends on the box.
 
     The walk runs on ints (K and U as numerator, denominator pairs), and
     so does the order of the winners: center -C/(2A), then radius^2
     disc/(2A)^2, over the lcm of their 2A.  No two walls tie on both: when
     r != 0 the center fixes the circle of the pencil, and when r = 0 all
-    share one center.  Fraction appears only in the walls returned: each
-    winner's Circle and fiber triple (h2*m/2, C, D), negated for a complement.
+    share one center.  Each winner's Wall, with its Circle and fiber
+    triple (h2*m/2, C, D), negated for a complement, is built from these
+    ints by ``_of``; a Fraction is built only when a field is read.
 
     Raises BoundOverflow when the walk would take more than ``cap``
     steps, before it visits the fibers past that budget, and NonIntegral
@@ -335,9 +346,8 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
     M = lcm(*(2 * A for A, *_ in won))  # center*M, radius^2*M^2 are ints
     won.sort(key=lambda w: (-w[1] * M // (2 * w[0]),
                             w[2] * M * M // (2 * w[0]) ** 2))
-    return [Wall(*map(Fraction, acd),
-                 Circle(Fraction(-C, 2 * A), Fraction(disc, 4 * A * A)),
-                 MukaiVector._of(*y1))
+    return [Wall._of(*acd, Circle._of(-2 * A * C, disc, 4 * A * A),
+                     MukaiVector._of(*y1))
             for A, C, disc, (_, y1, acd) in won]
 
 
@@ -356,19 +366,19 @@ def _walk(v, S, reg, cap):
     q = h2 * d * d - 2 * r * a
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
-    J = _clip_degree_interval(v, reg.s_min, reg.s_max)
+    s0, s1, tn, Tn, td = reg._q  # t2_min = tn/td, t2_max = Tn/td
+    J = _clip_degree_interval(v, s0, s1, td)
     if J is None:
         raise ZeroDegree(f"d_beta({v}) is nowhere positive on s in "
                          f"[{reg.s_min}, {reg.s_max}]")
     L, H, N = J
-    tn, td = reg.t2_min.numerator, reg.t2_min.denominator
-    Tn, Td = reg.t2_max.numerator, reg.t2_max.denominator
     if S.kind == "abelian":
         sq_lo, B, r1_sq = 0, q * q // 4, 2 * (q - 1)
     else:
         sq_lo, B, r1_sq = -2, q * (q + 8) // 4, 2 * (q + 2)
     # the step 2-4 box on ints (every m walked is inside step 2): step 3,
-    # and step 4 with J = [L/N, H/N]
+    # and step 4 with J = [L/N, H/N]; it can cut only on K3 (docstring)
+    box = S.kind != "abelian"
     r1_max = abs(r) + isqrt((r1_sq * td - 1) // (h2 * tn)) + 1
 
     def in_box(r1, d1):
@@ -384,7 +394,7 @@ def _walk(v, S, reg, cap):
     # r != 0, m^2 K <= disc <= min(B, m^2 U) if r = 0, K = Kn/Kd, U = Un/Ud
     if r:
         qN, rN = q * N * N, h2 * r * r * N * N
-        P0, P1 = qN * td + rN * tn, qN * Td + rN * Tn  # h2*b*(N*x0)^2
+        P0, P1 = qN * td + rN * tn, qN * td + rN * Tn  # h2*b*(N*x0)^2
 
         def y2(X, P, b):  # y^2 at x = X/N and t^2 = c/b, P = qN*b + rN*c
             return (P + h2 * b * X * X) ** 2, (2 * X * N * b) ** 2
@@ -396,13 +406,13 @@ def _walk(v, S, reg, cap):
         else:
             Kn, Kd = h2 * P0, td * N * N
         # y(lo) >= y(hi) iff h2*(lo/N)*(hi/N) <= q + h2 r^2 t2_max
-        Un, Ud = (y2(hi if h2 * Td * lo * hi > P1 else lo, P1, Td) if lo
+        Un, Ud = (y2(hi if h2 * td * lo * hi > P1 else lo, P1, td) if lo
                   else (r * r * B + B + h2 * q, 1))
     else:  # PL, PH = (s - a/(h2 d))*sqrt(W) at J's ends
         PL, PH, W = h2 * d * L - a * N, h2 * d * H - a * N, (h2 * d * N) ** 2
         near, far = max(PL, -PH, 0), max(-PL, PH)
         Kn, Kd = h2 * h2 * (tn * W + td * near * near), td * W
-        Un, Ud = h2 * h2 * (Tn * W + Td * far * far), Td * W
+        Un, Ud = h2 * h2 * (Tn * W + td * far * far), td * W
     best = {}  # acd key -> (A, C, disc, its least (|q1|, v1, (A, C, D)))
     # cap bounds the m-lines plus the fibers (no len(): a range may be
     # longer than sys.maxsize)
@@ -428,7 +438,7 @@ def _walk(v, S, reg, cap):
                 D = (-a * m - d * C) // r
             else:
                 D = (C * C - z) // step
-            disc = C * C - 4 * A * D
+            disc, key = C * C - 4 * A * D, None
             r1, d1, a1 = u1 * m - u2 * C, u2 * D - u0 * m, u0 * C - u1 * D
             p = h2 * d1 * d - r1 * a - a1 * r
             w = isqrt(q * q - 4 * q + 4 * disc)  # p12 >= 1: |2P - q| <= w
@@ -440,10 +450,10 @@ def _walk(v, S, reg, cap):
                     continue
                 x1 = (r1 + k * r, d1 + k * d, a1 + k * a)
                 x2 = (r - x1[0], d - x1[1], a - x1[2])
+                key = key or _normalize_acd(A, C, D)  # once per fiber
                 for y1, q_y, sg in ((x1, q1, 1), (x2, q2, -1)):
-                    if not in_box(y1[0], y1[1]):
+                    if box and not in_box(y1[0], y1[1]):
                         continue
-                    key = _normalize_acd(A, C, D)
                     sel = (abs(q_y), y1, (sg * A, sg * C, sg * D))
                     if key not in best or sel < best[key][3]:
                         best[key] = (A, C, disc, sel)
@@ -471,7 +481,9 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
     The walls are enumerate_walls' for Region(s, s, t2_lo, t2_hi), under
     its policy (on K3, the candidates of the step 2-4 box), read off the
     walk's ints: the circle with A, C and disc = C^2 - 4AD cuts the ray
-    s = p/n at t^2 = (disc*n^2 - (2A*p + C*n)^2)/(2A*n)^2, one Fraction.
+    s = p/n at t^2 = (disc*n^2 - (2A*p + C*n)^2)/(2A*n)^2.  The cuts are
+    sorted, de-duplicated and split into chambers as ints over one
+    denominator, and each distinct cut becomes one Fraction.
 
     ``cut_category_walls`` additionally cuts at the K3 category walls for
     b = s (their stratification is separate from the stability walls, so
@@ -480,19 +492,25 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
     """
     s = rat(s)
     t2_lo, t2_hi = rat(t2_range[0]), rat(t2_range[1])
-    if d_beta(v, s, S) <= 0:
+    (r, d, _, _), p, n = v._q, s.numerator, s.denominator
+    if d * n - r * p <= 0:
         raise ZeroDegree(f"d_beta({v}) = {d_beta(v, s, S)} at s = {s}; "
                          "the ray lies outside the positive-degree region")
     # before the walk, so an abelian surface raises NotK3 whatever cap is
     category = category_walls_k3(s, S, t2_hi) if cut_category_walls else []
+    reg = Region(s, s, t2_lo, t2_hi)
+    _, _, lo, hi, E = reg._q  # t2_lo = lo/E, t2_hi = hi/E
     # J = [s, s]: the window keeps heights at s in [t2_lo, t2_hi]
-    p, n = s.numerator, s.denominator
-    cuts = {Fraction(disc * n * n - (2 * A * p + C * n) ** 2, (2 * A * n) ** 2)
-            for A, C, disc, _ in _walk(v, S, Region(s, s, t2_lo, t2_hi), cap)}
-    cuts.update(cw.t2 for cw in category if t2_lo <= cw.t2 <= t2_hi)
-    cut_points = tuple(sorted(cuts))
-    bounds = [t2_lo] + list(cut_points) + [t2_hi]
-    chambers = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if a < b)
+    cuts = [(disc * n * n - (2 * A * p + C * n) ** 2, (2 * A * n) ** 2)
+            for A, C, disc, _ in _walk(v, S, reg, cap)]
+    cuts += [cw._q for cw in category if lo * cw._q[1] <= cw._q[0] * E]
+    M = lcm(E, *[den for _, den in cuts])  # every height is key/M
+    keys = sorted({c * (M // den) for c, den in cuts})
+    cut_points = tuple([Fraction(k, M) for k in keys])
+    keys = [lo * (M // E), *keys, hi * (M // E)]
+    bounds = [t2_lo, *cut_points, t2_hi]
+    chambers = tuple([(bounds[i], bounds[i + 1]) for i in range(len(keys) - 1)
+                      if keys[i] < keys[i + 1]])
     return ChamberRay(s, cut_points, chambers)
 
 
@@ -531,7 +549,8 @@ def wall_side(v: MukaiVector, w1: MukaiVector, p: StabilityParam,
 # category walls (K3 only)
 
 class CategoryWall(Frozen):
-    __slots__ = ("u", "t2")
+    __slots__ = ("u", "_q")
+    _names = ("u", "t2")
 
 
 def category_walls_k3(b, S: Surface, t2_max) -> list:
@@ -561,8 +580,7 @@ def category_walls_k3(b, S: Surface, t2_max) -> list:
     num = n * p * p + 1
     if num % q != 0:
         return []
-    u = MukaiVector._of(q, p, num // q)
-    t2 = Fraction(2, q * q * S.h2)
-    if 0 < t2 <= t2_max:
-        return [CategoryWall(u, t2)]
+    den = q * q * S.h2  # t^2 = 2/den > 0
+    if 2 * t2_max.denominator <= t2_max.numerator * den:
+        return [CategoryWall._of(MukaiVector._of(q, p, num // q), 2, den)]
     return []

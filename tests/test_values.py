@@ -2,10 +2,13 @@
 behave as frozen dataclasses do (field-order repr, equality only within a
 class, hash of the field tuple, no assignment, copy and pickle round
 trips, tuple order for PhaseKey), and importing the CLI loads neither
-``dataclasses`` nor ``inspect``.  Twelve classes declare their fields
+``dataclasses`` nor ``inspect``.  Thirteen classes declare their fields
 only and take the constructor that Frozen generates: it binds by
 position or by name, fills ``_defaults`` and fails with the TypeError
-texts of the hand-written constructors it replaced."""
+texts of the hand-written constructors it replaced.  Eleven classes hold
+their rational fields as ints over one denominator (``_q``): a value a
+kernel builds from ints with ``_of`` is the value the constructor builds
+from Fractions, and pickles made when the fields were Fractions load."""
 
 import ast
 import copy
@@ -14,6 +17,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
@@ -213,17 +217,18 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
-# the classes whose constructor only stores its arguments; the other five
-# convert or check their fields in an __init__ of their own
+# the classes whose constructor only stores its arguments (reading a
+# rational field with rat); the other four check their fields in an
+# __init__ of their own
 STORE_ONLY = [
     "AmpleClassReport", "CategoryWall", "ChamberRay", "CentralCharge",
-    "Circle", "DecompositionReport", "PhaseKey", "StableExistenceReport",
-    "TransformedCharge", "VerticalLine", "Wall", "WallVectorReport"]
-OWN_INIT = ["FMTransform", "MukaiVector", "Region", "StabilityParam",
-            "Surface"]
+    "Circle", "DecompositionReport", "MukaiVector", "PhaseKey",
+    "StableExistenceReport", "TransformedCharge", "VerticalLine", "Wall",
+    "WallVectorReport"]
+OWN_INIT = ["FMTransform", "Region", "StabilityParam", "Surface"]
 
 
-def test_exactly_five_value_classes_write_their_own_init():
+def test_exactly_four_value_classes_write_their_own_init():
     """A new result type declares its fields (and _defaults) only; an
     __init__ in src/ belongs to a class that converts or checks them."""
     src = os.path.dirname(mukaistab.__file__)
@@ -310,3 +315,96 @@ def test_constructor_type_errors_keep_their_text(call, text):
     with pytest.raises(TypeError) as err:
         call()
     assert str(err.value) == text
+
+
+# the classes that hold their rational fields as ints in _q, each with
+# field values to build one from (a rational field as a Fraction)
+INT_FORM = {
+    "MukaiVector": (F(1, 2), F(-3), F(5, 7)),
+    "StabilityParam": (F(-3, 2), F(1, 9), F(1, 3)),
+    "Region": (F(-3), F(1, 2), F(1, 10), F(4)),
+    "FMTransform": (2, F(-1, 3)),
+    "CentralCharge": (F(0), F(3, 4)),
+    "PhaseKey": (2, F(-5, 6)),
+    "TransformedCharge": (F(-5, 36), F(-1, 3), F(-18, 13), F(12, 13)),
+    "AmpleClassReport": (F(7, 2), V, mv(1, -1, 1), mv(-2, 3, -4)),
+    "CategoryWall": (mv(2, 1, 1), F(1, 4)),
+    "Circle": (F(-3, 2), F(1, 4)),
+    "Wall": (F(-2), F(-6), F(-4), Circle(F(-3, 2), F(1, 4)), mv(-1, 2, -4)),
+}
+
+
+@pytest.mark.parametrize("k", [1, -1, 6, -35])
+@pytest.mark.parametrize("name", sorted(INT_FORM))
+def test_value_from_kernel_ints_matches_the_fraction_constructor(name, k):
+    """cls._of takes the fields in order, a rational one as its numerator
+    over a common den (k times the least one here, of either sign), and
+    builds the value cls builds from the Fractions: the same canonical
+    _q (den > 0, gcd 1), ==, repr, hash and pickle bytes."""
+    cls, values = getattr(mukaistab, name), INT_FORM[name]
+    held = [f not in cls.__slots__ for f in cls._names]
+    den = k * lcm(*[x.denominator for x, h in zip(values, held) if h])
+    ints = [int(x * den) if h else x for x, h in zip(values, held)]
+    x, y = (cls._of(*ints, den) if den != 1 else cls._of(*ints)), cls(*values)
+    assert type(x) is cls and x._q == y._q
+    assert x._q[-1] > 0 and gcd(*x._q) == 1
+    assert cls._of.__qualname__ == f"{name}._of"   # compiled on first call
+    assert x == y and repr(x) == repr(y)
+    assert hash(x) == hash(y) == hash(values)
+    assert pickle.dumps(x) == pickle.dumps(y)
+    assert pickle.loads(pickle.dumps(x)) == y
+    assert fields(x, cls._names) == values
+    assert all(type(getattr(x, f)) is F
+               for f, h in zip(cls._names, held) if h)
+
+
+def test_int_form_cases_cover_every_class_holding_q():
+    assert sorted(INT_FORM) == sorted(
+        name for name in NAMES if "_q" in getattr(mukaistab, name).__slots__)
+
+
+# protocol-2 bytes pickled when these classes stored Fraction fields
+OLD_PICKLES = [
+    (b"\x80\x02cmukaistab.walls\nWall\nq\x00(cfractions\nFraction\nq\x01"
+     b"J\xfe\xff\xff\xffK\x01\x86q\x02Rq\x03h\x01J\xfa\xff\xff\xffK\x01"
+     b"\x86q\x04Rq\x05h\x01J\xfc\xff\xff\xffK\x01\x86q\x06Rq\x07cmukaistab."
+     b"walls\nCircle\nq\x08h\x01J\xfd\xff\xff\xffK\x02\x86q\tRq\nh\x01K\x01"
+     b"K\x04\x86q\x0bRq\x0c\x86q\rRq\x0ecmukaistab.lattice\nMukaiVector\nq"
+     b"\x0fh\x01J\xff\xff\xff\xffK\x01\x86q\x10Rq\x11h\x01K\x02K\x01\x86q"
+     b"\x12Rq\x13h\x01J\xfc\xff\xff\xffK\x01\x86q\x14Rq\x15\x87q\x16Rq\x17"
+     b"tq\x18Rq\x19.", CASES["Wall"][0]),
+    (b"\x80\x02cmukaistab.stability\nStabilityParam\nq\x00cfractions\n"
+     b"Fraction\nq\x01K\x01K\x02\x86q\x02Rq\x03h\x01K\x01K\t\x86q\x04Rq"
+     b"\x05h\x01K\x01K\x03\x86q\x06Rq\x07\x87q\x08Rq\t.", T_P),
+    (b"\x80\x02cmukaistab.stability\nStabilityParam\nq\x00cfractions\n"
+     b"Fraction\nq\x01J\xfd\xff\xff\xffK\x02\x86q\x02Rq\x03h\x01K\x01K"
+     b"\x04\x86q\x04Rq\x05N\x87q\x06Rq\x07.", WALL_P),
+]
+
+
+@pytest.mark.parametrize("old, want", OLD_PICKLES)
+def test_pickles_made_before_the_int_form_load(old, want):
+    x = pickle.loads(old)
+    assert type(x) is type(want) and x == want and x._q == want._q
+    assert repr(x) == repr(want)
+
+
+PRIVATE_FRACTION = {"_numerator", "_denominator", "_normalize",
+                    "_from_coprime_ints"}
+
+
+def test_no_module_reads_a_private_attribute_of_fraction():
+    """Fraction's private names differ across Python 3.10-3.13 (3.12
+    dropped the ``_normalize`` argument and added ``_from_coprime_ints``),
+    so src/ names none of them, as an attribute or as a string."""
+    src = os.path.dirname(mukaistab.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if getattr(node, "attr", None) in PRIVATE_FRACTION
+                      or (isinstance(node, ast.Constant)
+                          and node.value in PRIVATE_FRACTION)]
+    assert found == []

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import oracles
 from mukaistab import (
-    C_MINUS, C_PLUS, ON_WALL, CategoryWall, Circle, Empty, Everywhere, Region,
-    Surface, VerticalLine, category_walls_k3, central_charge, chambers_on_ray,
-    enumerate_walls, is_wall_vector, mukai_square, mv, param, phase_key,
-    reduced_sigma, wall_locus, wall_side,
+    C_MINUS, C_PLUS, ON_WALL, CategoryWall, ChamberRay, Circle, Empty,
+    Everywhere, Region, Surface, VerticalLine, category_walls_k3,
+    central_charge, chambers_on_ray, enumerate_walls, is_wall_vector,
+    mukai_square, mv, param, phase_key, reduced_sigma, wall_locus, wall_side,
 )
 from mukaistab.classification import _aligned_normal
 from mukaistab.lattice import _kernel_basis_of_functional
@@ -296,7 +296,9 @@ def test_walk_window_matches_oracle_on_pencil_circles():
         w = rng.choice((0, F(rng.randint(1, 16), rng.randint(1, 4))))
         s_min, s_max = rng.choice(((end - w, end), (end, end + w),
                                    (end - w, end + w)))
-        J = _clip_degree_interval(mv(*v), s_min, s_max)
+        J = _clip_degree_interval(mv(*v), s_min.numerator * s_max.denominator,
+                                  s_max.numerator * s_min.denominator,
+                                  s_min.denominator * s_max.denominator)
         if J is None:  # a ray at s = d/r, or a box on the wrong side
             assert not oracles.circle_meets_region_oracle(
                 c, R2, v, (s_min, s_max, F(1, 100), R2 + 1), S.h2)
@@ -330,6 +332,30 @@ def test_enumerate_walls_region_straddling_the_vertical_wall(S, v, reg):
     want = oracles.wall_set_box_oracle(v, 2, reg, 12,
                                        sq_floor=0 if S is AB else -2)
     assert got == want
+
+
+@pytest.mark.parametrize("v, reg", [
+    ((1, 0, -2), (F(-3), F(0), F(1, 20), F(4))),
+    ((1, 0, -5), (F(-4), F(0), F(1, 8), F(6))),
+    ((2, 1, -5), (F(-3), F(1, 2), F(1, 4), F(5))),
+    ((3, -1, -2), (F(-2), F(-1, 3), F(1, 6), F(5))),
+    ((-1, 1, 3), (F(-1), F(3), F(1, 4), F(5))),
+    ((0, 1, 3), (F(-3), F(4), F(1, 8), F(5))),
+])
+def test_abelian_walls_match_box_oracle_beyond_the_step_box(v, reg):
+    """On abelian surfaces the walk does not evaluate the step 2-4 box:
+    a wall member has both twisted degrees positive at its wall point.
+    The oracle scans every class with entries up to well past that box's
+    bounds on r1 (step 3) and d1 (step 4) and finds the same walls."""
+    r, d, a = v
+    q, s_abs = 2 * d * d - 2 * r * a, max(abs(reg[0]), abs(reg[1]))
+    r1_max = abs(r) + isqrt(2 * (q - 1) * reg[2].denominator
+                            // (2 * reg[2].numerator)) + 1
+    d1_max = abs(d) + (r1_max + abs(r)) * s_abs
+    box = int(max(r1_max, d1_max)) + 3
+    got = {w.acd_key(): (w.geometry.center_s, w.geometry.radius_sq)
+           for w in enumerate_walls(mv(*v), AB, Region(*reg))}
+    assert got and got == oracles.wall_set_box_oracle(v, 2, reg, box)
 
 
 def test_enumerate_walls_sorted_deterministically():
@@ -550,6 +576,33 @@ def test_chambers_ray_window_ends_are_closed(v, s, t2, cuts, steps):
     assert ray.chambers == ((t2[0], t2[1]),)
     with pytest.raises(BoundOverflow):
         chambers_on_ray(mv(*v), AB, s, t2, cap=steps - 1)
+
+
+@pytest.mark.parametrize("S, s, t2, flag, cuts, chambers", [
+    # the golden circle's cut at t^2 = 1/4 on either end, and inside
+    (AB, F(-3, 2), (F(1, 4), F(4)), False, (F(1, 4),), ((F(1, 4), F(4)),)),
+    (AB, F(-3, 2), (F(1, 10), F(1, 4)), False, (F(1, 4),),
+     ((F(1, 10), F(1, 4)),)),
+    (AB, F(-3, 2), (F(1, 10), F(4)), False, (F(1, 4),),
+     ((F(1, 10), F(1, 4)), (F(1, 4), F(4)))),
+    # a degenerate ray (t2_min == t2_max), on the cut and off it
+    (AB, F(-3, 2), (F(1, 4), F(1, 4)), False, (F(1, 4),), ()),
+    (AB, F(-3, 2), (F(1), F(1)), False, (), ()),
+    # the K3 category wall for b = -1/2, at t^2 = 1/4, is the only cut
+    (K3, F(-1, 2), (F(1, 4), F(4)), True, (F(1, 4),), ((F(1, 4), F(4)),)),
+    (K3, F(-1, 2), (F(1, 100), F(1, 4)), True, (F(1, 4),),
+     ((F(1, 100), F(1, 4)),)),
+    (K3, F(-1, 2), (F(1, 4), F(1, 4)), True, (F(1, 4),), ()),
+    (K3, F(-1, 2), (F(1, 2), F(4)), True, (), ((F(1, 2), F(4)),)),
+    (K3, F(-1, 2), (F(1, 100), F(4)), False, (), ((F(1, 100), F(4)),)),
+])
+def test_chambers_on_ray_cuts_at_the_ends_and_degenerate_rays(
+        S, s, t2, flag, cuts, chambers):
+    # the answers chambers_on_ray gave when it sorted Fraction cuts; a cut
+    # on an end of the window is kept, and a chamber is never empty
+    ray = chambers_on_ray(V_GOLD, S, s, t2, cut_category_walls=flag)
+    assert ray == ChamberRay(s, cuts, chambers)
+    assert all(type(x) is F for x in ray.cut_points)
 
 
 def test_chambers_on_ray_matches_candidate_stream_seeded():
