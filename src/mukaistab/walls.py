@@ -22,12 +22,12 @@ so those meeting the region form the exact window of that function's
 values over it: each line of fibers of one m gets an integer window
 (one isqrt), inside the disc bounds; within a fiber, p12 >= 1 is a
 quadratic window in <v1, v> that leaves at most three members to test
-exactly.  The members must also lie in the bounded (r1, d1) box of the
-bound chain: on K3 that box is part of what the list is.  ``cap``
-bounds the lines plus fibers walked.  The walk and the order of the
-walls run on Python ints, and so do the Walls returned (Frozen's
-``_q``): Fraction enters only in a field a caller reads and in a ray's
-cut heights, one per distinct cut.
+exactly.  A pair with a spherical part (square -2, K3 only) must also
+lie in the bounded (r1, d1) box of the bound chain, which holds every
+other pair already.  ``cap`` bounds the lines plus fibers walked.  The
+walk and the order of the walls run on Python ints, and so do the Walls
+returned (Frozen's ``_q``): Fraction enters only in a field a caller
+reads and in a ray's cut heights, one per distinct cut.
 """
 
 from fractions import Fraction
@@ -35,8 +35,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
                      NotPrimitive, Zero, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, _ints, _xgcd, d_beta,
-                      d_beta_min, rat)
+from .lattice import (Frozen, MukaiVector, Surface, _ints, _xgcd, d_beta_min,
+                      rat)
 from .stability import StabilityParam, _acd, _band, _nonzero_charge
 
 
@@ -191,8 +191,8 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
     p12 = h2 * d1 * d - r1 * a - a1 * r - q1  # <v1, v - v1>
     q2 = q - q1 - 2 * p12  # <(v - v1)^2>
     proportional = r1 * d == r * d1 and r1 * a == r * a1 and d1 * a == d * a1
-    base = {"square_v1": Fraction(q1), "square_v2": Fraction(q2),
-            "pairing": Fraction(p12), "proportional": proportional}
+    base = {"square_v1": q1, "square_v2": q2, "pairing": p12,
+            "proportional": proportional}
     if S.kind == "abelian":
         numeric = (q1 >= 0 and q2 >= 0 and p12 > 0 and not proportional)
         meets = False
@@ -260,10 +260,10 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
        interval J with 0 < d1 - r1*s0 and d1 - d < (r1 - r)*s0 bounds d1
        to an explicit integer interval from the endpoint values of J.
 
-    A candidate is a class of the step 2-4 box with q1, q2 >= sq_lo
-    (sq_lo = 0 abelian, -2 on K3) and p12 > 0: the exact numeric
-    criterion on abelian surfaces; on K3 the completeness policy
-    (squares >= -2 allow spherical parts), so the K3 list is
+    A candidate is a class with q1, q2 >= sq_lo (sq_lo = 0 abelian, -2
+    on K3) and p12 > 0, in the step 2-4 box when q1 or q2 is -2: the
+    exact numeric criterion on abelian surfaces; on K3 the completeness
+    policy (squares >= -2 allow spherical parts), so the K3 list is
     necessary-only, like is_wall_vector.
 
     ``cap`` bounds the work of the walk below: the number of m-lines plus
@@ -314,20 +314,20 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
       * Members.  Along a fiber P = <v1 + kv, v> = p + kq,
         q1 = (P^2 - disc)/q, q2 = ((q - P)^2 - disc)/q and p12 = P - q1,
         so p12 >= 1 iff (2P - q)^2 <= q^2 - 4q + 4*disc: at most three k.
-        Each is tested exactly (q1, q2 >= sq_lo, q1 + q2 < q), and on K3
-        then it and its complement against the step 2-4 box.  On abelian
-        surfaces that box removes no member, so it is not evaluated: the
-        circle meets the region at a point with d_beta(v) > 0, where
-        Z(v1) = lam*Z(v) for a real lam.  v1 - lam*v then pairs to zero
-        with Re and Im of e^{(s+it)H}, which span a positive plane, so its
-        square q1 - 2*lam*p + lam^2*q is < 0 (v1 is not proportional to
-        v).  With q1 >= 0 and p = <v1, v> = q1 + p12 > 0 that forces
-        lam > 0, and the same for v - v1 (q2 >= 0, <v - v1, v> > 0)
-        forces 1 - lam > 0.  So 0 < lam < 1: both twisted degrees
-        lam*d_beta(v) and (1 - lam)*d_beta(v) are positive at the wall
-        point, which is what steps 3-4 were derived from.  On K3 the
-        squares >= -2 policy admits classes outside steps 3-4, so the K3
-        list depends on the box.
+        Each is tested exactly (q1, q2 >= sq_lo, q1 + q2 < q), and when
+        q1 or q2 is -2, it and its complement against the step 2-4 box,
+        which cuts no other pair: for q1, q2 >= 0 the circle meets the
+        region at a point with d_beta(v) > 0, where Z(v1) = lam*Z(v) for
+        a real lam.  v1 - lam*v then pairs to zero with Re and Im of
+        e^{(s+it)H}, which span a positive plane, so its square
+        q1 - 2*lam*p + lam^2*q is < 0 (v1 is not proportional to v).
+        With q1 >= 0 and p = <v1, v> = q1 + p12 > 0 that forces lam > 0,
+        and the same for v - v1 (q2 >= 0, <v - v1, v> > 0) forces
+        1 - lam > 0.  So 0 < lam < 1: both twisted degrees lam*d_beta(v)
+        and (1 - lam)*d_beta(v) are positive at the wall point, which is
+        what steps 3-4 were derived from (step 4 is symmetric in
+        v1 <-> v - v1; step 3 takes the weaker K3 bound).  A spherical
+        part escapes this argument, so the K3 list depends on the region.
 
     The walk runs on ints (K and U as numerator, denominator pairs), and
     so does the order of the winners: center -C/(2A), then radius^2
@@ -373,13 +373,13 @@ def _walk(v, S, reg, cap):
                          f"[{reg.s_min}, {reg.s_max}]")
     L, H, N = J
     if S.kind == "abelian":
-        sq_lo, B, r1_sq = 0, q * q // 4, 2 * (q - 1)
+        sq_lo, B = 0, q * q // 4
     else:
-        sq_lo, B, r1_sq = -2, q * (q + 8) // 4, 2 * (q + 2)
+        sq_lo, B = -2, q * (q + 8) // 4
     # the step 2-4 box on ints (every m walked is inside step 2): step 3,
-    # and step 4 with J = [L/N, H/N]; it can cut only on K3 (docstring)
-    box = S.kind != "abelian"
-    r1_max = abs(r) + isqrt((r1_sq * td - 1) // (h2 * tn)) + 1
+    # and step 4 with J = [L/N, H/N]; it can cut only a pair with a
+    # spherical part (docstring)
+    r1_max = abs(r) + isqrt((2 * (q + 2) * td - 1) // (h2 * tn)) + 1
 
     def in_box(r1, d1):
         return (abs(r1) <= r1_max and min(r1 * L, r1 * H) < d1 * N <
@@ -452,7 +452,7 @@ def _walk(v, S, reg, cap):
                 x2 = (r - x1[0], d - x1[1], a - x1[2])
                 key = key or _normalize_acd(A, C, D)  # once per fiber
                 for y1, q_y, sg in ((x1, q1, 1), (x2, q2, -1)):
-                    if box and not in_box(y1[0], y1[1]):
+                    if (q1 < 0 or q2 < 0) and not in_box(y1[0], y1[1]):
                         continue
                     sel = (abs(q_y), y1, (sg * A, sg * C, sg * D))
                     if key not in best or sel < best[key][3]:
@@ -478,12 +478,13 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
                     cap: int = 10 ** 6) -> ChamberRay:
     """Intersect every enumerated wall with the vertical ray at s.
 
-    The walls are enumerate_walls' for Region(s, s, t2_lo, t2_hi), under
-    its policy (on K3, the candidates of the step 2-4 box), read off the
-    walk's ints: the circle with A, C and disc = C^2 - 4AD cuts the ray
-    s = p/n at t^2 = (disc*n^2 - (2A*p + C*n)^2)/(2A*n)^2.  The cuts are
-    sorted, de-duplicated and split into chambers as ints over one
-    denominator, and each distinct cut becomes one Fraction.
+    The walls are enumerate_walls' for Region(s, s, t2_lo, t2_hi), with
+    its policy (the step 2-4 box cuts only pairs with a spherical part)
+    and errors (ZeroDegree where d_beta(v)(s) <= 0), read off the walk's
+    ints: the circle with A, C and disc = C^2 - 4AD cuts the ray s = p/n
+    at t^2 = (disc*n^2 - (2A*p + C*n)^2)/(2A*n)^2.  The cuts are sorted,
+    de-duplicated and split into chambers as ints over one denominator,
+    and each distinct cut becomes one Fraction.
 
     ``cut_category_walls`` additionally cuts at the K3 category walls for
     b = s (their stratification is separate from the stability walls, so
@@ -492,10 +493,7 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
     """
     s = rat(s)
     t2_lo, t2_hi = rat(t2_range[0]), rat(t2_range[1])
-    (r, d, _, _), p, n = v._q, s.numerator, s.denominator
-    if d * n - r * p <= 0:
-        raise ZeroDegree(f"d_beta({v}) = {d_beta(v, s, S)} at s = {s}; "
-                         "the ray lies outside the positive-degree region")
+    p, n = s.numerator, s.denominator
     # before the walk, so an abelian surface raises NotK3 whatever cap is
     category = category_walls_k3(s, S, t2_hi) if cut_category_walls else []
     reg = Region(s, s, t2_lo, t2_hi)

@@ -71,8 +71,8 @@ CASES = {
         is_wall_vector(mv(1, -1, 1), V, K3, s=F(-1, 2)),
         ("kind", "is_wall", "necessary_only", "details"),
         "WallVectorReport(kind='k3', is_wall=False, necessary_only=True, "
-        "details={'square_v1': Fraction(0, 1), 'square_v2': Fraction(2, 1), "
-        "'pairing': Fraction(1, 1), 'proportional': False, "
+        "details={'square_v1': 0, 'square_v2': 2, 'pairing': 1, "
+        "'proportional': False, "
         "'s': Fraction(-1, 2), 'd_beta_min': Fraction(1, 2), 'a': False, "
         "'b': False, 'c': True})"),
     "ChamberRay": (

@@ -643,6 +643,43 @@ def test_chambers_on_ray_matches_candidate_stream_seeded():
     assert walls > 45 and flagged > 30
 
 
+def _error_class(call):
+    """The class of the exception call() raised, or None if it returned."""
+    try:
+        call()
+    except Exception as e:  # noqa: BLE001 - the class is what is compared
+        return type(e)
+    return None
+
+
+def test_chambers_on_ray_checks_input_in_the_order_of_enumerate_walls():
+    """A ray and the one-point region at its s run one order of checks:
+    chambers_on_ray raises the class that enumerate_walls raises on
+    Region(s, s, lo, hi), or both return.  Seeded draws mix valid input
+    with a non-primitive v, a square <= 0, a cap that is no int and an s
+    where d_beta(v) <= 0, alone or together, after the two zero-degree
+    rays with a second fault (a non-primitive v, and a cap "x" too)."""
+    rng = random.Random(20261021)
+    cases = [(mv(2, 0, -2), AB, F(1), (1, 2), 10 ** 6),
+             (mv(2, 0, -2), AB, F(1), (1, 2), "x")]
+    while len(cases) < 400:
+        S = Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
+        v = mv(*(rng.randint(-4, 4) for _ in range(3)))
+        lo = F(rng.randint(1, 8), 4)
+        cases.append((rng.choice((1, 1, 1, 2)) * v, S,
+                      F(rng.randint(-6, 6), rng.randint(1, 3)),
+                      (lo, lo + rng.choice((0, 1, 5))),
+                      rng.choice((10 ** 6, 10 ** 6, 10 ** 6, 0, "x", 2.0))))
+    seen = set()
+    for v, S, s, t2, cap in cases:
+        got = _error_class(lambda: chambers_on_ray(v, S, s, t2, cap=cap))
+        assert got is _error_class(
+            lambda: enumerate_walls(v, S, Region(s, s, *t2), cap=cap))
+        seen.add(got)
+    assert {None, NotPrimitive, NonPositiveSquare, NonIntegral,
+            ZeroDegree} <= seen
+
+
 # the K3 list is not local (ROADMAP item 6(0)): on the degree-6 K3
 # surface, the wall (6, 9, -17) of v = (2, 4, -1), representative
 # (1, 1, 4), crosses the ray s = 1 at t^2 = 163/48 - (7/4)^2 = 1/3
@@ -668,6 +705,64 @@ def test_k3_ray_cuts_the_walls_of_a_wider_region():
     ray = chambers_on_ray(V_LOCAL, K3_6, F(1), RAY_T2)
     if F(1, 3) not in ray.cut_points:  # no assert: tier-1 also runs under -O
         raise AssertionError(f"t^2 = 1/3 is not among {ray.cut_points}")
+
+
+def test_walls_of_a_subregion_are_the_walls_of_a_wider_one_meeting_it():
+    """Locality, seeded over regions R inside R', abelian and K3 with h2
+    in {2, 4, 6}.  On abelian surfaces the walls of R are the walls of R'
+    whose circle meets R (by the oracle).  On K3 they are among them: a
+    pair with a spherical part counts only inside the step 2-4 box of its
+    region (ROADMAP item 6(0)).  And every K3 wall with a member pair of
+    squares >= 0, found by a class scan past the step 2-4 box of R, is a
+    wall of R: a wall that R misses has only spherical members, like the
+    one of test_k3_locality_witness."""
+    rng = random.Random(20261022)
+    done = nonempty = scanned = 0
+    while done < 600:
+        S = Surface(rng.choice(("abelian", "k3")), rng.choice((2, 4, 6)))
+        r, d, a = v = tuple(rng.randint(-3, 3) for _ in range(3))
+        q = S.h2 * d * d - 2 * r * a
+        if q <= 0 or gcd(*v) != 1:
+            continue
+        # about d/r, where the walls of v are, on its positive-degree side
+        c = F(d, r) if r else F(rng.randint(-4, 4))
+        sign = -1 if r > 0 else 1
+        s_out = sorted(c + sign * F(rng.randint(-2, 4), rng.randint(1, 2))
+                       for _ in range(2))
+        t2_out = sorted(F(rng.randint(1, 40), 16) for _ in range(2))
+        s_in = sorted(rng.choice((s_out[0], s_out[1],
+                                  (s_out[0] + s_out[1]) / 2))
+                      for _ in range(2))
+        t2_in = sorted(rng.choice((t2_out[0], t2_out[1],
+                                   (t2_out[0] + t2_out[1]) / 2))
+                       for _ in range(2))
+        inner = (*s_in, *t2_in)
+        if max(d - r * s_in[0], d - r * s_in[1]) <= 0:
+            continue  # d_beta(v) <= 0 on R: ZeroDegree
+        wide = enumerate_walls(mv(*v), S, Region(*s_out, *t2_out))
+        meets = {w.acd_key() for w in wide
+                 if oracles.circle_meets_region_oracle(
+                     w.geometry.center_s, w.geometry.radius_sq, v, inner,
+                     S.h2)}
+        got = {w.acd_key() for w in enumerate_walls(mv(*v), S,
+                                                    Region(*inner))}
+        nonempty += bool(got)
+        done += 1
+        if S.kind == "abelian":
+            assert got == meets
+            continue
+        assert got <= meets
+        # past the step 2-4 box of R: its bounds on r1 and d1, plus three
+        t2_min = t2_in[0]
+        r1_max = abs(r) + isqrt(2 * (q + 2) * t2_min.denominator
+                                // (S.h2 * t2_min.numerator)) + 1
+        s_abs = max(abs(s_in[0]), abs(s_in[1]))
+        box = max(r1_max, int(abs(d) + (r1_max + abs(r)) * s_abs) + 1) + 3
+        if box <= 20:  # the scan takes box^3 steps
+            plain = set(oracles.wall_set_box_oracle(v, S.h2, inner, box))
+            assert plain <= got
+            scanned += bool(plain)
+    assert nonempty > 120 and scanned > 20
 
 
 # ---------------------------------------------------------------------------
