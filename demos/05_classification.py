@@ -4,7 +4,8 @@ On a wall, a class v can degenerate into aligned pieces; what the pieces
 look like decides whether a genuinely stable object can still exist at
 that point.  The isotropic pairing-one search below is exact and
 certified complete over a line parametrization (not just a sampled box);
-the (-2)-class search is an exact scan of a bounded box.
+the (-2)-class search solves one quadratic per |rank| and returns every
+class in its bounded box.
 Run me:  python3 demos/05_classification.py
 """
 
@@ -39,6 +40,10 @@ try:
     find_minus_two_aligned(param(F(1, 2), F(3, 4)), AB, 3, mv(1, 0, 0))
 except NotK3 as e:
     print("  (abelian surfaces have none:", str(e) + ")")
+# they need not be unique: two classes of a Pell-type orbit fit in this box
+hits = find_minus_two_aligned(param(F(-3, 2), F(1)), K3, 40, v)
+print("(-2)-classes aligned with v at s=-3/2, t2=1, bound 40:",
+      [str(u) for u in hits])
 
 # classify aligned decompositions at the wall point.  Plenty of parts,
 # or a repeated part, always leaves room for a stable pair:

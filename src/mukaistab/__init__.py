@@ -17,9 +17,8 @@ import importlib
 _HOME = {name: module for module, names in {
     "errors": ("MukaiStabError", "NonIntegral", "Zero", "ZeroCharge",
                "NonPositiveSquare", "BoundOverflow", "NotK3",
-               "UniquenessViolation", "NotPrimitive", "ZeroRank",
-               "ZeroDegree", "OutOfDomain", "Degenerate", "NonPositive",
-               "NotAligned", "UsageError"),
+               "NotPrimitive", "ZeroRank", "ZeroDegree", "OutOfDomain",
+               "Degenerate", "NonPositive", "NotAligned", "UsageError"),
     "lattice": ("Surface", "MukaiVector", "mv", "RHO", "rat",
                 "mukai_pairing", "mukai_square", "sheaf_vector",
                 "exp_vector", "twisted_invariants", "untwist", "retwist",

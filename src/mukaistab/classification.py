@@ -23,23 +23,23 @@ for every v with Z(v) != 0; no box is involved.
 
 The spherical search is no box scan either: for r != 0 the square -2
 fixes a = (h2*d^2 + 2)/(2r), and alignment times 2r becomes a quadratic
-in d, so each rank costs one isqrt (find_minus_two_aligned).
+in d whose discriminant depends on r^2 only, so each |r| costs one isqrt
+and the search returns every class of its box (find_minus_two_aligned).
 """
 
 from math import gcd, isqrt
 from itertools import combinations
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
-                     NotAligned, NotK3, NotPrimitive, UniquenessViolation,
-                     ZeroCharge, ZeroDegree)
+                     NotAligned, NotK3, NotPrimitive, ZeroCharge, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface,
                       _kernel_basis_of_functional, _xgcd, d_beta,
                       mukai_pairing, mukai_square)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
-# find_minus_two_aligned visits no (r, d) pairs; it refuses a box of over
-# _BOX_CAP of them (bound >= 1118) only to keep its contract until ROADMAP
-# item 5 takes ``bound`` out of it
+# find_minus_two_aligned solves one quadratic per |r| <= bound and visits
+# no (r, d) pairs; it refuses a box of over _BOX_CAP of them (bound >= 1118)
+# only to keep its contract until ROADMAP item 5 takes ``bound`` out of it
 _BOX_CAP = 5 * 10 ** 6
 
 
@@ -128,11 +128,15 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     has d_beta(w) > 0.  d_beta(w) > 0 is d*q - r*m > 0 for s = m/q in
     lowest terms.
 
-    The qualifying classes are not unique: they lie in a rank-2 lattice
-    on which the Mukai form can be indefinite, so they can form infinite
-    Pell-type orbits (at s = -3/2, t2 = 1, h2 = 2 the reference
-    (1,0,-2) aligns (-1,2,-5) and (25,-18,13)).  The search raises
-    UniquenessViolation when the box holds two or more of them."""
+    The search returns every such class in the box.  They lie in a
+    rank-2 lattice on which the Mukai form can be indefinite, so they
+    can form infinite Pell-type orbits: at s = -3/2, t2 = 1, h2 = 2 the
+    reference (1,0,-2) aligns (-1,2,-5) and (25,-18,13), and bound 40
+    returns both.  With w, -w is aligned, of square -2 and in the box,
+    and d_beta(-w) = -d_beta(w); the discriminant
+    r^2*(n1^2 - 4*alpha*n0) - 4*alpha*n2 depends on r^2 only.  So r > 0
+    alone is solved, one isqrt per |r|, and of each root's w and -w the
+    one with d_beta > 0 is kept (neither when d_beta(w) = 0)."""
     if not isinstance(bound, int):
         raise NonIntegral(f"bound must be an integer, got {bound!r}")
     if S.kind != "k3":
@@ -147,25 +151,27 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     s_num, _, s_den = p._q
     h2 = S.h2
     alpha = n2 * (h2 // 2)
+    # the discriminant at rank r is K*r^2 - L
+    K, L = n1 * n1 - 4 * alpha * n0, 4 * alpha * n2
     out = []
-    for r in range(-bound, bound + 1):
-        if r == 0:
-            continue
-        beta, gamma = n1 * r, n0 * r * r + n2
-        disc = beta * beta - 4 * alpha * gamma
+    for r in range(1, bound + 1):
+        disc = K * r * r - L
         root = isqrt(disc) if disc >= 0 else -1
         if root * root != disc:
             continue
-        for d in sorted({(e - beta) // (2 * alpha) for e in (-root, root)
-                         if (e - beta) % (2 * alpha) == 0}):
-            # |a| <= bound bounds d too: h2*d^2 + 2 = 2*r*a <= 2*bound^2
+        for e in {root, -root}:
+            d, rem = divmod(e - n1 * r, 2 * alpha)
+            if rem:
+                continue
+            # a > 0 as r > 0; a <= bound bounds d too:
+            # h2*d^2 + 2 = 2*r*a <= 2*bound^2
             a, rem = divmod(h2 * d * d + 2, 2 * r)
-            if not rem and abs(a) <= bound and d * s_den - r * s_num > 0:
-                out.append(MukaiVector._of(r, d, a))
-    if len(out) > 1:
-        raise UniquenessViolation(
-            f"{len(out)} aligned square--2 classes found: {[str(w) for w in out]}")
-    return out
+            if rem or a > bound:
+                continue
+            x = d * s_den - r * s_num  # d_beta(w); -w has -x
+            if x:
+                out.append((r, d, a) if x > 0 else (-r, -d, -a))
+    return [MukaiVector._of(*w) for w in sorted(out)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,19 +60,6 @@ class NotK3(MukaiStabError):
     """Operation defined only on K3 surfaces was called on an abelian one."""
 
 
-class UniquenessViolation(MukaiStabError):
-    """A search whose contract returns at most one class found two or
-    more in its box.
-
-    Raised by ``find_minus_two_aligned``.  The aligned square -2 classes
-    are not unique in general: the square fixes a = (h2*d^2 + 2)/(2*r)
-    from (r, d) (r = 0 is impossible), alignment is one integer linear
-    equation, and the classes it leaves lie in a rank-2 lattice on which
-    the Mukai form can be indefinite, so they can form infinite
-    Pell-type orbits.  The error reports a box holding two or more of
-    them, not an implementation bug."""
-
-
 class NotPrimitive(MukaiStabError):
     """A derived class that must be primitive is not."""
 

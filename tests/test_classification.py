@@ -20,7 +20,7 @@ from mukaistab.classification import _aligned_normal
 from mukaistab.lattice import _kernel_basis_of_functional
 from mukaistab.errors import (
     BoundOverflow, NonIntegral, NonPositiveSquare, NotAligned, NotK3,
-    NotPrimitive, UniquenessViolation, ZeroCharge, ZeroDegree,
+    NotPrimitive, ZeroCharge, ZeroDegree,
 )
 
 AB = Surface("abelian", 2)
@@ -322,18 +322,15 @@ def test_minus_two_bound_100_is_in_reach():
 
 def test_minus_two_pell_pair_counterexample():
     """Aligned -2 classes are not unique: at s = -3/2, t2 = 1 the
-    reference (1,0,-2) lines up (-1,2,-5) and (25,-18,13).  The current
-    contract returns the first alone below bound 25 and raises
-    UniquenessViolation, listing both in (r, d, a) order, once the box
-    holds the second."""
+    reference (1,0,-2) lines up (-1,2,-5) and (25,-18,13).  The search
+    returns the first alone below bound 25 and both, in (r, d, a) order,
+    once the box holds the second."""
     p, ref = param(F(-3, 2), F(1)), mv(1, 0, -2)
     assert (oracles.minus_two_box_oracle(p.s, p.t2, 2, 25, ref.as_tuple())
             == [(-1, 2, -5), (25, -18, 13)])
     assert find_minus_two_aligned(p, K3, 9, ref) == [mv(-1, 2, -5)]
-    with pytest.raises(UniquenessViolation) as err:
-        find_minus_two_aligned(p, K3, 40, ref)
-    msg = str(err.value)
-    assert 0 <= msg.index("(-1,2,-5)") < msg.index("(25,-18,13)")
+    assert find_minus_two_aligned(p, K3, 40, ref) == [mv(-1, 2, -5),
+                                                      mv(25, -18, 13)]
 
 
 def _point_on_circle(u, w, h2, rng):
@@ -368,7 +365,7 @@ def test_minus_two_matches_box_oracle():
                       for a in range(-6, 7)
                       if oracles.square((r, d, a), h2) == -2]
                  for h2 in (2, 4, 6)}
-    cases = violations = 0
+    cases = multi = 0
     while cases < 60:
         h2 = rng.choice((2, 4, 6))
         u = rng.choice(spherical[h2])
@@ -392,27 +389,17 @@ def test_minus_two_matches_box_oracle():
                 find_minus_two_aligned(p, S, bound, mv(*ref))
             continue
         want = oracles.minus_two_box_oracle(s, t2, h2, bound, ref)
-        if len(want) > 1:
-            violations += 1
-            with pytest.raises(UniquenessViolation):
-                find_minus_two_aligned(p, S, bound, mv(*ref))
-        else:
-            got = find_minus_two_aligned(p, S, bound, mv(*ref))
-            assert [x.as_tuple() for x in got] == want
-    assert violations >= 1
+        multi += len(want) > 1
+        got = find_minus_two_aligned(p, S, bound, mv(*ref))
+        assert [x.as_tuple() for x in got] == want
+    assert multi >= 1
 
 
 def _assert_minus_two_answer(p, S, bound, ref, want):
-    """find_minus_two_aligned against the list ``want`` of an oracle: the
-    same list, or UniquenessViolation naming want in (r, d, a) order when
-    it holds two or more classes."""
-    if len(want) > 1:
-        with pytest.raises(UniquenessViolation) as err:
-            find_minus_two_aligned(p, S, bound, mv(*ref))
-        assert str([str(mv(*w)) for w in want]) in str(err.value)
-    else:
-        got = find_minus_two_aligned(p, S, bound, mv(*ref))
-        assert [x.as_tuple() for x in got] == want
+    """find_minus_two_aligned returns the list ``want`` of an oracle, of
+    any length."""
+    got = find_minus_two_aligned(p, S, bound, mv(*ref))
+    assert [x.as_tuple() for x in got] == want
 
 
 def _matches_box_oracle(s, t2, h2, bound, ref):
@@ -487,7 +474,7 @@ def test_minus_two_per_rank_solve_matches_box_oracle():
     """Seeded differential at bounds up to 12 over h2 in {2, 4, 6}: points
     on the alignment circle of a -2 class u with a random reference, of
     two -2 classes with reference their sum (two or more classes in the
-    box: UniquenessViolation), and references with Z = 0 at the point."""
+    box), and references with Z = 0 at the point."""
     rng = random.Random(17003)
     spherical = {h2: [(r, d, a) for r in range(-6, 7) for d in range(-6, 7)
                       for a in range(-6, 7)
@@ -521,8 +508,8 @@ def test_minus_two_per_rank_solve_matches_box_oracle():
 
 
 def test_minus_two_matches_pair_scan_at_large_bounds():
-    """Equal to the (r, d) pair scan, today's bounded list, at bounds 13 to
-    200 on seeded K3 points on -2 alignment circles."""
+    """Equal to the (r, d) pair scan at bounds 13 to 200 on seeded K3
+    points on -2 alignment circles."""
     rng = random.Random(17004)
     spherical = {h2: [(r, d, a) for r in range(-5, 6) for d in range(-5, 6)
                       for a in range(-5, 6)

@@ -28,7 +28,6 @@ CODES = {
     "NonPositiveSquare": "NonPositiveSquare",
     "BoundOverflow": "BoundOverflow",
     "NotK3": "NotK3",
-    "UniquenessViolation": "UniquenessViolation",
     "NotPrimitive": "NotPrimitive",
     "ZeroRank": "ZeroRank",
     "ZeroDegree": "ZeroDegree",

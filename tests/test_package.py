@@ -17,9 +17,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PUBLIC = {
     "errors": ["MukaiStabError", "NonIntegral", "Zero", "ZeroCharge",
                "NonPositiveSquare", "BoundOverflow", "NotK3",
-               "UniquenessViolation", "NotPrimitive", "ZeroRank",
-               "ZeroDegree", "OutOfDomain", "Degenerate", "NonPositive",
-               "NotAligned", "UsageError"],
+               "NotPrimitive", "ZeroRank", "ZeroDegree", "OutOfDomain",
+               "Degenerate", "NonPositive", "NotAligned", "UsageError"],
     "lattice": ["Surface", "MukaiVector", "mv", "RHO", "rat", "mukai_pairing",
                 "mukai_square", "sheaf_vector", "exp_vector",
                 "twisted_invariants", "untwist", "retwist", "d_beta",
