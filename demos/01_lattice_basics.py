@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 from mukaistab import (
     RHO, Surface, d_beta_min, exp_vector, mukai_pairing, mukai_square, mv,
-    sheaf_vector, twisted_invariants, untwist,
+    sheaf_vector, twisted_invariants,
 )
 
 AB = Surface("abelian", 2)
@@ -43,13 +43,13 @@ print("  k3:     ", sheaf_vector(2, 3, 5, K3))
 
 # twisting moves the base point of all degree-like quantities to beta =
 # s*H.  It is an isometry, so the twisted class v*e^{-sH} is again a
-# Mukai vector, and untwisting returns the original class.
+# Mukai vector, and untwisting (twisting at -s) returns the original class.
 s = F(-3, 2)
 tw = twisted_invariants(v, s, AB)
 print("\ntwisted invariants of v at s =", s)
 print(f"  (r_b, d_b, a_b) = ({tw.r}, {tw.d}, {tw.a})")
 print("  a_b equals -<v, e^s>:", tw.a == -mukai_pairing(v, exp_vector(s, AB), AB))
-print("  untwist gives back v:", untwist(tw, s, AB) == v)
+print("  untwist gives back v:", twisted_invariants(tw, -s, AB) == v)
 
 # how small can a nonzero twisted degree be?  Exactly 1/q at s = p/q.
 for s in (F(0), F(1, 2), F(-3, 7)):

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from mukaistab import (
     Region, Surface, chambers_on_ray, enumerate_walls, is_wall_vector, mv,
-    param, reduced_sigma, sigma_coefficients, wall_locus, wall_side,
+    param, reduced_sigma, wall_locus, wall_side,
 )
 
 AB = Surface("abelian", 2)
@@ -21,10 +21,8 @@ v = mv(1, 0, -2)
 v1 = mv(1, -1, 1)           # = e^{-H}, an isotropic class with <v1, v> = 1
 
 print("v =", v, "  v1 =", v1)
-A, C, D = sigma_coefficients(v1, v, AB)
-print(f"rho coefficients (A, C, D) = ({A}, {C}, {D})")
-
 w = wall_locus(v1, v, AB)
+print(f"rho coefficients (A, C, D) = ({w.A}, {w.C}, {w.D})")
 print(f"locus: circle, center s = {w.geometry.center_s}, "
       f"radius^2 = {w.geometry.radius_sq}")
 

@@ -21,11 +21,10 @@ _HOME = {name: module for module, names in {
                "Degenerate", "NonPositive", "NotAligned", "UsageError"),
     "lattice": ("Surface", "MukaiVector", "mv", "RHO", "rat",
                 "mukai_pairing", "mukai_square", "sheaf_vector",
-                "exp_vector", "twisted_invariants", "untwist", "retwist",
-                "d_beta", "d_beta_min", "perp_basis"),
+                "exp_vector", "twisted_invariants", "d_beta", "d_beta_min",
+                "perp_basis"),
     "stability": ("StabilityParam", "param", "CentralCharge",
-                  "central_charge", "sigma_coefficients", "reduced_sigma",
-                  "PhaseKey", "phase_key"),
+                  "central_charge", "reduced_sigma", "PhaseKey", "phase_key"),
     "walls": ("Circle", "VerticalLine", "Empty", "Everywhere", "Region",
               "Wall", "wall_locus", "WallVectorReport", "is_wall_vector",
               "enumerate_walls", "ChamberRay", "chambers_on_ray",
@@ -39,8 +38,8 @@ _HOME = {name: module for module, names in {
     "classification": ("find_isotropic_pairing_one", "find_minus_two_aligned",
                        "DecompositionReport", "classify_decomposition",
                        "StableExistenceReport", "stable_existence",
-                       "a2_pattern", "STABLE_PAIR", "EXC_ISOTROPIC",
-                       "EXC_RANK_TWO", "INCONCLUSIVE"),
+                       "STABLE_PAIR", "EXC_ISOTROPIC", "EXC_RANK_TWO",
+                       "INCONCLUSIVE"),
 }.items() for name in names}
 
 __all__ = list(_HOME)

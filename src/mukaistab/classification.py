@@ -1,6 +1,6 @@
 """Case analysis for properly-semistable classes: searches for
 isotropic pairing-one destabilizers and spherical classes, a decision
-tree over aligned decompositions, and the A2 pattern test.
+tree over aligned decompositions, and the stable-existence verdict.
 
 Both searches run on the aligned plane Lambda = {w integral :
 rho(w, v) = 0} at p, the kernel of one primitive integer normal n
@@ -33,8 +33,7 @@ from itertools import combinations
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
                      NotAligned, NotK3, NotPrimitive, ZeroCharge, ZeroDegree)
 from .lattice import (Frozen, MukaiVector, Surface,
-                      _kernel_basis_of_functional, _xgcd, d_beta,
-                      mukai_pairing, mukai_square)
+                      _kernel_basis_of_functional, _xgcd, d_beta)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
 # find_minus_two_aligned solves one quadratic per |r| <= bound and visits
@@ -216,41 +215,20 @@ def _check_parts(parts, p, S):
     return vecs
 
 
-def a2_pattern(parts, S: Surface) -> bool:
-    """The numerical A2 pattern on the bare Gram data: exactly three
-    parts, multiplicity one each, every class isotropic, every cross
-    pairing equal to 1.  (The total class then has square 6.)
-
-    This is a pure lattice predicate with no stability point involved.
-    Note that three pairwise-distinct classes matching the pattern are
-    linearly independent (the Gram matrix [[0,1,1],[1,0,1],[1,1,0]] is
-    nonsingular), so they can never be simultaneously phase-aligned at
-    a single (s, t) point: classes aligned with a nonzero charge span
-    at most a 2-dimensional subspace, and classes of zero charge at a
-    fixed point span at most a line.  So no verdict of
-    classify_decomposition reports the pattern.
-    """
-    if len(parts) != 3 or any(n != 1 for n, _ in parts):
-        return False
-    vecs = [vi for _, vi in parts]
-    if any(mukai_square(vi, S) != 0 for vi in vecs):
-        return False
-    return all(mukai_pairing(x, y, S) == 1 for x, y in combinations(vecs, 2))
-
-
 def classify_decomposition(parts, p: StabilityParam,
                            S: Surface) -> DecompositionReport:
     """Decide what a decomposition v = sum n_i v_i into pairwise
     distinct, pairwise aligned classes implies at p.
 
     s = sum n_i >= 3 always leaves room for a stable pair.  The one
-    candidate exception at s = 3, the A2 pattern (a2_pattern), never
-    occurs: its Gram matrix [[0,1,1],[1,0,1],[1,1,0]] is nonsingular of
-    signature (1, 2), so three such classes would span the rational
-    lattice, whose form has signature (2, 1), against Sylvester's law of
-    inertia.  s = 2 has two exceptional shapes: the structural rank-two
-    case (two isotropic classes pairing to 1) and the hidden one where
-    some isotropic w1 with <v, w1> = 1 aligns with v.  The hidden one is
+    candidate exception at s = 3, the A2 pattern (three isotropic parts,
+    once each, pairwise pairing to 1), never occurs: its Gram matrix
+    [[0,1,1],[1,0,1],[1,1,0]] is nonsingular of signature (1, 2), so
+    three such classes would span the rational lattice, whose form has
+    signature (2, 1), against Sylvester's law of inertia.  s = 2 has two
+    exceptional shapes: the structural rank-two case (two isotropic
+    classes pairing to 1) and the hidden one where some isotropic w1
+    with <v, w1> = 1 aligns with v.  The hidden one is
     decided by the complete line search (module docstring), so both
     answers are certified; when Z(v) = 0 (parts of opposite charge)
     there is no line and ZeroCharge is raised.  s = 1 says nothing

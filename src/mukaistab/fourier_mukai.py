@@ -86,10 +86,9 @@ def l_divisor(lam, t2) -> Fraction:
     """Coefficient l = (t^2 + lambda^2)/2 of the induced polarization
     direction on the target; strictly positive for t^2 > 0."""
     lam, t2 = rat(lam), rat(t2)
-    val = (t2 + lam * lam) / 2
-    if val <= 0:
+    if t2 <= 0:
         raise NonPositive("l_divisor needs t^2 > 0")
-    return val
+    return (t2 + lam * lam) / 2
 
 
 class TransformedCharge(Frozen):

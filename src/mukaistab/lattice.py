@@ -23,8 +23,9 @@ order an integer comparison.
 Twisting by ``beta = s*H`` re-expresses a vector in the basis adapted to
 ``e^{sH} = (1, s, s^2*h2/2)``; the twisted triple (r_b, d_b, a_b) is what
 all the stability formulas consume.  It is itself a MukaiVector, v*e^{-sH}
-(twisting is an isometry of the rational lattice), so twisted_invariants,
-untwist and retwist take and return vectors.
+(twisting is an isometry of the rational lattice), so twisted_invariants
+takes and returns vectors: twisting at -s undoes it, and twisting at
+s' - s passes from the s-twisted basis to the s'-twisted one.
 """
 
 from fractions import Fraction
@@ -283,27 +284,6 @@ def twisted_invariants(v: MukaiVector, s, S: Surface) -> MukaiVector:
     """
     s = rat(s)
     return MukaiVector._of(*_twist(*v._q, s.numerator, s.denominator, S))
-
-
-def untwist(w: MukaiVector, s, S: Surface) -> MukaiVector:
-    """Inverse of twisted_invariants at the same s."""
-    s = rat(s)
-    return MukaiVector._of(*_twist(*w._q, -s.numerator, s.denominator, S))
-
-
-def retwist(w: MukaiVector, s_from, s_to, S: Surface) -> MukaiVector:
-    """Pass from the s_from-twisted basis to the s_to-twisted basis
-    directly, without returning to untwisted coordinates:
-
-        d_s = d_g + r*(g - s),
-        a_s = a_g + d_g*(g - s)*h2 + (r/2)*(s - g)^2*h2,
-
-    with g = s_from, s = s_to: the twist of the triple at s - g.
-    Composition consistency with the direct computation is a tested
-    invariant.
-    """
-    s = rat(s_to) - rat(s_from)
-    return MukaiVector._of(*_twist(*w._q, s.numerator, s.denominator, S))
 
 
 def d_beta(v: MukaiVector, s, S: Surface) -> Fraction:

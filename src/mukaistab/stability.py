@@ -91,22 +91,17 @@ def central_charge(v: MukaiVector, p: StabilityParam, S: Surface) -> CentralChar
 
 
 def _acd(v1: MukaiVector, v: MukaiVector, S: Surface):
-    """(A, C, D, den): sigma_coefficients as integers over one den > 0."""
-    r1, d1, a1, X = v1._q
-    r, d, a, Y = v._q
-    return S.h2 // 2 * (r1 * d - r * d1), a1 * r - r1 * a, a * d1 - a1 * d, X * Y
-
-
-def sigma_coefficients(v1: MukaiVector, v: MukaiVector, S: Surface):
-    """(A, C, D) with rho(v1, v) = A*(t^2 + s^2) + C*s + D, in untwisted
-    coefficients:
+    """(A, C, D, den): the untwisted coefficients of
+    rho(v1, v) = A*(t^2 + s^2) + C*s + D as integers over one den > 0,
 
         A = (h2/2)*(v1.r*v.d - v.r*v1.d)
         C = v1.a*v.r - v1.r*v.a
         D = v.a*v1.d - v1.a*v.d
-    """
-    A, C, D, den = _acd(v1, v, S)
-    return Fraction(A, den), Fraction(C, den), Fraction(D, den)
+
+    (wall_locus returns them as the Wall's A, C, D)."""
+    r1, d1, a1, X = v1._q
+    r, d, a, Y = v._q
+    return S.h2 // 2 * (r1 * d - r * d1), a1 * r - r1 * a, a * d1 - a1 * d, X * Y
 
 
 def _rho_normal(r, d, a, V, p: StabilityParam, S: Surface):

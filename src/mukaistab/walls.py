@@ -490,9 +490,19 @@ def chambers_on_ray(v: MukaiVector, S: Surface, s, t2_range,
     b = s (their stratification is separate from the stability walls, so
     mixing them is opt-in); on an abelian surface the flag raises NotK3
     through the category-wall computation, which has none to offer.
+
+    ``t2_range`` is a pair (t2_lo, t2_hi): an iterable of another length
+    is a ValueError, and text or a value that is not iterable a TypeError.
     """
     s = rat(s)
-    t2_lo, t2_hi = rat(t2_range[0]), rat(t2_range[1])
+    try:
+        if isinstance(t2_range, (str, bytes)):
+            raise TypeError
+        t2_lo, t2_hi = t2_range
+    except (TypeError, ValueError) as e:
+        raise type(e)(f"t2_range must be a pair (t2_lo, t2_hi), got "
+                      f"{t2_range!r}") from None
+    t2_lo, t2_hi = rat(t2_lo), rat(t2_hi)
     p, n = s.numerator, s.denominator
     # before the walk, so an abelian surface raises NotK3 whatever cap is
     category = category_walls_k3(s, S, t2_hi) if cut_category_walls else []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from mukaistab import (
     EXC_ISOTROPIC, EXC_RANK_TWO, INCONCLUSIVE, STABLE_PAIR, RHO,
-    StableExistenceReport, Surface, a2_pattern, central_charge,
+    StableExistenceReport, Surface, central_charge,
     classify_decomposition, d_beta, find_isotropic_pairing_one,
     find_minus_two_aligned, mukai_pairing, mukai_square, mv, param,
     reduced_sigma, stable_existence,
@@ -536,41 +536,6 @@ def test_minus_two_bound_1117_at_the_golden_point():
     """The largest bound the contract accepts, 4992990 (r, d) pairs."""
     got = find_minus_two_aligned(param(F(1, 2), F(3, 4)), K3, 1117, mv(1, 0, 0))
     assert got == [mv(1, 1, 2)]
-
-
-# ---------------------------------------------------------------------------
-# the A2 pattern
-
-def test_a2_pattern_is_unrepresentable_in_this_lattice():
-    """The pattern Gram [[0,1,1],[1,0,1],[1,1,0]] has signature (1,2) but
-    the lattice has signature (2,1), so no honest triple matches; the
-    detector must agree with the Gram test everywhere — both all-False."""
-    iso = [mv(r, d, a)
-           for r in range(-5, 6) for d in range(-5, 6) for a in range(-5, 6)
-           if (r, d, a) != (0, 0, 0) and 2 * d * d - 2 * r * a == 0]
-    pairs = [(x, y) for i, x in enumerate(iso) for y in iso[i + 1:]
-             if mukai_pairing(x, y, AB) == 1]
-    assert len(pairs) > 20  # pairs are plentiful; triples never close up
-    fired = 0
-    for x, y in pairs:
-        for z in iso:
-            if z == x or z == y:
-                continue
-            parts = [(1, x), (1, y), (1, z)]
-            gram_is_a2 = (mukai_pairing(x, z, AB) == 1
-                          and mukai_pairing(y, z, AB) == 1)
-            assert a2_pattern(parts, AB) == gram_is_a2
-            if a2_pattern(parts, AB):
-                fired += 1
-                assert mukai_square(x + y + z, AB) == 6
-    assert fired == 0
-
-
-def test_a2_pattern_rejects_shape_mismatches():
-    x, y = mv(1, -1, 1), mv(-1, 2, -4)     # isotropic, pairing 1
-    assert not a2_pattern([(1, x), (1, y)], AB)                 # two parts
-    assert not a2_pattern([(2, x), (1, y), (1, x + y)], AB)     # bad mult
-    assert not a2_pattern([(1, x), (1, y), (1, mv(0, 1, -3))], AB)  # square 2
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,6 @@ PUBLIC_CALLS = {
         d["r1"], d["bound"], d["cap"], d["S"]),
     "exp_vector": lambda d: mukaistab.exp_vector(d["s"], d["S"]),
     "twisted_invariants": _twisted,
-    "untwist": lambda d: mukaistab.untwist(_twisted(d), d["s"], d["S"]),
-    "retwist": lambda d: mukaistab.retwist(_twisted(d), d["s"], d["x"], d["S"]),
     "d_beta": lambda d: mukaistab.d_beta(d["v"], d["s"], d["S"]),
     "d_beta_min": lambda d: mukaistab.d_beta_min(d["s"], d["S"]),
     "perp_basis": lambda d: mukaistab.perp_basis(d["v"], d["S"]),
@@ -197,8 +195,6 @@ PUBLIC_CALLS = {
     "central_charge": lambda d: mukaistab.central_charge(d["v"], d["p"], d["S"]),
     "CentralCharge.im_at": lambda d: mukaistab.central_charge(
         d["v"], d["p"], d["S"]).im_at(d["x"]),
-    "sigma_coefficients": lambda d: mukaistab.sigma_coefficients(
-        d["w"], d["v"], d["S"]),
     "reduced_sigma": lambda d: mukaistab.reduced_sigma(
         d["w"], d["v"], d["p"], d["S"]),
     "phase_key": lambda d: mukaistab.phase_key(d["v"], d["p"], d["S"]),
@@ -236,7 +232,6 @@ PUBLIC_CALLS = {
         d["parts"], d["p"], d["S"]),
     "stable_existence": lambda d: mukaistab.stable_existence(
         d["v"], d["p"], d["S"]),
-    "a2_pattern": lambda d: mukaistab.a2_pattern(d["parts"], d["S"]),
 }
 
 

@@ -11,7 +11,8 @@ from mukaistab import (
     fm_inverse, l_divisor, make_transform, mukai_pairing, mv, param,
     transform_central_charge, twisted_invariants,
 )
-from mukaistab.errors import NonIntegral, NotPrimitive, OutOfDomain
+from mukaistab.errors import (NonIntegral, NonPositive, NotPrimitive,
+                              OutOfDomain)
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -111,6 +112,14 @@ def test_l_divisor():
     assert l_divisor(F(1), F(1)) == 1
     assert l_divisor(F(1, 2), F(3, 2)) == F(7, 8)
     assert l_divisor(F(0), F(2)) == 1
+
+
+@pytest.mark.parametrize("lam, t2", [(2, -1), (F(1, 2), 0), (0, 0), (3, -8)])
+def test_l_divisor_needs_positive_t2(lam, t2):
+    """The check is on t^2 itself: lambda^2 does not make up for t^2 <= 0
+    (l_divisor(2, -1) once returned 3/2)."""
+    with pytest.raises(NonPositive, match=r"^l_divisor needs t\^2 > 0$"):
+        l_divisor(lam, t2)
 
 
 def test_transform_central_charge_golden():

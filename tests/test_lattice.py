@@ -14,7 +14,8 @@ from mukaistab import (
     RHO, FMTransform, MukaiVector, StabilityParam, Surface, ample_class,
     central_charge, d_beta, d_beta_min, exp_vector, fm_apply, fm_inverse, mukai_pairing,
     mukai_square, mv, omega_sx, omega_x, perp_basis, phase_key, rat,
-    reduced_sigma, retwist, sheaf_vector, sigma_coefficients, transform_central_charge, twisted_invariants, untwist,
+    reduced_sigma, sheaf_vector, transform_central_charge, twisted_invariants,
+    wall_locus,
 )
 from mukaistab.classification import _aligned_normal
 from mukaistab.errors import (Degenerate, NonIntegral, NonPositive,
@@ -51,7 +52,7 @@ def test_value_constructors_refuse_floats():
     rat's TypeError, not deep inside the integer kernels, and ints and
     'p/q' strings become Fractions."""
     with pytest.raises(TypeError, match="refusing float"):
-        retwist(mv(0.5, 1, 2), 0, 1, AB)
+        twisted_invariants(mv(0.5, 1, 2), 1, AB)
     with pytest.raises(TypeError, match="refusing float"):
         transform_central_charge(FMTransform(1, 0.5),
                                  StabilityParam(0, None, 1), AB)
@@ -141,13 +142,15 @@ def test_a_beta_is_minus_pairing_with_exp(v, s, S):
 
 @given(vectors, rationals, surfaces)
 def test_untwist_inverts_twist(v, s, S):
-    assert untwist(twisted_invariants(v, s, S), s, S) == v
+    """Untwisting is twisting at -s."""
+    assert twisted_invariants(twisted_invariants(v, s, S), -s, S) == v
 
 
 @given(vectors, rationals, rationals, surfaces)
 def test_retwist_matches_fresh_twist(v, s1, s2, S):
+    """Twists compose: re-twisting from s1 to s2 is twisting at s2 - s1."""
     ti = twisted_invariants(v, s1, S)
-    assert retwist(ti, s1, s2, S) == twisted_invariants(v, s2, S)
+    assert twisted_invariants(ti, s2 - s1, S) == twisted_invariants(v, s2, S)
 
 
 @given(vectors, vectors, rationals, surfaces)
@@ -320,16 +323,18 @@ def test_kernels_exact_on_rational_input():
               (oracles.pairing(vt, wt, h2), oracles.square(vt, h2)))
         exact(twisted_invariants(v, s, S).as_tuple(), oracles.twisted(vt, s, h2))
         s2 = q(10 ** 6, -5, 5)
-        exact(retwist(mv(*oracles.twisted(vt, s2, h2)), s2, s, S)
+        exact(twisted_invariants(mv(*oracles.twisted(vt, s2, h2)), s - s2, S)
               .as_tuple(), oracles.twisted(vt, s, h2))
-        exact(untwist(twisted_invariants(w, s, S), s, S).as_tuple(), wt)
-        exact(untwist(mv(*vt), s, S).as_tuple(),
+        exact(twisted_invariants(twisted_invariants(w, s, S), -s, S)
+              .as_tuple(), wt)
+        exact(twisted_invariants(mv(*vt), -s, S).as_tuple(),
               oracles.untwist(vt, s, h2))
         re, im = oracles.charge(vt, s, t2, h2)
         z = central_charge(v, p, S)
         exact((z.re, z.im_over_t), (re, im))
         acd = oracles.acd(wt, vt, h2)
-        exact(sigma_coefficients(w, v, S), acd)
+        wall = wall_locus(w, v, S)
+        exact((wall.A, wall.C, wall.D), acd)
         exact((reduced_sigma(w, v, p, S),),
               (acd[0] * (t2 + s * s) + acd[1] * s + acd[2],))
         if re or im:

@@ -21,11 +21,9 @@ PUBLIC = {
                "Degenerate", "NonPositive", "NotAligned", "UsageError"],
     "lattice": ["Surface", "MukaiVector", "mv", "RHO", "rat", "mukai_pairing",
                 "mukai_square", "sheaf_vector", "exp_vector",
-                "twisted_invariants", "untwist", "retwist", "d_beta",
-                "d_beta_min", "perp_basis"],
+                "twisted_invariants", "d_beta", "d_beta_min", "perp_basis"],
     "stability": ["StabilityParam", "param", "CentralCharge",
-                  "central_charge", "sigma_coefficients", "reduced_sigma",
-                  "PhaseKey", "phase_key"],
+                  "central_charge", "reduced_sigma", "PhaseKey", "phase_key"],
     "walls": ["Circle", "VerticalLine", "Empty", "Everywhere", "Region",
               "Wall", "wall_locus", "WallVectorReport", "is_wall_vector",
               "enumerate_walls", "ChamberRay", "chambers_on_ray", "wall_side",
@@ -39,8 +37,8 @@ PUBLIC = {
     "classification": ["find_isotropic_pairing_one", "find_minus_two_aligned",
                        "DecompositionReport", "classify_decomposition",
                        "StableExistenceReport", "stable_existence",
-                       "a2_pattern", "STABLE_PAIR", "EXC_ISOTROPIC",
-                       "EXC_RANK_TWO", "INCONCLUSIVE"],
+                       "STABLE_PAIR", "EXC_ISOTROPIC", "EXC_RANK_TWO",
+                       "INCONCLUSIVE"],
 }
 NAMES = [name for names in PUBLIC.values() for name in names]
 

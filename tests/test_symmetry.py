@@ -35,11 +35,11 @@ from math import isqrt
 
 import pytest
 
+import oracles
 from mukaistab import (C_MINUS, C_PLUS, ON_WALL, Region, Surface,
                        chambers_on_ray, enumerate_walls,
                        find_minus_two_aligned, is_wall_vector, mv, param,
-                       phase_key, reduced_sigma, sigma_coefficients,
-                       wall_locus, wall_side)
+                       phase_key, reduced_sigma, wall_locus, wall_side)
 from mukaistab.errors import MukaiStabError
 
 SURFACES = [Surface(kind, h2) for kind in ("abelian", "k3") for h2 in (2, 4, 6)]
@@ -75,17 +75,26 @@ def _rat(rng, lo, hi, dens=(1, 2, 3, 5)):
     return F(rng.randint(lo * q, hi * q), q)
 
 
-def _draw(rng, S, deep):
-    """A class (one time in eight any, else primitive of positive
-    square), a region (one time in ten down to t2 = deep), a ray and k."""
+def _draw(rng, S, deep, large=False):
+    """A class (one time in eight any, else primitive of positive square,
+    at most 144; with ``large``, primitive of square in (144, 400]), a
+    region (one time in ten down to t2 = deep, but from t2 = 1/200 up
+    for the large squares, whose deep regions exceed the walk's cap), a
+    ray and k."""
     while True:
-        v = mv(rng.randint(-3, 3), rng.randint(-4, 4), rng.randint(-8, 8))
+        if large:
+            v = mv(rng.randint(-6, 6), rng.randint(-8, 8), rng.randint(-30, 30))
+        else:
+            v = mv(rng.randint(-3, 3), rng.randint(-4, 4), rng.randint(-8, 8))
         r, d, a = v.as_tuple()
-        if rng.random() < 0.125 or (v.is_primitive()
-                                    and S.h2 * d * d - 2 * r * a > 0):
+        square = S.h2 * d * d - 2 * r * a
+        if large and 144 < square <= 400 and v.is_primitive():
+            break
+        if not large and (rng.random() < 0.125
+                          or (v.is_primitive() and square > 0)):
             break
     s_min = _rat(rng, -4, 4)
-    t2_min = (deep if rng.random() < 0.1
+    t2_min = (deep if not large and rng.random() < 0.1
               else rng.choice((F(1, 200), F(1, 20), F(1, 4), F(1))))
     reg = Region(s_min, s_min + _rat(rng, 0, 4), t2_min,
                  t2_min + _rat(rng, 0, 6))
@@ -97,8 +106,8 @@ def _draw(rng, S, deep):
 def test_walls_move_with_twist_and_shifted_dual(S):
     rng = random.Random(f"symmetry:{S.kind}:{S.h2}")
     walls_seen = 0
-    for _ in range(40):
-        v, reg, _, k = _draw(rng, S, F(1, 10 ** 8))
+    for i in range(45):  # the last 5 with a large square
+        v, reg, _, k = _draw(rng, S, F(1, 10 ** 8), large=i >= 40)
         vk, vd = _twist(v, k, S), _dual(v)
         moved = Region(reg.s_min + k, reg.s_max + k, reg.t2_min, reg.t2_max)
         mirrored = Region(-reg.s_max, -reg.s_min, reg.t2_min, reg.t2_max)
@@ -124,8 +133,8 @@ def test_walls_move_with_twist_and_shifted_dual(S):
 def test_ray_cuts_move_with_twist_and_shifted_dual(S):
     rng = random.Random(f"symmetry-rays:{S.kind}:{S.h2}")
     cuts_seen = 0
-    for i in range(100):
-        v, reg, s, k = _draw(rng, S, F(1, 10 ** 6))
+    for i in range(115):  # the last 15 with a large square
+        v, reg, s, k = _draw(rng, S, F(1, 10 ** 6), large=i >= 100)
         t2 = (reg.t2_min, reg.t2_max)
         cut = S.kind == "k3" and i % 2 == 0  # half the K3 rays
 
@@ -148,7 +157,7 @@ def test_ray_cuts_move_with_twist_and_shifted_dual(S):
 def _point_on_circle(u, w, S, rng):
     """A rational (s, t2) with rho(u, w) = 0, or None when their locus
     has no such point within reach."""
-    A, C, D = sigma_coefficients(u, w, S)
+    A, C, D = oracles.acd(u.as_tuple(), w.as_tuple(), S.h2)  # w may be 0
     if A == 0:
         return None
     c, q = -C / (2 * A), rng.randint(1, 4)
@@ -243,8 +252,9 @@ def _report(rep):
 def test_point_functions_move_with_twist_and_shifted_dual(S):
     """reduced_sigma, phase_key, wall_side and is_wall_vector at p and at
     its images, on seeded pairs of a class v as the wall tests draw it
-    and a small v1 (one in twelve halved, so non-integral), at points off
-    and on their wall, with v (one in eight) of Z = 0 at the point."""
+    (of square at most 144) and a small v1 (one in twelve halved, so
+    non-integral), at points off and on their wall, with v (one in
+    eight) of Z = 0 at the point."""
     rng = random.Random(f"symmetry-points:{S.kind}:{S.h2}")
     seen = {"on wall": 0, "wall": 0, "error": 0}
     for i in range(150):

@@ -524,6 +524,27 @@ def test_chambers_zero_degree_ray():
         chambers_on_ray(V_GOLD, AB, F(0), (F(1, 100), F(4)))
 
 
+@pytest.mark.parametrize("t2_range, error", [
+    ((1,), ValueError), ((1, 2, 3), ValueError), ([], ValueError),
+    ("12", TypeError), (5, TypeError), (None, TypeError)])
+@pytest.mark.parametrize("s", [F(0), F(-3, 2)])
+def test_chambers_on_ray_refuses_a_t2_range_that_is_not_a_pair(
+        s, t2_range, error):
+    """An iterable of another length is a ValueError and text or a value
+    that is not iterable a TypeError, each naming the value, before the
+    walk (s = 0 would raise ZeroDegree)."""
+    with pytest.raises(error, match="t2_range must be a pair") as err:
+        chambers_on_ray(V_GOLD, AB, s, t2_range)
+    assert repr(t2_range) in str(err.value)
+
+
+def test_chambers_on_ray_takes_any_pair():
+    want = chambers_on_ray(V_GOLD, AB, F(-3, 2), (F(1, 100), F(4)))
+    assert chambers_on_ray(V_GOLD, AB, "-3/2", ["1/100", 4]) == want
+    assert chambers_on_ray(V_GOLD, AB, F(-3, 2),
+                           iter((F(1, 100), 4))) == want
+
+
 def test_chambers_cut_points_sorted_and_interior():
     v = mv(1, 0, -1)
     ray = chambers_on_ray(v, AB, F(-1, 2), (F(1, 100), F(4)))
