@@ -36,10 +36,10 @@ from .lattice import (Frozen, MukaiVector, Surface,
                       _kernel_basis_of_functional, _xgcd, d_beta)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
-# find_minus_two_aligned solves one quadratic per |r| <= bound and visits
-# no (r, d) pairs; it refuses a box of over _BOX_CAP of them (bound >= 1118)
-# only to keep its contract until ROADMAP item 5 takes ``bound`` out of it
-_BOX_CAP = 5 * 10 ** 6
+# the largest bound find_minus_two_aligned accepts; it solves one quadratic
+# per |r| <= bound and refuses more only to keep its contract until
+# ROADMAP item 5 takes ``bound`` out of it
+_BOUND_CAP = 1117
 
 
 def _aligned_normal(v: MukaiVector, p: StabilityParam, S: Surface):
@@ -99,7 +99,7 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
     ``bound``, <v, w1> = 1, aligned with v at p, of positive twisted
     degree.  The line search makes this complete; the box bound only
     truncates the output.  Raises ZeroCharge when Z(v) = 0."""
-    if not isinstance(bound, int):
+    if type(bound) is not int:
         raise NonIntegral(f"bound must be an integer, got {bound!r}")
     if not v.is_integral():
         raise NonIntegral(f"search needs an integral v, got {v}")
@@ -136,15 +136,14 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     r^2*(n1^2 - 4*alpha*n0) - 4*alpha*n2 depends on r^2 only.  So r > 0
     alone is solved, one isqrt per |r|, and of each root's w and -w the
     one with d_beta > 0 is kept (neither when d_beta(w) = 0)."""
-    if not isinstance(bound, int):
+    if type(bound) is not int:
         raise NonIntegral(f"bound must be an integer, got {bound!r}")
     if S.kind != "k3":
         raise NotK3("square -2 classes need a K3 surface")
     n0, n1, n2 = _aligned_normal(reference, p, S)
-    pairs = 2 * bound * (2 * bound + 1) if bound > 0 else 0
-    if pairs > _BOX_CAP:
-        raise BoundOverflow(f"bound {bound} spans {pairs} (r, d) pairs, over "
-                            f"the {_BOX_CAP} this search accepts")
+    if bound > _BOUND_CAP:
+        raise BoundOverflow(f"bound {bound} is over the {_BOUND_CAP} this "
+                            f"search accepts")
     if n2 == 0:
         return []
     s_num, _, s_den = p._q
@@ -196,7 +195,7 @@ def _check_parts(parts, p, S):
         raise NotAligned("empty decomposition")
     vecs = []
     for n, vi in parts:
-        if not (isinstance(n, int) and n >= 1):
+        if not (type(n) is int and n >= 1):
             raise NonIntegral(f"multiplicity must be a positive integer, got {n!r}")
         r, d, a, V = vi._q
         if V != 1:

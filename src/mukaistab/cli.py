@@ -212,6 +212,7 @@ class _Parser(argparse.ArgumentParser):
 # string that defaults to None
 _FLAGS = {
     "to": {"help": "also re-twist to this s"},
+    "r1": {"type": int},
     "cap": {"type": int, "default": 10 ** 6},
     "format": {"choices": ("json", "svg", "plain"), "default": "json"},
     "cut-category-walls": {"action": "store_true", "default": False},
@@ -358,16 +359,9 @@ def _cmd_side(args, S):
             "rho": reduced_sigma(w1, v, p, S)}
 
 
-def _parse_r1(args):
-    try:
-        return int(args.r1)
-    except (TypeError, ValueError):
-        raise UsageError(f"--r1 must be an integer, got {args.r1!r}")
-
-
 def _cmd_fm(args, S):
     from .fourier_mukai import fm_apply, make_transform
-    T = make_transform(_parse_r1(args), rat(args.c), S)
+    T = make_transform(args.r1, rat(args.c), S)
     v = _parse_vec(args.v)
     return {"kernel": T.kernel_class(S), "image": fm_apply(T, v, S)}
 
@@ -375,7 +369,7 @@ def _cmd_fm(args, S):
 def _cmd_fm_charge(args, S):
     from .fourier_mukai import make_transform, transform_central_charge
     from .stability import param
-    T = make_transform(_parse_r1(args), rat(args.c), S)
+    T = make_transform(args.r1, rat(args.c), S)
     p = param(args.s, t=args.t)
     tc = transform_central_charge(T, p, S)
     return {"zeta_re": tc.zeta_re, "zeta_im": tc.zeta_im,

@@ -32,7 +32,8 @@ class NonIntegral(MukaiStabError):
     not integral (``make_transform``), or a walk ``cap`` or search
     ``bound`` that is not an int (``enumerate_walls``,
     ``chambers_on_ray``, ``find_isotropic_pairing_one``,
-    ``find_minus_two_aligned``)."""
+    ``find_minus_two_aligned``).  None of these checks takes a bool for
+    an int."""
 
 
 class Zero(MukaiStabError):
@@ -50,8 +51,7 @@ class NonPositiveSquare(MukaiStabError):
 class BoundOverflow(MukaiStabError):
     """A search or walk would exceed its cap: ``enumerate_walls`` walks
     at most ``cap`` steps (m-lines plus fibers), and
-    ``find_minus_two_aligned`` refuses a bound of 1118 or more, whose box
-    spans over 5*10^6 (r, d) pairs."""
+    ``find_minus_two_aligned`` refuses a bound over 1117."""
 
     exit_code = 3
 

@@ -34,7 +34,7 @@ class FMTransform(Frozen):
     _names = ("r1", "c")
 
     def __init__(self, r1: int, c):
-        if not isinstance(r1, int) or r1 == 0:
+        if type(r1) is not int or r1 == 0:
             raise NonIntegral(f"r1 must be a nonzero integer, got {r1!r}")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "_q", _ints(c))

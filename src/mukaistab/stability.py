@@ -35,7 +35,7 @@ class StabilityParam(Frozen):
     __slots__ = ("_q", "t")
     _names = ("s", "t2", "t")
 
-    def __init__(self, s, t2, t=None):
+    def __init__(self, s, t2=None, t=None):
         s = rat(s)
         if t is not None:
             t = rat(t)
@@ -59,8 +59,7 @@ class StabilityParam(Frozen):
         return self.t
 
 
-def param(s, t2=None, t=None) -> StabilityParam:
-    return StabilityParam(s, t2, t)
+param = StabilityParam  # the short public name the CLI and demos use
 
 
 class CentralCharge(Frozen):
@@ -157,10 +156,6 @@ class PhaseKey(Frozen):
             (x, X), (y, Y) = self._q, other._q
             return (self.band, x * Y) < (other.band, y * X)
         return NotImplemented
-
-    @property
-    def revolution(self) -> int:
-        return 0 if self.band <= 1 else 1
 
 
 def _nonzero_charge(v: MukaiVector, p: StabilityParam, S: Surface):

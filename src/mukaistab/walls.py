@@ -49,7 +49,8 @@ class Circle(Frozen):
 
 
 class VerticalLine(Frozen):
-    __slots__ = ("s",)
+    __slots__ = ("_q",)
+    _names = ("s",)
 
 
 class Empty(Frozen):
@@ -120,7 +121,7 @@ def wall_locus(v1: MukaiVector, v: MukaiVector, S: Surface) -> Wall:
         disc = C * C - 4 * A * D
         geom = Circle._of(-2 * A * C, disc, 4 * A * A) if disc > 0 else Empty()
     elif C != 0:
-        geom = VerticalLine(Fraction(-D, C))
+        geom = VerticalLine._of(-D, C)
     else:
         geom = Empty() if D != 0 else Everywhere()
     return Wall._of(A, C, D, geom, v1, den)
@@ -288,8 +289,8 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
         A candidate's disc is at most B: p12^2 - q1*q2 with
         p12 = (q - q1 - q2)/2 is convex in (q1, q2) (Hessian eigenvalues
         0 and 1), so on the triangle q1, q2 >= sq_lo, q1 + q2 <= q - 2 it
-        peaks at a vertex, B = q^2/4 at q1 = q2 = 0 (abelian) and
-        B = q(q+8)/4 at q1 = q2 = -2 (K3); the other two vertices have
+        peaks at a vertex, B = q(q - 4*sq_lo)/4 at q1 = q2 = sq_lo
+        (q^2/4 abelian, q(q+8)/4 K3); the other two vertices have
         p12 = 1 and disc = 1 - sq_lo*(q - 2 - sq_lo) <= B for q >= 2.
         A wall's disc is at least h2^2 m^2 t2_min > 0, as
         radius^2 >= t0^2.  So m^2 <= B/(h2^2 t2_min), inside step 2.
@@ -354,7 +355,7 @@ def enumerate_walls(v: MukaiVector, S: Surface, reg: Region,
 def _walk(v, S, reg, cap):
     """enumerate_walls' validation and walk: (A, C, disc, selected) for
     each circle that meets the region, in no order."""
-    if not isinstance(cap, int):
+    if type(cap) is not int:
         raise NonIntegral(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
@@ -372,10 +373,8 @@ def _walk(v, S, reg, cap):
         raise ZeroDegree(f"d_beta({v}) is nowhere positive on s in "
                          f"[{reg.s_min}, {reg.s_max}]")
     L, H, N = J
-    if S.kind == "abelian":
-        sq_lo, B = 0, q * q // 4
-    else:
-        sq_lo, B = -2, q * (q + 8) // 4
+    sq_lo = -2 * S.epsilon  # the least square of a part: 0, or -2 on K3
+    B = q * (q - 4 * sq_lo) // 4  # the disc bound (docstring)
     # the step 2-4 box on ints (every m walked is inside step 2): step 3,
     # and step 4 with J = [L/N, H/N]; it can cut only a pair with a
     # spherical part (docstring)

@@ -302,12 +302,16 @@ def test_minus_two_zero_charge_reference():
 
 
 def test_minus_two_bound_overflow():
-    with pytest.raises(BoundOverflow):
-        find_minus_two_aligned(param(F(1, 2), F(3, 4)), K3, 10 ** 4, mv(1, 0, 0))
+    p, ref = param(F(1, 2), F(3, 4)), mv(1, 0, 0)
+    for bound in (1118, 10 ** 4):
+        with pytest.raises(BoundOverflow) as err:
+            find_minus_two_aligned(p, K3, bound, ref)
+        assert str(err.value) == (f"bound {bound} is over the 1117 this "
+                                  "search accepts")
 
 
 def test_minus_two_bound_100_is_in_reach():
-    """The scan visits 2*bound*(2*bound + 1) (r, d) pairs, so bound 100
+    """The search solves one quadratic per rank 1..bound, so bound 100
     (past the old (2*bound + 1)^3 cap) runs, and what it returns keeps
     the contract."""
     p, ref = param(F(1, 2), F(3, 4)), mv(1, 0, 0)
@@ -533,7 +537,7 @@ def test_minus_two_matches_pair_scan_at_large_bounds():
 
 
 def test_minus_two_bound_1117_at_the_golden_point():
-    """The largest bound the contract accepts, 4992990 (r, d) pairs."""
+    """The largest bound the contract accepts."""
     got = find_minus_two_aligned(param(F(1, 2), F(3, 4)), K3, 1117, mv(1, 0, 0))
     assert got == [mv(1, 1, 2)]
 

@@ -299,7 +299,7 @@ FINITE_SIZE = ("plotting needs a box of finite float size: its width, or its "
     (("charge", "--v", "1,0,-2", "--s", "1/0", "--t2", "1"),
      "cannot parse rational '1/0': Fraction(1, 0)"),
     (("fm", "--r1", "x", "--c", "0", "--v", "1,0,0"),
-     "--r1 must be an integer, got 'x'"),
+     "argument --r1: invalid int value: 'x'"),
     (("classify", "--parts", "x*1,0,0", "--s", "0", "--t2", "1"),
      "bad multiplicity in 'x*1,0,0'"),
     (("classify", "--parts", ";", "--s", "0", "--t2", "1"),

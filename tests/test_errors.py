@@ -353,8 +353,9 @@ def test_rat_names_the_value_it_refuses():
 
 def test_a_cap_or_bound_that_is_no_int_is_non_integral():
     """cap counts walk steps and bound the entries of a box: a value that
-    is no int is refused with NonIntegral naming it, before any work,
-    not compared as a number or let through to a raw TypeError."""
+    is no int, a bool included, is refused with NonIntegral naming it,
+    before any work, not compared as a number or let through to a raw
+    TypeError."""
     S, v = mukaistab.Surface("k3", 2), mukaistab.mv(1, 0, -2)
     p = mukaistab.param(F(-3, 2), t2=1)
     reg = mukaistab.Region(-3, 0, F(1, 10), 4)
@@ -369,7 +370,26 @@ def test_a_cap_or_bound_that_is_no_int_is_non_integral():
             p, S, n, v),
     }
     for name, call in calls.items():
-        for n in NOT_INT:
+        for n in NOT_INT + (True, False):
             with pytest.raises(errors.NonIntegral) as info:
                 call(n)
             assert repr(n) in info.value.detail, name
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_a_bool_is_no_integer_argument(n):
+    """A bool is an int subclass, but no r1 or multiplicity: each is
+    refused with the text the check gives any other value that is no
+    int, not read as 1 or 0."""
+    S, w = mukaistab.Surface("abelian", 2), mukaistab.mv(0, 1, -3)
+    with pytest.raises(errors.NonIntegral,
+                       match=f"^r1 must be a nonzero integer, got {n}$"):
+        mukaistab.FMTransform(n, 0)
+    with pytest.raises(errors.NonIntegral,
+                       match=f"^r1 must be a nonzero integer, got {n}$"):
+        mukaistab.make_transform(n, 0, S)
+    parts = [(n, mukaistab.mv(1, -1, 1)), (1, w)]
+    with pytest.raises(errors.NonIntegral, match="^multiplicity must be a "
+                       f"positive integer, got {n}$"):
+        mukaistab.classify_decomposition(
+            parts, mukaistab.param(F(-3, 2), t2=F(1, 4)), S)

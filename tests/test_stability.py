@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mukaistab
 import oracles
 from mukaistab import (
-    RHO, Surface, central_charge, mukai_pairing, mv, param, phase_key,
+    RHO, StabilityParam, Surface, central_charge, mukai_pairing, mv, param, phase_key,
     reduced_sigma, wall_locus,
 )
 from mukaistab.errors import OutOfDomain, ZeroCharge
@@ -119,6 +120,21 @@ def test_parallel_transitivity():
             assert reduced_sigma(w1, w2, p, AB) == 0
 
 
+def test_param_and_mv_are_the_classes():
+    # one constructor per value: the short names are aliases
+    assert mukaistab.param is StabilityParam
+    assert mukaistab.mv is mukaistab.MukaiVector
+
+
+def test_param_fills_t2_from_t():
+    p = param(Fraction(1, 2), t=Fraction(2, 3))
+    assert p == StabilityParam(Fraction(1, 2), Fraction(4, 9), Fraction(2, 3))
+    assert (p.t2, p.t) == (Fraction(4, 9), Fraction(2, 3))
+    assert StabilityParam("1/2", t="2/3") == p
+    with pytest.raises(TypeError, match="None"):
+        StabilityParam(0)
+
+
 def test_phase_key_band_ordering():
     """Phases increase: upper half-plane, negative reals, lower half-plane,
     positive reals (one full revolution, never reached from below)."""
@@ -128,8 +144,7 @@ def test_phase_key_band_ordering():
     low = phase_key(mv(0, -1, 0), p, AB)
     pos = phase_key(-1 * RHO, p, AB)
     assert up < neg < low < pos
-    assert up.revolution == 0 and neg.revolution == 0
-    assert low.revolution == 1 and pos.revolution == 1
+    assert [k.band for k in (up, neg, low, pos)] == [0, 1, 2, 3]
 
 
 def test_phase_key_slope_ordering_within_upper_band():

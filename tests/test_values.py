@@ -5,7 +5,7 @@ trips, tuple order for PhaseKey), and importing the CLI loads neither
 ``dataclasses`` nor ``inspect``.  Thirteen classes declare their fields
 only and take the constructor that Frozen generates: it binds by
 position or by name, fills ``_defaults`` and fails with the TypeError
-texts of the hand-written constructors it replaced.  Eleven classes hold
+texts of the hand-written constructors it replaced.  Twelve classes hold
 their rational fields as ints over one denominator (``_q``): a value a
 kernel builds from ints with ``_of`` is the value the constructor builds
 from Fractions, and pickles made when the fields were Fractions load."""
@@ -14,6 +14,7 @@ import ast
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -330,6 +331,7 @@ INT_FORM = {
     "AmpleClassReport": (F(7, 2), V, mv(1, -1, 1), mv(-2, 3, -4)),
     "CategoryWall": (mv(2, 1, 1), F(1, 4)),
     "Circle": (F(-3, 2), F(1, 4)),
+    "VerticalLine": (F(1, 2),),
     "Wall": (F(-2), F(-6), F(-4), Circle(F(-3, 2), F(1, 4)), mv(-1, 2, -4)),
 }
 
@@ -363,6 +365,16 @@ def test_int_form_cases_cover_every_class_holding_q():
         name for name in NAMES if "_q" in getattr(mukaistab, name).__slots__)
 
 
+def test_vertical_line_reads_its_rational_as_circle_does():
+    # rat reads the field: no float or text is stored as given
+    assert VerticalLine("-1/2") == VerticalLine(F(-1, 2))
+    assert VerticalLine(3).s == F(3) and type(VerticalLine(3).s) is F
+    for x, err in ((0.5, TypeError), ("abc", ValueError), (None, TypeError)):
+        for cls, args in ((VerticalLine, (x,)), (Circle, (x, 1))):
+            with pytest.raises(err, match=re.escape(repr(x))):
+                cls(*args)
+
+
 # protocol-2 bytes pickled when these classes stored Fraction fields
 OLD_PICKLES = [
     (b"\x80\x02cmukaistab.walls\nWall\nq\x00(cfractions\nFraction\nq\x01"
@@ -379,6 +391,9 @@ OLD_PICKLES = [
     (b"\x80\x02cmukaistab.stability\nStabilityParam\nq\x00cfractions\n"
      b"Fraction\nq\x01J\xfd\xff\xff\xffK\x02\x86q\x02Rq\x03h\x01K\x01K"
      b"\x04\x86q\x04Rq\x05N\x87q\x06Rq\x07.", WALL_P),
+    (b"\x80\x02cmukaistab.walls\nVerticalLine\nq\x00cfractions\nFraction\n"
+     b"q\x01K\x01K\x02\x86q\x02Rq\x03\x85q\x04Rq\x05.",
+     CASES["VerticalLine"][0]),
 ]
 
 
