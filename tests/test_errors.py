@@ -381,14 +381,14 @@ def test_a_bool_is_no_integer_argument(n):
     """A bool is an int subclass, but no r1 or multiplicity: each is
     refused with the text the check gives any other value that is no
     int, not read as 1 or 0."""
-    S, w = mukaistab.Surface("abelian", 2), mukaistab.mv(0, 1, -3)
+    S = mukaistab.Surface("abelian", 2)
     with pytest.raises(errors.NonIntegral,
                        match=f"^r1 must be a nonzero integer, got {n}$"):
         mukaistab.FMTransform(n, 0)
     with pytest.raises(errors.NonIntegral,
                        match=f"^r1 must be a nonzero integer, got {n}$"):
         mukaistab.make_transform(n, 0, S)
-    parts = [(n, mukaistab.mv(1, -1, 1)), (1, w)]
+    parts = [(n, mukaistab.mv(1, -1, 1)), (1, mukaistab.mv(0, 1, -3))]
     with pytest.raises(errors.NonIntegral, match="^multiplicity must be a "
                        f"positive integer, got {n}$"):
         mukaistab.classify_decomposition(

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import mukaistab
 import oracles
 from mukaistab import (
-    RHO, StabilityParam, Surface, central_charge, mukai_pairing, mv, param, phase_key,
-    reduced_sigma, wall_locus,
+    RHO, StabilityParam, Surface, central_charge, mukai_pairing, mv, param,
+    phase_key, reduced_sigma, wall_locus,
 )
 from mukaistab.errors import OutOfDomain, ZeroCharge
 
@@ -122,8 +122,7 @@ def test_parallel_transitivity():
 
 def test_param_and_mv_are_the_classes():
     # one constructor per value: the short names are aliases
-    assert mukaistab.param is StabilityParam
-    assert mukaistab.mv is mukaistab.MukaiVector
+    assert param is StabilityParam and mv is mukaistab.MukaiVector
 
 
 def test_param_fills_t2_from_t():
