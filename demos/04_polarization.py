@@ -12,14 +12,16 @@ from fractions import Fraction as F
 
 from mukaistab import (
     Surface, ample_class, mukai_pairing, mv, omega_sx, omega_x, param,
-    reduced_sigma, xi_pair,
+    reduced_sigma,
 )
-from mukaistab.errors import Degenerate, NonPositive
+from mukaistab.errors import OutOfDomain
 
 AB = Surface("abelian", 2)
 v = mv(1, 0, -2)
 
-x1, x2 = xi_pair(v, F(-1), AB)
+# xi1 and xi2 depend on s only: read them at any t^2
+rep = ample_class(v, param(F(-1), F(1)), AB)
+x1, x2 = rep.xi1, rep.xi2
 print("xi pair at s = -1:", x1, x2)
 print("both orthogonal to v:", mukai_pairing(v, x1, AB) == 0
       and mukai_pairing(v, x2, AB) == 0)
@@ -55,9 +57,9 @@ for s in (F(-1), F(-3, 2), F(-2)):
 # the constructors refuse degenerate or sign-impossible configurations
 try:
     omega_sx(v, F(-1), F(0), AB)
-except Degenerate as e:
+except OutOfDomain as e:
     print("\nx r = d_0 rejected:", e)
 try:
     omega_sx(v, F(-1), F(2), AB)
-except NonPositive as e:
+except OutOfDomain as e:
     print("no positive t^2 rejected:", e)

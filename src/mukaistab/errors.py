@@ -73,15 +73,11 @@ class ZeroDegree(MukaiStabError):
 
 
 class OutOfDomain(MukaiStabError):
-    """Argument lies outside the real domain of the formula."""
-
-
-class Degenerate(MukaiStabError):
-    """A denominator vanishes identically for these inputs."""
-
-
-class NonPositive(MukaiStabError):
-    """A quantity that must be positive came out nonpositive."""
+    """Argument lies outside the real domain of the formula: no positive
+    t^2 solves an omega constructor's slope reference (``omega_x``,
+    ``omega_sx``; its pole x r = d included), ``l_divisor`` was given
+    t^2 <= 0, or a parameter with no exact t was given to a call that
+    needs t (``transform_central_charge``)."""
 
 
 class NotAligned(MukaiStabError):

@@ -24,7 +24,7 @@ exactly reduced_sigma(E, T.kernel_class(S), p, S).
 
 from fractions import Fraction
 
-from .errors import NonIntegral, NonPositive, NotPrimitive
+from .errors import NonIntegral, NotPrimitive, OutOfDomain
 from .lattice import Frozen, MukaiVector, Surface, _ints, _twist, rat
 from .stability import StabilityParam
 
@@ -87,7 +87,7 @@ def l_divisor(lam, t2) -> Fraction:
     direction on the target; strictly positive for t^2 > 0."""
     lam, t2 = rat(lam), rat(t2)
     if t2 <= 0:
-        raise NonPositive("l_divisor needs t^2 > 0")
+        raise OutOfDomain("l_divisor needs t^2 > 0")
     return (t2 + lam * lam) / 2
 
 

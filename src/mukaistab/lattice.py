@@ -38,11 +38,13 @@ def rat(x) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction: the one
     reader of rationals, the command line's included.  Text that is no
     rational ('abc', '1/0') is a ValueError and any other non-rational
-    (a float, None) a TypeError; both messages name the value."""
+    (a float, a bool, None) a TypeError; both messages name the value."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}: core arithmetic is exact")
+    if isinstance(x, bool):
+        raise TypeError(f"refusing bool {x!r}: a truth value is no rational")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as e:

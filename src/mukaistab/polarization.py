@@ -18,27 +18,9 @@ formula (_omega): at which t^2 has v twisted slope matching x?
 
 from fractions import Fraction
 
-from .errors import Degenerate, NonPositive, OutOfDomain, ZeroDegree, ZeroRank
+from .errors import OutOfDomain, ZeroDegree, ZeroRank
 from .lattice import Frozen, MukaiVector, Surface, _twist, rat
 from .stability import StabilityParam, _rho_normal
-
-
-def _xi(r: int, d: int, a: int, sn: int, sd: int, S: Surface):
-    """(xi1, xi2) of v = (r, d, a)/V, r != 0, from v._q, at s = sn/sd,
-    sd > 0; V cancels."""
-    # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r
-    return (MukaiVector._of(0, r, d * S.h2, r),
-            MukaiVector._of(-r * sd, -r * sn, a * sd - d * sn * S.h2, r * sd))
-
-
-def xi_pair(v: MukaiVector, s, S: Surface):
-    """The two building blocks (xi1, xi2) of the ample class of v at the
-    twist s; needs r != 0."""
-    r, d, a, _ = v._q
-    if r == 0:
-        raise ZeroRank(f"xi_pair needs rk != 0, got {v}")
-    s = rat(s)
-    return _xi(r, d, a, s.numerator, s.denominator, S)
 
 
 class AmpleClassReport(Frozen):
@@ -62,9 +44,12 @@ def ample_class(v: MukaiVector, p: StabilityParam, S: Surface) -> AmpleClassRepo
     if n2 == 0:
         raise ZeroDegree(f"d_beta({v}) = 0 at s = {p.s}")
     h2, (sn, _, sd) = S.h2, p._q
-    return AmpleClassReport._of(n1 * sd + h2 * sn * n2, *_xi(r, d, a, sn, sd, S),
-                                MukaiVector._of(-h2 * n2, n1, -h2 * n0, n2),
-                                n2 * sd)
+    # xi2 = (-1, -s, chi/r - s^2*h2/2), whose last entry is (a - d*s*h2)/r;
+    # the scale V of v._q cancels from xi1 and xi2
+    return AmpleClassReport._of(
+        n1 * sd + h2 * sn * n2, MukaiVector._of(0, r, d * h2, r),
+        MukaiVector._of(-r * sd, -r * sn, a * sd - d * sn * h2, r * sd),
+        MukaiVector._of(-h2 * n2, n1, -h2 * n0, n2), n2 * sd)
 
 
 def _omega(v: MukaiVector, s: Fraction, x: Fraction, S: Surface):
@@ -100,13 +85,13 @@ def omega_sx(v: MukaiVector, s, x, S: Surface) -> Fraction:
     """omega_x with x absolute: t^2 = N/M of _omega at x - s, so
     omega_sx(v, s, s + x_rel) == omega_x(v, s, x_rel) on omega_x's
     domain.  It solves rho(e^{xH}, v) = 0 at (s, t^2), so it depends on
-    s.  Degenerate when x r = d0 (the pole, M = 0), NonPositive when
-    t^2 <= 0."""
+    s.  OutOfDomain at the pole x r = d0 (M = 0) and when t^2 <= 0,
+    each with its own detail."""
     s, x = rat(s), rat(x)
     N, M, *_ = _omega(v, s, x - s, S)
     if M == 0:
-        raise Degenerate(f"pole at x = {x} (x rk = degree)")
+        raise OutOfDomain(f"pole at x = {x} (x rk = degree)")
     t2 = Fraction(N, M)
     if N * M <= 0:
-        raise NonPositive(f"t^2 = {t2} <= 0 at x = {x}")
+        raise OutOfDomain(f"t^2 = {t2} <= 0 at x = {x}")
     return t2

@@ -380,11 +380,17 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_domain_error_exits_2(capsys):
-    # x = -1 absolute from s = -1 is the untwisted origin: t^2 would be 0
-    rc, out, err = run(capsys, "omega-x", "--v", "1,0,-2", "--s", "-1",
-                       "--x", "-1", "--absolute")
-    assert rc == 2 and out == ""
-    assert json.loads(err)["error"] == "NonPositive"
+    """Both ways out of omega_sx's domain are OutOfDomain, told apart by
+    the detail."""
+    for x, detail in (
+            # x = -1 absolute from s = -1 is the untwisted origin: t^2 = 0
+            ("-1", "t^2 = 0 <= 0 at x = -1"),
+            # x = 0 is the pole x rk = degree of (1,0,-2)
+            ("0", "pole at x = 0 (x rk = degree)")):
+        rc, out, err = run(capsys, "omega-x", "--v", "1,0,-2", "--s", "-1",
+                           "--x", x, "--absolute")
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "OutOfDomain", "detail": detail}
 
 
 def test_zero_wall_class_exits_2(capsys):

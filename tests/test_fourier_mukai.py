@@ -11,8 +11,7 @@ from mukaistab import (
     fm_inverse, l_divisor, make_transform, mukai_pairing, mv, param,
     transform_central_charge, twisted_invariants,
 )
-from mukaistab.errors import (NonIntegral, NonPositive, NotPrimitive,
-                              OutOfDomain)
+from mukaistab.errors import NonIntegral, NotPrimitive, OutOfDomain
 
 AB = Surface("abelian", 2)
 K3 = Surface("k3", 2)
@@ -118,7 +117,7 @@ def test_l_divisor():
 def test_l_divisor_needs_positive_t2(lam, t2):
     """The check is on t^2 itself: lambda^2 does not make up for t^2 <= 0
     (l_divisor(2, -1) once returned 3/2)."""
-    with pytest.raises(NonPositive, match=r"^l_divisor needs t\^2 > 0$"):
+    with pytest.raises(OutOfDomain, match=r"^l_divisor needs t\^2 > 0$"):
         l_divisor(lam, t2)
 
 

@@ -18,8 +18,7 @@ from mukaistab import (
     wall_locus,
 )
 from mukaistab.classification import _aligned_normal
-from mukaistab.errors import (Degenerate, NonIntegral, NonPositive,
-                              OutOfDomain, Zero, ZeroCharge)
+from mukaistab.errors import NonIntegral, OutOfDomain, Zero, ZeroCharge
 from mukaistab.lattice import _kernel_basis_of_functional
 
 AB = Surface("abelian", 2)
@@ -297,9 +296,10 @@ def test_kernels_exact_on_rational_input():
     """The integer kernels equal their tuple formulas in oracles.py exactly
     on rational classes (denominators up to 60, as fm_apply images have)
     at rational s, t2 and t with large denominators, and every number they
-    return is a Fraction; omega_sx also raises Degenerate and NonPositive
-    where its oracle says so.  The vectors built from the twist (e^{sH},
-    kernel classes, fm_apply) and v + w, v - w and k*v are checked too."""
+    return is a Fraction; omega_sx also raises OutOfDomain, at the pole or
+    for t^2 <= 0, where its oracle says so.  The vectors built from the
+    twist (e^{sH}, kernel classes, fm_apply) and v + w, v - w and k*v are
+    checked too."""
     rng = random.Random(20261018)
     pick = random.Random(20261019)  # omega_sx's draws, apart from the rest
     more = random.Random(20261020)  # and the vector-building kernels' draws
@@ -361,10 +361,10 @@ def test_kernels_exact_on_rational_input():
         xa = pick.choice((s + x, q(60, -5, 5, pick), v.d / v.r if v.r else s))
         want = oracles.omega_sx(vt, s, xa, h2)
         if want is None:
-            with pytest.raises(Degenerate):
+            with pytest.raises(OutOfDomain, match="^pole at x = "):
                 omega_sx(v, s, xa, S)
         elif want <= 0:
-            with pytest.raises(NonPositive):
+            with pytest.raises(OutOfDomain, match=r"^t\^2 = .* <= 0 at x = "):
                 omega_sx(v, s, xa, S)
         else:
             exact((omega_sx(v, s, xa, S),), (want,))

@@ -18,7 +18,7 @@ PUBLIC = {
     "errors": ["MukaiStabError", "NonIntegral", "Zero", "ZeroCharge",
                "NonPositiveSquare", "BoundOverflow", "NotK3",
                "NotPrimitive", "ZeroRank", "ZeroDegree", "OutOfDomain",
-               "Degenerate", "NonPositive", "NotAligned", "UsageError"],
+               "NotAligned", "UsageError"],
     "lattice": ["Surface", "MukaiVector", "mv", "RHO", "rat", "mukai_pairing",
                 "mukai_square", "sheaf_vector", "exp_vector",
                 "twisted_invariants", "d_beta", "d_beta_min", "perp_basis"],
@@ -32,7 +32,7 @@ PUBLIC = {
     "fourier_mukai": ["FMTransform", "make_transform", "fm_apply",
                       "fm_inverse", "dual", "l_divisor", "TransformedCharge",
                       "transform_central_charge"],
-    "polarization": ["xi_pair", "AmpleClassReport", "ample_class", "omega_x",
+    "polarization": ["AmpleClassReport", "ample_class", "omega_x",
                      "omega_sx"],
     "classification": ["find_isotropic_pairing_one", "find_minus_two_aligned",
                        "DecompositionReport", "classify_decomposition",

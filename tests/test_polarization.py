@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from mukaistab import (
     Surface, ample_class, central_charge, d_beta, mukai_pairing, mv, omega_sx,
-    omega_x, param, reduced_sigma, twisted_invariants, xi_pair,
+    omega_x, param, reduced_sigma, twisted_invariants,
 )
-from mukaistab.errors import (
-    Degenerate, NonPositive, OutOfDomain, ZeroDegree, ZeroRank,
-)
+from mukaistab.errors import OutOfDomain, ZeroDegree, ZeroRank
 
 AB = Surface("abelian", 2)
 F = Fraction
@@ -24,19 +22,33 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 pos_rationals = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8)
 
 
+T2S = (F(1, 4), F(1), F(3))  # xi1 and xi2 do not depend on t^2
+
+
 def test_xi_pair_golden():
-    xi1, xi2 = xi_pair(V, F(-1), AB)
-    assert xi1 == mv(0, 1, 0)
-    assert xi2 == mv(-1, 1, -2)
+    """The pair (xi1, xi2) of ample_class at s = -1, at each t^2."""
+    for t2 in T2S:
+        rep = ample_class(V, param(F(-1), t2), AB)
+        assert rep.xi1 == mv(0, 1, 0)
+        assert rep.xi2 == mv(-1, 1, -2)
 
 
 @given(vectors, rationals)
 def test_xi_pair_is_orthogonal_to_v(v, s):
+    """ample_class's xi1 and xi2 pair to zero with v, and are the same
+    at every t^2."""
     if v.r == 0:
         with pytest.raises(ZeroRank):
-            xi_pair(v, s, AB)
+            ample_class(v, param(s, 1), AB)
         return
-    xi1, xi2 = xi_pair(v, s, AB)
+    if d_beta(v, s, AB) == 0:
+        with pytest.raises(ZeroDegree):
+            ample_class(v, param(s, 1), AB)
+        return
+    pairs = {(rep.xi1, rep.xi2)
+             for rep in (ample_class(v, param(s, t2), AB) for t2 in T2S)}
+    assert len(pairs) == 1
+    (xi1, xi2), = pairs
     assert mukai_pairing(xi1, v, AB) == 0
     assert mukai_pairing(xi2, v, AB) == 0
     # independence inside the rank-2 orthogonal complement
@@ -126,11 +138,13 @@ def test_omega_sx_golden_alignment_at_each_base_point():
 
 
 def test_omega_sx_errors():
-    with pytest.raises(Degenerate):
+    """The pole and t^2 <= 0 are both OutOfDomain, told apart by the
+    detail."""
+    with pytest.raises(OutOfDomain, match=r"^pole at x = 0 \(x rk = degree\)$"):
         omega_sx(V, F(-1), F(0), AB)      # x r = d at the untwisted origin
-    with pytest.raises(NonPositive):
+    with pytest.raises(OutOfDomain, match=r"^t\^2 = 0 <= 0 at x = -2$"):
         omega_sx(V, F(-1), F(-2), AB)
-    with pytest.raises(NonPositive):
+    with pytest.raises(OutOfDomain, match=r"^t\^2 = -6 <= 0 at x = 2$"):
         omega_sx(V, F(-1), F(2), AB)
 
 
