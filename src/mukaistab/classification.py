@@ -31,9 +31,9 @@ from math import gcd, isqrt
 from itertools import combinations
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare,
-                     NotAligned, NotK3, NotPrimitive, ZeroCharge, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface,
-                      _kernel_basis_of_functional, _xgcd, d_beta)
+                     NotAligned, NotK3, ZeroCharge, ZeroDegree)
+from .lattice import (Frozen, MukaiVector, Surface, _integral,
+                      _kernel_basis_of_functional, _primitive, _xgcd, d_beta)
 from .stability import StabilityParam, _rho_normal, reduced_sigma
 
 # the largest bound find_minus_two_aligned accepts; it solves one quadratic
@@ -101,8 +101,7 @@ def find_isotropic_pairing_one(v: MukaiVector, p: StabilityParam, S: Surface,
     truncates the output.  Raises ZeroCharge when Z(v) = 0."""
     if type(bound) is not int:
         raise NonIntegral(f"bound must be an integer, got {bound!r}")
-    if not v.is_integral():
-        raise NonIntegral(f"search needs an integral v, got {v}")
+    _integral(v, "v")
     return [MukaiVector._of(*w) for w in _ipo_line_search(v, p, S)
             if max(map(abs, w)) <= bound]
 
@@ -112,9 +111,7 @@ def find_minus_two_aligned(p: StabilityParam, S: Surface, bound: int,
     """All integral w = (r, d, a) with entries bounded by ``bound``,
     <w^2> = -2, d_beta(w) > 0, aligned with the reference class at p, in
     (r, d, a) order.  K3 only: an abelian surface carries no spherical
-    objects, since a simple sheaf E there has ext^1(E, E) >= 2 and so
-    <v(E)^2> = ext^1(E, E) - 2 >= 0 (recalled, not quoted), though the
-    lattice has square -2 classes ((1, 0, 1) for every h2).
+    objects (errors.NotK3).
 
     <w^2> = h2*d^2 - 2*r*a = -2 rules out r = 0 and fixes
     a = (h2*d^2 + 2)/(2*r).  Alignment is n·w = 0 for the normal n of the
@@ -197,13 +194,7 @@ def _check_parts(parts, p, S):
     for n, vi in parts:
         if not (type(n) is int and n >= 1):
             raise NonIntegral(f"multiplicity must be a positive integer, got {n!r}")
-        r, d, a, V = vi._q
-        if V != 1:
-            raise NonIntegral(f"part {vi} is not integral")
-        g = gcd(r, d, a)
-        if g != 1:
-            raise NotPrimitive(f"part {vi} has content {g}")
-        vecs.append((r, d, a))
+        vecs.append(_primitive(vi, "part"))
     if len(set(vecs)) != len(vecs):
         raise NotAligned("parts must be pairwise distinct classes")
     for (x, xt), (y, yt) in combinations(zip([vi for _, vi in parts], vecs), 2):
@@ -270,9 +261,7 @@ def stable_existence(v: MukaiVector, p: StabilityParam,
     the line search (module docstring) is complete: "Yes" is certified
     by it finding no isotropic pairing-one class aligned at p, and the
     first such class is reported otherwise.  There is no third answer."""
-    r, d, a, V = v._q
-    if V != 1:
-        raise NonIntegral(f"needs an integral v, got {v}")
+    r, d, a = _integral(v, "v")
     square = S.h2 * d * d - 2 * r * a
     if square <= 0:
         raise NonPositiveSquare(f"<v^2> = {square} <= 0 for {v}")

@@ -16,9 +16,10 @@ typed flags, and explicit flags win.  No environment variables are
 consulted.
 
 Only `errors` and `lattice` load with this module, since every handler
-reads vectors; each handler imports the rest of what it calls, and a
-call builds the parser of its own subcommand only, so a process compiles
-and builds no more than its subcommand runs.
+reads vectors; a handler reads every other name as ``mukaistab.<name>``,
+as ``import mukaistab`` users do, so the package loads its module on
+first use.  A call builds the parser of its own subcommand only, so a
+process compiles and builds no more than its subcommand runs.
 """
 
 import argparse
@@ -27,6 +28,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+
+import mukaistab
 
 from .errors import MukaiStabError, UsageError
 from .lattice import (MukaiVector, Surface, d_beta_min, mukai_pairing, rat,
@@ -242,6 +245,8 @@ def _build_parser(only=None):
                         help="JSON file with default flag values")
         sp.add_argument("--approx", action="store_true", default=False,
                         help="add floating-point annotations")
+        if name == "plot":
+            sp.set_defaults(format="svg")  # plot is walls --format svg
     return ap, sub.choices
 
 
@@ -311,23 +316,21 @@ def _cmd_twist(args, S):
 
 
 def _cmd_charge(args, S):
-    from .stability import central_charge, param
     v, s = _parse_vec(args.v), rat(args.s)
     if args.t is None and args.t2 is None:
         raise UsageError("charge needs --t or --t2")
-    p = param(s, t2=args.t2, t=args.t)  # refuses t^2 != t2
-    z = central_charge(v, p, S)
+    p = mukaistab.param(s, t2=args.t2, t=args.t)  # refuses t^2 != t2
+    z = mukaistab.central_charge(v, p, S)
     if p.t is not None:
         return {"re": z.re, "im": z.im_at(p.t)}
     return {"re": z.re, "im_over_t": z.im_over_t}
 
 
 def _cmd_walls(args, S):
-    from .walls import Region, enumerate_walls
     v = _parse_vec(args.v)
-    reg = Region(args.s_min, args.s_max, args.t2_min, args.t2_max)
+    reg = mukaistab.Region(args.s_min, args.s_max, args.t2_min, args.t2_max)
     box = _svg_box(reg) if args.format == "svg" else None  # before the walk
-    walls = enumerate_walls(v, S, reg, cap=args.cap)
+    walls = mukaistab.enumerate_walls(v, S, reg, cap=args.cap)
     if box:
         print(_svg_walls(v, reg, walls, box))
         return None
@@ -341,74 +344,58 @@ def _cmd_walls(args, S):
 
 
 def _cmd_chambers(args, S):
-    from .walls import chambers_on_ray
-    ray = chambers_on_ray(_parse_vec(args.v), S, rat(args.s),
-                          (rat(args.t2_min), rat(args.t2_max)),
-                          cut_category_walls=args.cut_category_walls,
-                          cap=args.cap)
+    ray = mukaistab.chambers_on_ray(_parse_vec(args.v), S, rat(args.s),
+                                    (rat(args.t2_min), rat(args.t2_max)),
+                                    cut_category_walls=args.cut_category_walls,
+                                    cap=args.cap)
     return {"s": ray.s, "cut_points": list(ray.cut_points),
             "chambers": [list(ch) for ch in ray.chambers]}
 
 
 def _cmd_side(args, S):
-    from .stability import param, reduced_sigma
-    from .walls import wall_side
     v, w1 = _parse_vec(args.v), _parse_vec(args.w1)
-    p = param(args.s, t2=args.t2)
-    return {"side": wall_side(v, w1, p, S),
-            "rho": reduced_sigma(w1, v, p, S)}
+    p = mukaistab.param(args.s, t2=args.t2)
+    return {"side": mukaistab.wall_side(v, w1, p, S),
+            "rho": mukaistab.reduced_sigma(w1, v, p, S)}
 
 
 def _cmd_fm(args, S):
-    from .fourier_mukai import fm_apply, make_transform
-    T = make_transform(args.r1, rat(args.c), S)
+    T = mukaistab.make_transform(args.r1, rat(args.c), S)
     v = _parse_vec(args.v)
-    return {"kernel": T.kernel_class(S), "image": fm_apply(T, v, S)}
+    return {"kernel": T.kernel_class(S), "image": mukaistab.fm_apply(T, v, S)}
 
 
 def _cmd_fm_charge(args, S):
-    from .fourier_mukai import make_transform, transform_central_charge
-    from .stability import param
-    T = make_transform(args.r1, rat(args.c), S)
-    p = param(args.s, t=args.t)
-    tc = transform_central_charge(T, p, S)
+    T = mukaistab.make_transform(args.r1, rat(args.c), S)
+    p = mukaistab.param(args.s, t=args.t)
+    tc = mukaistab.transform_central_charge(T, p, S)
     return {"zeta_re": tc.zeta_re, "zeta_im": tc.zeta_im,
             "xi": tc.xi_coeff, "eta": tc.eta_coeff}
 
 
 def _cmd_ample(args, S):
-    from .polarization import ample_class
-    from .stability import param
-    rep = ample_class(_parse_vec(args.v), param(args.s, t2=args.t2), S)
+    v, p = _parse_vec(args.v), mukaistab.param(args.s, t2=args.t2)
+    rep = mukaistab.ample_class(v, p, S)
     return {"phi": rep.phi, "xi1": rep.xi1, "xi2": rep.xi2,
             "xi_omega": rep.xi_omega}
 
 
 def _cmd_omega_x(args, S):
-    from .polarization import omega_sx, omega_x
     v, s, x = _parse_vec(args.v), rat(args.s), rat(args.x)
-    t2 = omega_sx(v, s, x, S) if args.absolute else omega_x(v, s, x, S)
-    return {"t2": t2}
+    omega = mukaistab.omega_sx if args.absolute else mukaistab.omega_x
+    return {"t2": omega(v, s, x, S)}
 
 
 def _cmd_classify(args, S):
-    from .classification import classify_decomposition
-    from .stability import param
-    rep = classify_decomposition(_parse_parts(args.parts),
-                                 param(args.s, t2=args.t2), S)
+    parts, p = _parse_parts(args.parts), mukaistab.param(args.s, t2=args.t2)
+    rep = mukaistab.classify_decomposition(parts, p, S)
     return {"verdict": rep.verdict, "certified": rep.certified,
             "witnesses": list(rep.witnesses)}
 
 
 def _cmd_k3_category_walls(args, S):
-    from .walls import category_walls_k3
-    walls = category_walls_k3(rat(args.b), S, rat(args.t2_max))
+    walls = mukaistab.category_walls_k3(rat(args.b), S, rat(args.t2_max))
     return {"walls": [{"u": cw.u, "t2": cw.t2} for cw in walls]}
-
-
-def _cmd_plot(args, S):
-    args.format = "svg"  # plot is walls --format svg
-    return _cmd_walls(args, S)
 
 
 _REGION = ["v", "s-min", "s-max", "t2-min", "t2-max"]
@@ -438,7 +425,7 @@ _COMMANDS = {
                  [], _cmd_classify),
     "k3-category-walls": ("category walls at beta = b*H", ["b", "t2-max"],
                           [], _cmd_k3_category_walls),
-    "plot": ("SVG wall diagram over a region", _REGION, ["cap"], _cmd_plot),
+    "plot": ("SVG wall diagram over a region", _REGION, ["cap"], _cmd_walls),
 }
 
 # the dest of every flag of every subcommand: its own flags, the common

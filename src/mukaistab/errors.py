@@ -26,11 +26,12 @@ class MukaiStabError(Exception):
 
 class NonIntegral(MukaiStabError):
     """A class or multiplicity that must be integral is not: a vector
-    argument with a non-integer entry, a decomposition multiplicity that
-    is not a positive integer, a Fourier-Mukai transform whose ``r1``
-    is not a nonzero integer (``FMTransform``) or whose kernel class is
-    not integral (``make_transform``), or a walk ``cap`` or search
-    ``bound`` that is not an int (``enumerate_walls``,
+    argument with a non-integer entry (detail "<noun> <v> is not
+    integral", the noun naming the argument), a decomposition
+    multiplicity that is not a positive integer, a Fourier-Mukai
+    transform whose ``r1`` is not a nonzero integer (``FMTransform``) or
+    whose kernel class is not integral (``make_transform``), or a walk
+    ``cap`` or search ``bound`` that is not an int (``enumerate_walls``,
     ``chambers_on_ray``, ``find_isotropic_pairing_one``,
     ``find_minus_two_aligned``).  None of these checks takes a bool for
     an int."""
@@ -57,11 +58,19 @@ class BoundOverflow(MukaiStabError):
 
 
 class NotK3(MukaiStabError):
-    """Operation defined only on K3 surfaces was called on an abelian one."""
+    """Operation defined only on K3 surfaces was called on an abelian one:
+    the searches for spherical (square -2) classes and the category walls
+    they cut.  An abelian surface carries no spherical objects, since a
+    simple sheaf E there has ext^1(E, E) >= 2 and so <v(E)^2> =
+    ext^1(E, E) - 2 >= 0 (recalled, not quoted), though the lattice has
+    square -2 classes ((1, 0, 1) for every h2)."""
 
 
 class NotPrimitive(MukaiStabError):
-    """A derived class that must be primitive is not."""
+    """A class that must be primitive is not (detail "<noun> <v> has
+    content <g>"): the class of ``enumerate_walls`` and
+    ``chambers_on_ray``, a decomposition part, or a transform's kernel
+    class."""
 
 
 class ZeroRank(MukaiStabError):

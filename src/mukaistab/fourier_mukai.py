@@ -24,8 +24,9 @@ exactly reduced_sigma(E, T.kernel_class(S), p, S).
 
 from fractions import Fraction
 
-from .errors import NonIntegral, NotPrimitive, OutOfDomain
-from .lattice import Frozen, MukaiVector, Surface, _ints, _twist, rat
+from .errors import NonIntegral, OutOfDomain
+from .lattice import (Frozen, MukaiVector, Surface, _ints, _primitive, _twist,
+                      rat)
 from .stability import StabilityParam
 
 
@@ -48,11 +49,7 @@ def make_transform(r1, c, S: Surface) -> FMTransform:
     """Validated constructor: beyond FMTransform's check of r1, the kernel
     class r1*e^{cH} must be integral and primitive (it is isotropic)."""
     T = FMTransform(r1, c)
-    w1 = T.kernel_class(S)
-    if not w1.is_integral():
-        raise NonIntegral(f"kernel class {w1} is not integral")
-    if not w1.is_primitive():
-        raise NotPrimitive(f"kernel class {w1} has content {w1.content()}")
+    _primitive(T.kernel_class(S), "kernel class")
     return T
 
 

@@ -31,7 +31,7 @@ s' - s passes from the s-twisted basis to the s'-twisted one.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NonIntegral, Zero
+from .errors import NonIntegral, NotPrimitive, Zero
 
 
 def rat(x) -> Fraction:
@@ -225,9 +225,7 @@ class MukaiVector(Frozen):
 
     def content(self) -> int:
         """gcd of the entries of an integral vector; 0 for the zero vector."""
-        if not self.is_integral():
-            raise NonIntegral("content is defined for integral vectors")
-        return gcd(*self._q[:3])
+        return gcd(*_integral(self, "vector"))
 
     def is_primitive(self) -> bool:
         return self.is_integral() and self.content() == 1
@@ -237,6 +235,25 @@ class MukaiVector(Frozen):
 
 
 mv = MukaiVector  # the short public name the demos and the benchmark use
+
+
+def _integral(v: MukaiVector, noun: str):
+    """(r, d, a) of v, or NonIntegral naming v as ``noun``: the one
+    integrality check of a class argument."""
+    r, d, a, den = v._q
+    if den != 1:
+        raise NonIntegral(f"{noun} {v} is not integral")
+    return r, d, a
+
+
+def _primitive(v: MukaiVector, noun: str):
+    """(r, d, a) of v, or _integral's NonIntegral, or NotPrimitive naming
+    v and its content: the one primitivity check of a class argument."""
+    r, d, a = _integral(v, noun)
+    g = gcd(r, d, a)
+    if g != 1:
+        raise NotPrimitive(f"{noun} {v} has content {g}")
+    return r, d, a
 
 
 RHO = MukaiVector(0, 0, 1)
@@ -344,9 +361,7 @@ def perp_basis(v: MukaiVector, S: Surface):
     <x, v> is the integer functional (-v.a)*x_r + (h2*v.d)*x_d + (-v.r)*x_a,
     so this is a 1-functional kernel computation.
     """
-    r, d, a, V = v._q
-    if V != 1:
-        raise NonIntegral(f"perp_basis needs an integral vector, got {v}")
+    r, d, a = _integral(v, "v")
     if not (r or d or a):
         raise Zero("perp_basis of the zero vector")
     n0, n1, n2 = -a, S.h2 * d, -r

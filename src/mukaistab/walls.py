@@ -34,9 +34,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import (BoundOverflow, NonIntegral, NonPositiveSquare, NotK3,
-                     NotPrimitive, Zero, ZeroDegree)
-from .lattice import (Frozen, MukaiVector, Surface, _ints, _xgcd, d_beta_min,
-                      rat)
+                     Zero, ZeroDegree)
+from .lattice import (Frozen, MukaiVector, Surface, _ints, _integral,
+                      _primitive, _xgcd, d_beta_min, rat)
 from .stability import StabilityParam, _acd, _band, _nonzero_charge
 
 
@@ -180,11 +180,9 @@ def is_wall_vector(v1: MukaiVector, v: MukaiVector, S: Surface,
     """Numerical wall criterion; see WallVectorReport for semantics.
     ``s`` only matters on K3, where conditions (b)-(c) genuinely depend
     on the twist through the minimal positive degree 1/den(s)."""
-    if not (v.is_integral() and v1.is_integral()):
-        raise NonIntegral(f"criterion needs integral classes, got {v1}, {v}")
+    r, d, a = _integral(v, "v")
+    r1, d1, a1 = _integral(v1, "v1")
     h2 = S.h2
-    r, d, a, _ = v._q
-    r1, d1, a1, _ = v1._q
     q = h2 * d * d - 2 * r * a
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
@@ -359,11 +357,7 @@ def _walk(v, S, reg, cap):
         raise NonIntegral(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    if not v.is_integral():
-        raise NonIntegral(f"enumeration needs an integral v, got {v}")
-    (r, d, a, _), h2 = v._q, S.h2
-    if gcd(r, d, a) != 1:
-        raise NotPrimitive(f"enumeration needs a primitive v, got {v}")
+    (r, d, a), h2 = _primitive(v, "v"), S.h2
     q = h2 * d * d - 2 * r * a
     if q <= 0:
         raise NonPositiveSquare(f"<v^2> = {q} <= 0 for v = {v}")
@@ -573,10 +567,7 @@ def category_walls_k3(b, S: Surface, t2_max) -> list:
     that case a_b(u) = 1/q and the wall equation rk(u)*(t^2 h2) =
     -2<e^{bH}, u> puts the single wall (up to sign of u) at
     t^2 = 2/(q^2 h2).  An abelian surface has no category walls, hence
-    NotK3: it carries no spherical objects, since a simple sheaf E there
-    has ext^1(E, E) >= 2 and so <v(E)^2> = ext^1(E, E) - 2 >= 0 (recalled,
-    not quoted).  The lattice alone does not rule them out: (1, 0, 1) has
-    square -2 for every h2.
+    NotK3: it carries no spherical objects (errors.NotK3).
     """
     if S.kind != "k3":
         raise NotK3("category walls exist only on K3 surfaces")

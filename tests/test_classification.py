@@ -65,7 +65,7 @@ def test_ipo_rho_vector():
 def test_ipo_errors():
     with pytest.raises(NonIntegral) as err:
         find_isotropic_pairing_one(mv(F(1, 2), 0, 0), OFF_P, AB, bound=5)
-    assert str(err.value) == "search needs an integral v, got (1/2,0,0)"
+    assert str(err.value) == "v (1/2,0,0) is not integral"
     with pytest.raises(ZeroCharge) as err:
         # Z((1,0,1)) = 0 at s=0, t2=1 on the abelian surface
         find_isotropic_pairing_one(mv(1, 0, 1), param(F(0), F(1)), AB, bound=5)
@@ -662,7 +662,7 @@ def test_stable_existence_preconditions():
     assert str(err.value) == "d_beta((1,0,-2)) = -1 <= 0 at s = 1"
     with pytest.raises(NonIntegral) as err:
         stable_existence(mv(F(1, 2), 0, -2), OFF_P, AB)
-    assert str(err.value) == "needs an integral v, got (1/2,0,-2)"
+    assert str(err.value) == "v (1/2,0,-2) is not integral"
     # a negative square, and a twisted degree that is a fraction or zero
     with pytest.raises(NonPositiveSquare) as err:
         stable_existence(mv(1, 0, 3), OFF_P, AB)

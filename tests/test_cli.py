@@ -208,7 +208,7 @@ def test_plot_emits_svg(capsys):
     assert out.count("<circle") == 1
 
 
-def test_walls_svg_format_matches_plot(capsys):
+def test_walls_svg_format_matches_plot(capsys, tmp_path):
     rc, svg_out, _ = run(capsys, "walls", "--v", "1,0,-2", "--s-min", "-3",
                          "--s-max", "0", "--t2-min", "1/100",
                          "--t2-max", "4", "--format", "svg")
@@ -217,6 +217,12 @@ def test_walls_svg_format_matches_plot(capsys):
                            "--t2-max", "4")
     assert rc == rc2 == 0
     assert svg_out == plot_out
+    # format is a flag of walls, not of plot: plot skips the config key
+    # and keeps its parser default
+    cfg = _config(tmp_path, {"format": "json"})
+    rc3, config_out, _ = run(capsys, "plot", "--config", cfg, *WALLS_REGION)
+    assert rc3 == 0
+    assert config_out == svg_out
 
 
 # ---------------------------------------------------------------------------

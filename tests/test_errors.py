@@ -65,7 +65,7 @@ PRECONDITIONS = textwrap.dedent("""
          errors.NonIntegral,
          "wall coefficients of integral classes are integers"),
         (lambda: mv("1/2", 0, 0).content(), errors.NonIntegral,
-         "content is defined for integral vectors"),
+         "vector (1/2,0,0) is not integral"),
         (lambda: l_divisor(1, -3), errors.OutOfDomain,
          "l_divisor needs t^2 > 0"),
     ]
@@ -121,6 +121,57 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert set(CODES) - {"MukaiStabError"} - raised == set()
+
+
+def test_every_imported_name_is_used():
+    """Each name a module of src/ imports is read in that module, so a
+    check moved behind a lattice reader leaves no import of its error
+    class behind."""
+    unused = []
+    for path in sorted((ROOT / "src" / "mukaistab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append((path.name, name))
+    assert unused == []
+
+
+def _class_checks():
+    S = mukaistab.Surface("abelian", 2)
+    reg = mukaistab.Region(-3, 0, F(1, 10), 4)
+    half, twice = mukaistab.mv("1/2", 0, 0), mukaistab.mv(2, 0, -4)
+    return {
+        "walls-integral": (lambda: mukaistab.enumerate_walls(half, S, reg),
+                           errors.NonIntegral, "v (1/2,0,0) is not integral"),
+        "walls-primitive": (lambda: mukaistab.enumerate_walls(twice, S, reg),
+                            errors.NotPrimitive, "v (2,0,-4) has content 2"),
+        "chambers-integral": (lambda: mukaistab.chambers_on_ray(
+            half, S, F(-3, 2), (F(1, 10), 4)),
+            errors.NonIntegral, "v (1/2,0,0) is not integral"),
+        "chambers-primitive": (lambda: mukaistab.chambers_on_ray(
+            twice, S, F(-3, 2), (F(1, 10), 4)),
+            errors.NotPrimitive, "v (2,0,-4) has content 2"),
+        "is_wall_vector": (lambda: mukaistab.is_wall_vector(
+            half, mukaistab.mv(1, 0, -2), S),
+            errors.NonIntegral, "v1 (1/2,0,0) is not integral"),
+        "perp_basis": (lambda: mukaistab.perp_basis(half, S),
+                       errors.NonIntegral, "v (1/2,0,0) is not integral"),
+    }
+
+
+@pytest.mark.parametrize("case", _class_checks())
+def test_class_checks_name_the_argument(case):
+    """The lattice readers' wording: "<noun> <v> is not integral" and
+    "<noun> <v> has content <g>", the noun naming the argument."""
+    call, cls, detail = _class_checks()[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert info.value.detail == detail
 
 
 # ---------------------------------------------------------------------------
